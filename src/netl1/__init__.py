@@ -7,7 +7,6 @@ communication steps to target accuracies.
 """
 
 from .bench import (
-    DESK_SCENARIOS,
     NETWORK_MODELS,
     RHO_GRID,
     InstanceSpec,
@@ -24,9 +23,7 @@ from .graphs import (
     Graph,
     generate_network,
     greedy_coloring,
-    incidence_matrix,
     is_connected,
-    laplacian,
     load_network,
     save_network,
 )
@@ -35,10 +32,8 @@ from .linalg import (
     GramFactorization,
     InputError,
     PartitionSpec,
-    PowerIterationError,
     affine_projection,
     gram_factorization,
-    lambda_max,
     partition,
 )
 from .nodeprob import (
@@ -46,13 +41,12 @@ from .nodeprob import (
     ColSubproblem,
     RowSubproblem,
     psi_p,
-    shrink_delta,
     solve_col_node,
     solve_row_node,
     x_of_u,
 )
 from .problems import ProblemInstance, load_instance, save_instance
-from .solvers import EdgeDuals, NodeStates, SolverConfig, make_stepper
+from .solvers import NodeStates, SolverConfig, make_stepper
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ optimality at exit through the dual feasibility of the l1 problem
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -152,15 +152,6 @@ def solve_regularized_bp(A, b, delta: float, tol: float = 1e-9, max_iter: int = 
 # ---------------------------------------------------------------------------
 # network bank and experiment drivers
 
-#: Desk-scale instance bank mirroring the usual benchmark proportions
-#: (m : n about 1 : 4, P dividing m, sparsity m/8).
-DESK_SCENARIOS = (
-    InstanceSpec(m=100, n=400, P=10, k=12),
-    InstanceSpec(m=40, n=160, P=8, k=5),
-    InstanceSpec(m=64, n=256, P=64, k=8),
-    InstanceSpec(m=128, n=512, P=16, k=16),
-)
-
 #: The seven benchmark network models: (name, model, parameters).
 NETWORK_MODELS = (
     ("erdos_renyi_sparse", "erdos_renyi", {"p": 0.25}),
@@ -251,11 +242,7 @@ def rho_sweep(
     best_key = None
     cap = rule.max_comm_steps
     for rho in grid:
-        cfg = SolverConfig(
-            kind=config.kind, rho=rho, delta=config.delta, bb=config.bb,
-            inner_tol_rel=config.inner_tol_rel, inner_cap=config.inner_cap,
-            warm_start=config.warm_start,
-        )
+        cfg = replace(config, rho=rho)
         budget = cap if early_abandon else rule.max_comm_steps
         trace = run(
             cfg, problem, graph, coloring,

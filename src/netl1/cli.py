@@ -54,7 +54,6 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--targets", default="1e-2,1e-5",
                    help="comma-separated decreasing relative-error targets")
     p.add_argument("--oracle-tol", type=float, default=1e-9)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--trace-out", default=None)
 
 
@@ -106,7 +105,7 @@ def cmd_run(args) -> int:
     rho = args.rho if args.rho is not None else bench.FIXED_RHO[kind]
     config = SolverConfig(kind=kind, rho=rho, delta=args.delta)
     rule = engine.StopRule(targets=_parse_targets(args.targets), max_comm_steps=args.max_steps)
-    trace = engine.run(config, problem, g, coloring, rule, workers=args.workers)
+    trace = engine.run(config, problem, g, coloring, rule)
     if args.trace_out:
         trace.to_csv(args.trace_out)
     summary = ", ".join(

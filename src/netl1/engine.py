@@ -7,15 +7,13 @@ node 0's series recorded alongside. For the column partition the global
 estimate is the concatenation of the per-node fragments, so the max and
 node-0 series coincide there.
 
-Runs are deterministic functions of their inputs: node solves inside a
-scheduling phase may execute on worker threads, but results are merged in
-node-index order and all reductions run in fixed order, so traces are
-byte-identical for any worker count.
+Runs are deterministic functions of their inputs: node solves run in
+sweep order and all reductions in a fixed order, so repeated runs give
+byte-identical traces.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +22,7 @@ from .graphs import Coloring, Graph, greedy_coloring, is_connected
 from .linalg import InputError
 from .nodeprob import psi_p
 from .problems import ProblemInstance
-from .solvers import SolverConfig, Stepper, make_stepper
+from .solvers import SolverConfig, make_stepper
 
 
 @dataclass
@@ -103,39 +101,14 @@ def global_estimate(states, partition, x_ref=None, col_blocks=None):
     per-node fragments are concatenated in node order (col_blocks supplies
     the per-node data to map y_p to its fragment).
     """
-    if partition.kind == "row":
-        X = states.primal
-        if x_ref is None:
-            return X[0].copy()
-        errs = [relative_error(X[p], x_ref) for p in range(X.shape[0])]
-        return X[int(np.argmax(errs))].copy()
-    if col_blocks is None:
-        raise InputError("column estimates need the per-node column blocks")
-    fragments = [psi_p(sp, y)[1] for sp, y in zip(col_blocks, states.primal)]
-    return np.concatenate(fragments)
-
-
-def _consensus_residual(graph: Graph, X: np.ndarray) -> float:
-    worst = 0.0
-    for i, j in graph.edges:
-        worst = max(worst, float(np.linalg.norm(X[i] - X[j])))
-    return worst
-
-
-def _metrics(stepper: Stepper, x_ref: np.ndarray):
-    states, graph = stepper.states, stepper.graph
-    if stepper.problem.partition.kind == "row":
-        X = states.primal
-        errs = np.array([relative_error(X[p], x_ref) for p in range(X.shape[0])])
-        worst = int(np.argmax(errs))
-        return float(errs.max()), float(errs[0]), _consensus_residual(graph, X), float(
-            np.abs(X[worst]).sum()
-        )
-    estimate = global_estimate(
-        states, stepper.problem.partition, x_ref=x_ref, col_blocks=stepper.col_blocks
-    )
-    err = relative_error(estimate, x_ref)
-    return err, err, _consensus_residual(graph, states.primal), float(np.abs(estimate).sum())
+    if partition.kind == "column":
+        if col_blocks is None:
+            raise InputError("column estimates need the per-node column blocks")
+        return np.concatenate([psi_p(sp, y)[1] for sp, y in zip(col_blocks, states.primal)])
+    X = states.primal
+    if x_ref is None:
+        return X[0].copy()
+    return X[int(np.argmax([relative_error(x, x_ref) for x in X]))].copy()
 
 
 def run(
@@ -145,14 +118,14 @@ def run(
     coloring: Coloring | None = None,
     rule: StopRule | None = None,
     x_ref=None,
-    workers: int = 1,
 ) -> RunTrace:
     """Execute one algorithm until the finest accuracy target or the budget.
 
     The graph must be connected. x_ref defaults to problem.x_ref and must be
     a nonzero reference solution; errors are measured against it at every
-    step. workers > 1 parallelizes independent node solves without changing
-    the trace (results merge in node order).
+    step: the error of the global estimate (the worst node's copy for row
+    partitions), node 0's error, the largest disagreement ||x_i - x_j||
+    over the edges, and the l1 norm of the estimate.
     """
     rule = rule or StopRule()
     if not is_connected(graph):
@@ -168,39 +141,38 @@ def run(
     if coloring is None:
         coloring = greedy_coloring(graph)
 
-    executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    mapper = executor.map if executor is not None else map
-    try:
-        stepper = make_stepper(config, problem, graph, coloring, mapper=mapper)
-        trace = RunTrace(
-            solver=config.kind,
-            rho=config.rho,
-            delta=config.delta if config.kind == "dadmm_col" else None,
+    stepper = make_stepper(config, problem, graph, coloring)
+    trace = RunTrace(
+        solver=config.kind,
+        rho=config.rho,
+        delta=config.delta if config.kind == "dadmm_col" else None,
+    )
+
+    def record(step: int, inner: int):
+        X = stepper.states.primal
+        estimate = global_estimate(stepper.states, problem.partition, x_ref, stepper.col_blocks)
+        max_err = relative_error(estimate, x_ref)
+        trace.max_rel_err.append(max_err)
+        trace.node0_rel_err.append(
+            max_err if stepper.col_blocks is not None else relative_error(X[0], x_ref)
         )
+        trace.consensus_residual.append(
+            float(np.linalg.norm(graph.incidence.T @ X, axis=1).max())
+        )
+        trace.objective.append(float(np.abs(estimate).sum()))
+        trace.inner_iterations.append(inner)
+        for target in rule.targets:
+            if max_err <= target and target not in trace.steps_to_accuracy:
+                trace.steps_to_accuracy[target] = step
+        return max_err
 
-        def record(step: int, inner: int):
-            max_err, node0_err, consensus, objective = _metrics(stepper, x_ref)
-            trace.max_rel_err.append(max_err)
-            trace.node0_rel_err.append(node0_err)
-            trace.consensus_residual.append(consensus)
-            trace.objective.append(objective)
-            trace.inner_iterations.append(inner)
-            for target in rule.targets:
-                if max_err <= target and target not in trace.steps_to_accuracy:
-                    trace.steps_to_accuracy[target] = step
-            return max_err
-
-        record(0, 0)
-        for k in range(1, rule.max_comm_steps + 1):
-            info = stepper.step(k)
-            trace.comm_steps = k
-            if info.flagged:
-                trace.flagged_rounds += 1
-            err = record(k, info.bb_iterations)
-            if err <= rule.finest:
-                trace.converged = True
-                break
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
+    record(0, 0)
+    for k in range(1, rule.max_comm_steps + 1):
+        info = stepper.step(k)
+        trace.comm_steps = k
+        if info.flagged:
+            trace.flagged_rounds += 1
+        if record(k, info.bb_iterations) <= rule.finest:
+            trace.converged = True
+            break
     return trace

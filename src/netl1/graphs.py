@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from .linalg import InputError
 
@@ -67,6 +68,31 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.array([len(ns) for ns in self.adjacency], dtype=int)
 
+    @cached_property
+    def adjacency_matrix(self) -> sparse.csr_matrix:
+        """P x P 0/1 adjacency in CSR form with sorted column indices, so a
+        product Adj @ X sums each node's neighbor rows in index order."""
+        i, j = np.array(self.edges, dtype=int).reshape(-1, 2).T
+        P = self.n_nodes
+        return _csr(np.ones(2 * self.n_edges), np.r_[i, j], np.r_[j, i], (P, P))
+
+    @cached_property
+    def incidence(self) -> sparse.csr_matrix:
+        """P x E node-arc incidence B in CSR form with sorted indices: the
+        column of edge (i, j), i < j, has +1 at row i and -1 at row j, so
+        B.T @ X gives the edge differences x_i - x_j, B @ lam the node sums
+        of signed edge values, and B @ B.T the graph Laplacian."""
+        i, j = np.array(self.edges, dtype=int).reshape(-1, 2).T
+        e = np.arange(self.n_edges)
+        data = np.r_[np.ones(self.n_edges), -np.ones(self.n_edges)]
+        return _csr(data, np.r_[i, j], np.r_[e, e], (self.n_nodes, self.n_edges))
+
+
+def _csr(data, rows, cols, shape) -> sparse.csr_matrix:
+    M = sparse.csr_matrix((data, (rows, cols)), shape=shape)
+    M.sort_indices()
+    return M
+
 
 @dataclass(frozen=True)
 class Coloring:
@@ -79,6 +105,16 @@ class Coloring:
     def __post_init__(self):
         if sorted(c for cls in self.classes for c in cls) != list(range(len(self.colors))):
             raise InputError("color classes must partition the node set")
+
+    @classmethod
+    def from_colors(cls, colors) -> "Coloring":
+        """Coloring with classes listing each color's nodes in index order."""
+        colors = tuple(int(c) for c in colors)
+        n_colors = max(colors) + 1
+        classes = tuple(
+            tuple(p for p, c in enumerate(colors) if c == color) for color in range(n_colors)
+        )
+        return cls(colors=colors, n_colors=n_colors, classes=classes)
 
 
 def erdos_renyi(P: int, p: float, seed: int) -> Graph:
@@ -253,36 +289,11 @@ def greedy_coloring(g: Graph) -> Coloring:
         while c in used:
             c += 1
         colors[p] = c
-    n_colors = max(colors) + 1
-    classes = tuple(
-        tuple(p for p in range(g.n_nodes) if colors[p] == c) for c in range(n_colors)
-    )
-    return Coloring(colors=tuple(colors), n_colors=n_colors, classes=classes)
+    return Coloring.from_colors(colors)
 
 
 def is_proper(g: Graph, coloring: Coloring) -> bool:
     return all(coloring.colors[i] != coloring.colors[j] for i, j in g.edges)
-
-
-def incidence_matrix(g: Graph) -> np.ndarray:
-    """Node-arc incidence matrix: the column for edge (i, j) with i < j has
-    +1 at row i and -1 at row j."""
-    B = np.zeros((g.n_nodes, g.n_edges))
-    for e, (i, j) in enumerate(g.edges):
-        B[i, e] = 1.0
-        B[j, e] = -1.0
-    return B
-
-
-def laplacian(g: Graph) -> np.ndarray:
-    """Graph Laplacian diag(degrees) - adjacency, a symmetric PSD matrix."""
-    L = np.zeros((g.n_nodes, g.n_nodes))
-    for i, j in g.edges:
-        L[i, j] -= 1.0
-        L[j, i] -= 1.0
-        L[i, i] += 1.0
-        L[j, j] += 1.0
-    return L
 
 
 def save_network(path, g: Graph, coloring: Coloring | None = None) -> None:
@@ -311,10 +322,7 @@ def load_network(path) -> tuple[Graph, Coloring | None]:
         tail = tokens[1 + E]
         if tail[0] != "colors" or len(tail) != 1 + P:
             raise InputError("trailing line must be 'colors c_0 ... c_{P-1}'")
-        colors = tuple(int(c) for c in tail[1:])
-        n_colors = max(colors) + 1
-        classes = tuple(tuple(p for p in range(P) if colors[p] == c) for c in range(n_colors))
-        coloring = Coloring(colors=colors, n_colors=n_colors, classes=classes)
+        coloring = Coloring.from_colors(tail[1:])
         if not is_proper(g, coloring):
             raise InputError("network file carries an improper coloring")
     return g, coloring

@@ -1,5 +1,5 @@
-"""Small dense linear algebra: matrix partitioning, affine projection,
-Gram factorizations and extremal eigenvalue estimation.
+"""Small dense linear algebra: matrix partitioning, affine projection and
+Gram factorizations.
 
 Everything here works on plain float64 numpy arrays and has value
 semantics; nothing keeps mutable shared state.
@@ -19,14 +19,6 @@ class InputError(ValueError):
 
 class FactorizationError(RuntimeError):
     """A Gram matrix could not be factorized; signals a rank-deficient block."""
-
-
-class PowerIterationError(RuntimeError):
-    """Power iteration did not converge; carries the last eigenvalue estimate."""
-
-    def __init__(self, message: str, last_estimate: float):
-        super().__init__(message)
-        self.last_estimate = last_estimate
 
 
 def as_matrix(A) -> np.ndarray:
@@ -157,45 +149,3 @@ def affine_projection(A, b, fact: GramFactorization, point) -> np.ndarray:
     bv = as_vector(b, A.shape[0], "b")
     residual = A @ p - bv
     return p - A.T @ gram_solve(fact, residual)
-
-
-def lambda_max(M, tol: float = 1e-8, max_iter: int = 20000) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration.
-
-    The start vector is the normalized all-ones vector; if that lies in the
-    kernel (as it does for every graph Laplacian) the iteration falls back
-    deterministically to a normalized index ramp. Convergence is declared
-    when the eigen-residual ||M v - theta v|| drops below 0.5 * tol * theta,
-    which bounds the relative eigenvalue error by tol once the iterate has
-    aligned with the top eigenspace.
-    """
-    M = as_matrix(M)
-    if M.shape[0] != M.shape[1]:
-        raise InputError("lambda_max expects a square matrix")
-    if tol <= 0 or max_iter < 1:
-        raise InputError("tol must be positive and max_iter at least 1")
-    P = M.shape[0]
-
-    v = np.ones(P) / np.sqrt(P)
-    w = M @ v
-    if np.linalg.norm(w) <= 1e2 * np.finfo(float).eps * max(1.0, np.abs(M).max()):
-        # all-ones start is (numerically) in the kernel; use a ramp instead
-        v = np.arange(1.0, P + 1.0)
-        v /= np.linalg.norm(v)
-        w = M @ v
-        if np.linalg.norm(w) == 0.0:
-            return 0.0
-
-    theta = 0.0
-    for _ in range(max_iter):
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        w = M @ v
-        theta = float(v @ w)
-        if np.linalg.norm(w - theta * v) <= 0.5 * tol * max(theta, np.finfo(float).tiny):
-            return theta
-    raise PowerIterationError(
-        f"power iteration did not reach tol={tol} in {max_iter} iterations", theta
-    )

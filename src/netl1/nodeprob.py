@@ -47,13 +47,6 @@ def x_of_u(u, c: float):
     return float(x) if x.ndim == 0 else x
 
 
-def shrink_delta(u, delta: float):
-    """Minimizer of |x| + u*x + (delta/2)*x^2; identical to x_of_u(u, delta/2)."""
-    if delta <= 0:
-        raise InputError("delta must be positive")
-    return x_of_u(u, 0.5 * delta)
-
-
 @dataclass
 class BBConfig:
     """Barzilai-Borwein loop controls.
@@ -167,9 +160,6 @@ class RowSubproblem:
         self.gram = gram_factorization(self.A)  # also validates row rank
         self.warm_lambda = np.zeros(self.A.shape[0])
 
-    def reset(self):
-        self.warm_lambda = np.zeros(self.A.shape[0])
-
 
 @dataclass
 class RowSolution:
@@ -226,9 +216,6 @@ class ColSubproblem:
         self.A = as_matrix(self.A)
         if self.delta <= 0:
             raise InputError("delta must be positive")
-        self.warm_y = np.zeros(self.A.shape[0])
-
-    def reset(self):
         self.warm_y = np.zeros(self.A.shape[0])
 
 

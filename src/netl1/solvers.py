@@ -1,13 +1,20 @@
 """Distributed solver state machines.
 
-Every algorithm is expressed as "one communication step" transitions over
-per-node state arrays. Single-looped algorithms (color-scheduled consensus
-ADMM in its row and column variants, the synchronous edge-variable ADMM
-baseline, consensus subgradient) consume one step per outer iteration;
-double-looped algorithms (multiplier method with nonlinear Gauss-Seidel or
-diagonal quadratic approximation inner loops, and the double Nesterov
-scheme with a FISTA inner loop) consume one step per inner iteration and
-none for their outer dual updates.
+Every algorithm advances in communication steps, and every step is one
+sweep over the kind's node groups in order: the color classes for
+color-scheduled consensus ADMM (row and column variants), single nodes in
+index order for the nonlinear Gauss-Seidel inner loop of the multiplier
+method, and one group of all nodes for the synchronous methods (the
+edge-variable ADMM baseline, consensus subgradient, the diagonal quadratic
+approximation inner loop and the FISTA inner loop of the double Nesterov
+scheme). Each group reads its neighbors' latest values through one product
+with the graph's adjacency matrix; each of its nodes then forms its terms
+(v, c) and solves its own problem. A per-kind update follows the sweep:
+the dual aggregates of the ADMM variants, damping or momentum for the
+inner loops, and the outer dual updates of the double-looped methods.
+Single-looped algorithms consume one step per outer iteration;
+double-looped ones consume one step per inner iteration and none for
+their outer dual updates.
 
 All row algorithms minimize (1/P) sum_p ||x_p||_1 subject to the per-node
 constraints A_p x_p = b_p plus edge consensus. The per-node subproblems are
@@ -15,19 +22,21 @@ mapped onto the shared kernel min ||x||_1 + v'x + c||x||^2 s.t. Ax = b by
 scaling (v, c) by P, which leaves the minimizer unchanged.
 
 Node ids never decide freshness directly; the scheduling discipline is that
-node p reads the neighbor value produced in the current round exactly when
-the neighbor's color precedes p's color (equivalently, already swept nodes
-in a Gauss-Seidel pass).
+node p reads the neighbor value produced in the current step exactly when
+the neighbor's group precedes p's group (a lower color, or an already swept
+node in a Gauss-Seidel pass). Nodes of one group share no edges, so a
+group's neighbor sums can be taken once, when the group starts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .graphs import Coloring, Graph, incidence_matrix, is_proper, laplacian
-from .linalg import InputError, affine_projection, lambda_max
+from .graphs import Coloring, Graph, is_proper
+from .linalg import InputError, affine_projection
 from .nodeprob import (
     BBConfig,
     ColSubproblem,
@@ -42,9 +51,6 @@ ROW_KINDS = ("dadmm_row", "dlasso", "subgradient", "mm_ngs", "mm_dqa", "dn")
 COLUMN_KINDS = ("dadmm_col",)
 ALL_KINDS = ROW_KINDS + COLUMN_KINDS
 
-SINGLE_LOOPED = ("dadmm_row", "dadmm_col", "dlasso", "subgradient")
-DOUBLE_LOOPED = ("mm_ngs", "mm_dqa", "dn")
-
 
 @dataclass
 class SolverConfig:
@@ -54,8 +60,7 @@ class SolverConfig:
     delta the column-partition regularization; inner_tol_rel and inner_cap
     control the inner loops of the double-looped methods (the inner loop
     stops when the sweep-over-sweep iterate change falls below
-    inner_tol_rel * (1 + ||b||_inf) or after inner_cap steps). warm_start
-    toggles reuse of each node's previous dual solution.
+    inner_tol_rel * (1 + ||b||_inf) or after inner_cap steps).
     """
 
     kind: str
@@ -64,7 +69,6 @@ class SolverConfig:
     bb: BBConfig = field(default_factory=lambda: BBConfig(grad_tol=1e-8))
     inner_tol_rel: float = 1e-6
     inner_cap: int = 50
-    warm_start: bool = True
 
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
@@ -80,28 +84,16 @@ class SolverConfig:
 @dataclass
 class NodeStates:
     """Stacked per-node state: primal iterates and dual accumulators are
-    (P, L) arrays (L = n for row algorithms, m for the column variant)."""
+    (P, L) arrays (L = n for row algorithms, m for the column variant);
+    fista_y holds the FISTA momentum points of dn and is None otherwise."""
 
     primal: np.ndarray
     gamma: np.ndarray
-    scratch: dict = field(default_factory=dict)
+    fista_y: np.ndarray | None = None
 
     @classmethod
     def zeros(cls, n_nodes: int, length: int) -> "NodeStates":
         return cls(primal=np.zeros((n_nodes, length)), gamma=np.zeros((n_nodes, length)))
-
-
-@dataclass
-class EdgeDuals:
-    """One dual vector per edge, in the graph's edge order; used only by the
-    double-looped algorithms (the ADMM variants keep just the per-node
-    aggregates gamma_p)."""
-
-    values: np.ndarray  # (E, L)
-
-    @classmethod
-    def zeros(cls, n_edges: int, length: int) -> "EdgeDuals":
-        return cls(values=np.zeros((n_edges, length)))
 
 
 @dataclass
@@ -118,497 +110,262 @@ class RoundInfo:
             self.flagged += 1
 
 
-def _neighbor_sums(graph: Graph, X: np.ndarray) -> np.ndarray:
-    S = np.zeros_like(X)
-    for i, j in graph.edges:
-        S[i] += X[j]
-        S[j] += X[i]
-    return S
-
-
-def _gamma_step(states: NodeStates, graph: Graph, rho: float, X_new: np.ndarray) -> None:
-    # gamma_p += rho * sum_{j in N_p} (x_p - x_j); antisymmetric per edge,
-    # so the gamma vectors always sum to zero over the nodes.
-    deg = graph.degrees[:, None].astype(float)
-    states.gamma += rho * (deg * X_new - _neighbor_sums(graph, X_new))
-
-
-def _require_coloring(graph: Graph, coloring: Coloring) -> None:
-    if coloring is None:
-        raise InputError("this solver needs a proper coloring")
-    if len(coloring.colors) != graph.n_nodes or not is_proper(graph, coloring):
-        raise InputError("coloring is not a proper coloring of the graph")
-
-
 # ---------------------------------------------------------------------------
-# single-looped rounds
+# node terms: (stepper, step index, group, neighbor sums of the group, swept
+# array) -> the group's linear terms V and coefficients c, one per node
 
 
-def d_admm_round(
-    states: NodeStates,
-    graph: Graph,
-    coloring: Coloring,
-    blocks: list[RowSubproblem],
-    rho: float,
-    cfg: SolverConfig,
-    mapper=map,
-    inspector=None,
-) -> RoundInfo:
-    """One communication step of color-scheduled consensus ADMM (row data).
-
-    Color classes run in sequence; within a class the nodes are independent
-    (they share no edges) and may be solved in any order or in parallel.
-    Node p forms v_p from its dual aggregate minus rho times the sum of
-    neighbor iterates, taking the current round's value for lower-color
-    neighbors and the previous round's for higher-color ones, then solves
-
-        min (1/P)||x||_1 + v_p'x + (D_p rho / 2)||x||^2  s.t.  A_p x = b_p.
-
-    After all classes finish, every node's dual aggregate absorbs
-    rho * sum_j (x_p - x_j) over its neighbors. The optional inspector
-    callback receives (p, j, fresh) for every neighbor value consumed.
-    """
-    _require_coloring(graph, coloring)
-    P = graph.n_nodes
-    X_old = states.primal
-    X_new = X_old.copy()
-    colors = coloring.colors
-    info = RoundInfo()
-
-    def solve_one(p: int):
-        acc = np.zeros(X_old.shape[1])
-        for j in graph.adjacency[p]:
-            fresh = colors[j] < colors[p]
-            acc += X_new[j] if fresh else X_old[j]
-            if inspector is not None:
-                inspector(p, j, fresh)
-        v = states.gamma[p] - rho * acc
-        if not cfg.warm_start:
-            blocks[p].reset()
-        return solve_row_node(blocks[p], P * v, P * graph.degrees[p] * rho / 2.0, cfg.bb)
-
-    for cls in coloring.classes:
-        for p, sol in zip(cls, mapper(solve_one, cls)):
-            X_new[p] = sol.x
-            info.absorb(sol)
-
-    states.primal = X_new
-    _gamma_step(states, graph, rho, X_new)
-    return info
+def _consensus_terms(st: "Stepper", k, group, S, X):
+    """Color-scheduled ADMM and both multiplier-method inner loops: node p
+    solves min (1/P)||x||_1 + v_p'x + (D_p rho / 2)||x||^2 s.t. A_p x = b_p
+    with v_p = gamma_p - rho * sum_j x_j over its neighbors' latest values."""
+    P, rho = st.graph.n_nodes, st.config.rho
+    return P * (st.states.gamma[group] - rho * S), P * st.graph.degrees[group] * rho / 2.0
 
 
-def d_admm_col_round(
-    states: NodeStates,
-    graph: Graph,
-    coloring: Coloring,
-    col_blocks: list[ColSubproblem],
-    rho: float,
-    b: np.ndarray,
-    cfg: SolverConfig,
-    mapper=map,
-) -> RoundInfo:
-    """Column-partition variant: the same v_p recursion over the nodes'
-    length-m dual estimates y_p, with the node problem
-
-        min psi_p(y) + (v_p + b/P)'y + (D_p rho / 2)||y||^2
-
-    solved unconstrained. Every node knows the full right-hand side b, and
-    each transmits y_p (length m) instead of a length-n iterate.
-    """
-    _require_coloring(graph, coloring)
-    P = graph.n_nodes
-    Y_old = states.primal
-    Y_new = Y_old.copy()
-    colors = coloring.colors
-    info = RoundInfo()
-
-    def solve_one(p: int):
-        acc = np.zeros(Y_old.shape[1])
-        for j in graph.adjacency[p]:
-            acc += Y_new[j] if colors[j] < colors[p] else Y_old[j]
-        v = states.gamma[p] - rho * acc
-        if not cfg.warm_start:
-            col_blocks[p].reset()
-        q = graph.degrees[p] * rho / 2.0
-        return solve_col_node(col_blocks[p], v, b, P, q, cfg.bb)
-
-    for cls in coloring.classes:
-        for p, sol in zip(cls, mapper(solve_one, cls)):
-            Y_new[p] = sol.y
-            info.absorb(sol)
-
-    states.primal = Y_new
-    _gamma_step(states, graph, rho, Y_new)
-    return info
+def _column_terms(st: "Stepper", k, group, S, Y):
+    """Column variant: the same v_p recursion over the length-m dual
+    estimates y_p; the column kernel takes v_p and D_p rho / 2 unscaled."""
+    rho = st.config.rho
+    return st.states.gamma[group] - rho * S, st.graph.degrees[group] * rho / 2.0
 
 
-def d_lasso_round(
-    states: NodeStates,
-    graph: Graph,
-    blocks: list[RowSubproblem],
-    rho: float,
-    cfg: SolverConfig,
-    mapper=map,
-) -> RoundInfo:
-    """One step of the synchronous edge-variable ADMM baseline.
-
-    All nodes update simultaneously from the previous round's iterates.
-    Eliminating the per-edge averaging variables z_ij = (x_i + x_j)/2 from
-    the edge-variable reformulation leaves the node problem with linear
-    term v_p = gamma_p - rho * (D_p x_p + sum_j x_j) and quadratic
-    coefficient rho * D_p, twice the color-scheduled variant's D_p rho / 2.
-    """
-    P = graph.n_nodes
-    X_old = states.primal
-    V = states.gamma - rho * (_neighbor_sums(graph, X_old) + graph.degrees[:, None] * X_old)
-    info = RoundInfo()
-
-    def solve_one(p: int):
-        if not cfg.warm_start:
-            blocks[p].reset()
-        return solve_row_node(blocks[p], P * V[p], P * rho * float(graph.degrees[p]), cfg.bb)
-
-    X_new = np.empty_like(X_old)
-    for p, sol in zip(range(P), mapper(solve_one, range(P))):
-        X_new[p] = sol.x
-        info.absorb(sol)
-
-    states.primal = X_new
-    _gamma_step(states, graph, rho, X_new)
-    return info
+def _dlasso_terms(st: "Stepper", k, group, S, X):
+    """Edge-variable ADMM baseline, all nodes at once from the previous
+    iterates. Eliminating the per-edge averages z_ij = (x_i + x_j)/2 leaves
+    v_p = gamma_p - rho * (D_p x_p + sum_j x_j) and the quadratic
+    coefficient rho * D_p, twice the color-scheduled variant's."""
+    P, rho, D = st.graph.n_nodes, st.config.rho, st.graph.degrees[group]
+    return P * (st.states.gamma[group] - rho * (S + D[:, None] * X[group])), P * rho * D
 
 
-def subgradient_round(
-    states: NodeStates,
-    graph: Graph,
-    blocks: list[RowSubproblem],
-    k: int,
-    mapper=map,
-) -> RoundInfo:
-    """Consensus-subgradient step with diminishing step size 1/(k+1).
-
-    Each node averages itself with its neighbors using weights 1/(D_p + 1),
-    takes an l1 subgradient step at the averaged point (zero entries
-    contribute zero), and projects back onto {x : A_p x = b_p}. The 1/P
-    objective weight is absorbed into the step sequence, which stays square
-    summable but not summable; with the weight kept on the subgradient the
-    method crawls an order of magnitude slower at these scales.
-    """
+def _subgradient_terms(st: "Stepper", k, group, S, X):
+    """Consensus subgradient with diminishing step 1/(k+1): each node
+    averages itself with its neighbors using weights 1/(D_p + 1) and takes
+    an l1 subgradient step there (zero entries contribute zero); the node
+    then projects the point onto {x : A_p x = b_p}. The 1/P objective weight
+    is absorbed into the step sequence, which stays square summable but not
+    summable; with the weight kept on the subgradient the method crawls an
+    order of magnitude slower at these scales."""
     if k < 1:
         raise InputError("subgradient iteration index starts at 1")
-    P = graph.n_nodes
-    X = states.primal
-    W = (X + _neighbor_sums(graph, X)) / (graph.degrees[:, None] + 1.0)
-    G = np.sign(W)
-    alpha = 1.0 / (k + 1.0)
+    W = (X[group] + S) / (st.graph.degrees[group, None] + 1.0)
+    return W - (1.0 / (k + 1.0)) * np.sign(W), np.zeros(len(group))
 
-    def solve_one(p: int):
-        sp = blocks[p]
-        return affine_projection(sp.A, sp.b, sp.gram, W[p] - alpha * G[p])
 
-    X_new = np.empty_like(X)
-    for p, x in zip(range(P), mapper(solve_one, range(P))):
-        X_new[p] = x
-    states.primal = X_new
-    return RoundInfo()
+def _fista_terms(st: "Stepper", k, group, S, Y):
+    """One FISTA iteration of dn at the momentum points Y: the smooth part
+    has per-node gradient gamma_p + rho D_p y_p - rho sum_j y_j, and the
+    proximal step solves the shared kernel with v = -u_p/alpha and
+    c = 1/(2 alpha) for u = y - alpha * gradient."""
+    P, rho, alpha = st.graph.n_nodes, st.config.rho, st.alpha
+    grad = st.states.gamma[group] + rho * st.graph.degrees[group, None] * Y[group] - rho * S
+    U = Y[group] - alpha * grad
+    return P * (-U / alpha), np.full(len(group), P / (2.0 * alpha))
 
 
 # ---------------------------------------------------------------------------
-# double-looped machinery
+# node solves: (stepper, node, v, c) -> (new value, solution to count or None)
 
 
-def edge_differences(graph: Graph, X: np.ndarray) -> np.ndarray:
-    """Per-edge differences x_i - x_j for edges stored as (i, j), i < j."""
-    out = np.empty((graph.n_edges, X.shape[1]))
-    for e, (i, j) in enumerate(graph.edges):
-        out[e] = X[i] - X[j]
-    return out
+def _row_node(st: "Stepper", p, v, c):
+    solution = solve_row_node(st.blocks[p], v, c, st.config.bb)
+    return solution.x, solution
 
 
-def gamma_from_edge_duals(graph: Graph, duals: EdgeDuals) -> np.ndarray:
-    """Node-side aggregation gamma_p = sum_j sign(j - p) * lambda_{p,j}.
-
-    The lower endpoint of each edge receives +lambda, the higher one
-    -lambda (ties cannot occur on simple graphs), matching the incidence
-    matrix columns.
-    """
-    gamma = np.zeros((graph.n_nodes, duals.values.shape[1]))
-    for e, (i, j) in enumerate(graph.edges):
-        gamma[i] += duals.values[e]
-        gamma[j] -= duals.values[e]
-    return gamma
+def _column_node(st: "Stepper", p, v, q):
+    """min psi_p(y) + (v_p + b/P)'y + q||y||^2, unconstrained: every node
+    knows b, and each transmits y_p (length m) instead of a length-n iterate."""
+    solution = solve_col_node(st.blocks[p], v, st.problem.b, st.graph.n_nodes, q, st.config.bb)
+    return solution.y, solution
 
 
-def mm_outer_update(edge_duals: EdgeDuals, states: NodeStates, graph: Graph, rho: float) -> None:
-    """Dual gradient ascent on the edge multipliers once an inner loop has
-    finished: lambda_{i,j} += rho * (x_i - x_j), then the node aggregates
-    gamma_p are rebuilt from the updated multipliers."""
-    edge_duals.values += rho * edge_differences(graph, states.primal)
-    states.gamma = gamma_from_edge_duals(graph, edge_duals)
+def _projection_node(st: "Stepper", p, point, _):
+    sp = st.blocks[p]
+    return affine_projection(sp.A, sp.b, sp.gram, point), None
 
 
-def ngs_inner_round(
-    states: NodeStates,
-    graph: Graph,
-    blocks: list[RowSubproblem],
-    rho: float,
-    cfg: SolverConfig,
-) -> RoundInfo:
-    """One nonlinear Gauss-Seidel sweep over the inner problem at fixed
-    edge multipliers.
-
-    Nodes are swept in index order; each exactly minimizes the inner
-    objective in its own block using fresh values from already swept nodes
-    and previous values from the rest, so the sweep cannot run in parallel.
-    One sweep is one communication step.
-    """
-    P = graph.n_nodes
-    X = states.primal.copy()
-    info = RoundInfo()
-    for p in range(P):
-        acc = np.zeros(X.shape[1])
-        for j in graph.adjacency[p]:
-            acc += X[j]  # fresh for j already swept, previous otherwise
-        v = states.gamma[p] - rho * acc
-        if not cfg.warm_start:
-            blocks[p].reset()
-        sol = solve_row_node(blocks[p], P * v, P * graph.degrees[p] * rho / 2.0, cfg.bb)
-        X[p] = sol.x
-        info.absorb(sol)
-    states.primal = X
-    return info
+# ---------------------------------------------------------------------------
+# updates after the sweep, and the outer loops of the double-looped kinds
 
 
-def dqa_inner_round(
-    states: NodeStates,
-    graph: Graph,
-    blocks: list[RowSubproblem],
-    rho: float,
-    cfg: SolverConfig,
-    mapper=map,
-) -> RoundInfo:
-    """One diagonal-quadratic-approximation round on the inner problem.
-
-    All candidate blocks u_p are computed in parallel from the previous
-    iterates, then damped: x_p <- tau u_p + (1 - tau) x_p with tau = 1/P.
-    """
-    P = graph.n_nodes
-    X_old = states.primal
-    S = _neighbor_sums(graph, X_old)
-    info = RoundInfo()
-
-    def solve_one(p: int):
-        v = states.gamma[p] - rho * S[p]
-        if not cfg.warm_start:
-            blocks[p].reset()
-        return solve_row_node(blocks[p], P * v, P * graph.degrees[p] * rho / 2.0, cfg.bb)
-
-    U = np.empty_like(X_old)
-    for p, sol in zip(range(P), mapper(solve_one, range(P))):
-        U[p] = sol.x
-        info.absorb(sol)
-
-    tau = 1.0 / P
-    states.primal = tau * U + (1.0 - tau) * X_old
-    return info
+def _admm_update(st: "Stepper", X):
+    """Every node's dual aggregate absorbs rho * sum_j (x_p - x_j); the
+    terms are antisymmetric per edge, so the aggregates always sum to zero.
+    The sums are taken as D X - Adj X rather than L X so that each neighbor
+    sum is formed on its own, in index order."""
+    st.states.primal = X
+    graph = st.graph
+    st.states.gamma += st.config.rho * (graph.degrees[:, None] * X - graph.adjacency_matrix @ X)
 
 
-def dn_inner_round(
-    states: NodeStates,
-    graph: Graph,
-    blocks: list[RowSubproblem],
-    rho: float,
-    alpha: float,
-    t_inner: int,
-    cfg: SolverConfig,
-    mapper=map,
-) -> RoundInfo:
-    """One FISTA iteration on the inner problem at fixed edge multipliers.
+def _replace_primal(st: "Stepper", X):
+    st.states.primal = X
 
-    The smooth part has per-node gradient gamma_p + rho D_p y_p -
-    rho sum_j y_j at the momentum points y; the proximal step solves the
-    shared node kernel with v = -u_p/alpha and c = 1/(2 alpha) under the
-    node constraint. t_inner is the 1-based index of the iterate being
-    produced; its momentum coefficient (t-1)/(t+2) vanishes at t = 1.
 
-    Expects states.scratch["fista_x"] (previous inner iterate) and
-    states.scratch["fista_y"] (momentum points); both are updated.
-    """
-    P = graph.n_nodes
-    X_prev = states.scratch["fista_x"]
-    Y = states.scratch["fista_y"]
-    grad = states.gamma + rho * graph.degrees[:, None] * Y - rho * _neighbor_sums(graph, Y)
-    U = Y - alpha * grad
-    info = RoundInfo()
+def _multiplier_update(st: "Stepper", X):
+    """Multiplier method: once the inner loop has finished, one dual ascent
+    step on the edge multipliers."""
+    X_prev, st.states.primal = st.states.primal, X
+    if st.inner_finished(X_prev):
+        mm_outer_update(st.edge_duals, st.states, st.graph, st.config.rho)
 
-    def solve_one(p: int):
-        if not cfg.warm_start:
-            blocks[p].reset()
-        return solve_row_node(blocks[p], P * (-U[p] / alpha), P / (2.0 * alpha), cfg.bb)
 
-    X_new = np.empty_like(X_prev)
-    for p, sol in zip(range(P), mapper(solve_one, range(P))):
-        X_new[p] = sol.x
-        info.absorb(sol)
+def _dqa_update(st: "Stepper", U):
+    """Diagonal quadratic approximation: the candidate blocks u_p are
+    damped, x_p <- tau u_p + (1 - tau) x_p with tau = 1/P."""
+    tau = 1.0 / st.graph.n_nodes
+    _multiplier_update(st, tau * U + (1.0 - tau) * st.states.primal)
 
-    momentum = (t_inner - 1.0) / (t_inner + 2.0)
-    states.scratch["fista_y"] = X_new + momentum * (X_new - X_prev)
-    states.scratch["fista_x"] = X_new
-    states.primal = X_new
-    return info
+
+def _dn_update(st: "Stepper", X):
+    """FISTA momentum with coefficient (t-1)/(t+2) of the 1-based index t of
+    the inner iterate just produced (zero at t = 1); once the inner loop has
+    finished, the accelerated outer update, and the next inner loop starts
+    its momentum at the current iterates."""
+    X_prev, st.states.primal = st.states.primal, X
+    momentum = (st.t_inner - 1.0) / (st.t_inner + 2.0)
+    st.states.fista_y = X + momentum * (X - X_prev)
+    if st.inner_finished(X_prev):
+        nesterov_outer_update(st.lam, st.eta, st.states, st.graph, st.config.rho, st.k_outer)
+        st.k_outer += 1
+        st.states.fista_y = X.copy()
+
+
+def mm_outer_update(edge_duals: np.ndarray, states: NodeStates, graph: Graph, rho: float) -> None:
+    """Dual gradient ascent on the (E, L) edge multipliers once an inner
+    loop has finished: lambda_{i,j} += rho * (x_i - x_j), then the node
+    aggregates gamma = B lambda are rebuilt from the updated multipliers."""
+    edge_duals += rho * (graph.incidence.T @ states.primal)
+    states.gamma = graph.incidence @ edge_duals
 
 
 def nesterov_outer_update(
-    lam: EdgeDuals, eta: EdgeDuals, states: NodeStates, graph: Graph, rho: float, k_outer: int
+    lam: np.ndarray, eta: np.ndarray, states: NodeStates, graph: Graph, rho: float, k_outer: int
 ) -> None:
-    """Accelerated dual update on the edge multipliers.
+    """Accelerated dual update on the (E, L) edge multipliers, in place.
 
     The gradient step is taken at the extrapolated multipliers eta (the
     point the finished inner loop solved at); the new extrapolation uses
     the momentum coefficient (k-1)/(k+2) of the 1-based outer index k.
     The inner loops read gamma built from eta.
     """
-    lam_new = eta.values + rho * edge_differences(graph, states.primal)
+    lam_new = eta + rho * (graph.incidence.T @ states.primal)
     momentum = (k_outer - 1.0) / (k_outer + 2.0)
-    eta.values = lam_new + momentum * (lam_new - lam.values)
-    lam.values = lam_new
-    states.gamma = gamma_from_edge_duals(graph, EdgeDuals(values=eta.values))
+    eta[:] = lam_new + momentum * (lam_new - lam)
+    lam[:] = lam_new
+    states.gamma = graph.incidence @ eta
+
+
+def _multiplier_setup(st: "Stepper"):
+    st.edge_duals = np.zeros((st.graph.n_edges, st.states.primal.shape[1]))
+
+
+def _dn_setup(st: "Stepper"):
+    """The FISTA step size is 1/(rho * lambda_max(L)) for the graph
+    Laplacian L = B B'; the edge multipliers lam and their extrapolation
+    eta start at zero."""
+    B = st.graph.incidence
+    st.alpha = 1.0 / (st.config.rho * np.linalg.eigvalsh((B @ B.T).toarray())[-1])
+    st.lam = np.zeros((st.graph.n_edges, st.states.primal.shape[1]))
+    st.eta = np.zeros_like(st.lam)
+    st.k_outer = 1
+    st.states.fista_y = np.zeros_like(st.states.primal)
 
 
 # ---------------------------------------------------------------------------
-# steppers: one object per run, advancing exactly one communication step
+# the kind table and the stepper
+
+
+@dataclass(frozen=True)
+class KindSpec:
+    """How a solver kind takes one communication step: the node groups it
+    sweeps in order, how a group's node terms (v, c) are formed, which node
+    problem is solved, and the update after the sweep. The sweep starts
+    from the NodeStates field named by source; setup adds the kind's own
+    state to a new stepper."""
+
+    groups: Callable[[Graph, Coloring], tuple]
+    terms: Callable
+    node: Callable
+    update: Callable
+    source: str = "primal"
+    setup: Callable = lambda st: None
+
+
+def _color_classes(graph, coloring):
+    return coloring.classes
+
+
+def _single_nodes(graph, coloring):
+    return tuple((p,) for p in range(graph.n_nodes))
+
+
+def _all_nodes(graph, coloring):
+    return (tuple(range(graph.n_nodes)),)
+
+
+KINDS = {
+    "dadmm_row": KindSpec(_color_classes, _consensus_terms, _row_node, _admm_update),
+    "dadmm_col": KindSpec(_color_classes, _column_terms, _column_node, _admm_update),
+    "dlasso": KindSpec(_all_nodes, _dlasso_terms, _row_node, _admm_update),
+    "subgradient": KindSpec(_all_nodes, _subgradient_terms, _projection_node, _replace_primal),
+    "mm_ngs": KindSpec(_single_nodes, _consensus_terms, _row_node, _multiplier_update,
+                       setup=_multiplier_setup),
+    "mm_dqa": KindSpec(_all_nodes, _consensus_terms, _row_node, _dqa_update,
+                       setup=_multiplier_setup),
+    "dn": KindSpec(_all_nodes, _fista_terms, _row_node, _dn_update, source="fista_y",
+                   setup=_dn_setup),
+}
 
 
 class Stepper:
-    """Base: holds the problem context and advances one communication step."""
+    """One run of one solver kind; step(k) advances one communication step.
 
-    def __init__(self, config, problem, graph, coloring, mapper):
+    blocks holds the node problems (col_blocks too for the column variant,
+    None otherwise); edge multipliers, the FISTA step size alpha and the
+    outer counter k_outer exist for the kinds that use them.
+    """
+
+    def __init__(self, config, problem, graph, coloring, blocks):
         self.config = config
         self.problem = problem
         self.graph = graph
-        self.coloring = coloring
-        self.mapper = mapper
-        self.states: NodeStates = None  # set by subclasses
-
-    def step(self, k: int) -> RoundInfo:
-        raise NotImplementedError
-
-
-class DADMMRowStepper(Stepper):
-    def __init__(self, config, problem, graph, coloring, blocks, mapper):
-        super().__init__(config, problem, graph, coloring, mapper)
+        self.spec = KINDS[config.kind]
         self.blocks = blocks
-        self.states = NodeStates.zeros(graph.n_nodes, problem.n)
-
-    def step(self, k: int) -> RoundInfo:
-        return d_admm_round(
-            self.states, self.graph, self.coloring, self.blocks,
-            self.config.rho, self.config, mapper=self.mapper,
-        )
-
-
-class DADMMColStepper(Stepper):
-    def __init__(self, config, problem, graph, coloring, col_blocks, mapper):
-        super().__init__(config, problem, graph, coloring, mapper)
-        self.col_blocks = col_blocks
-        self.states = NodeStates.zeros(graph.n_nodes, problem.m)
-
-    def step(self, k: int) -> RoundInfo:
-        return d_admm_col_round(
-            self.states, self.graph, self.coloring, self.col_blocks,
-            self.config.rho, self.problem.b, self.config, mapper=self.mapper,
-        )
-
-
-class DLassoStepper(Stepper):
-    def __init__(self, config, problem, graph, coloring, blocks, mapper):
-        super().__init__(config, problem, graph, coloring, mapper)
-        self.blocks = blocks
-        self.states = NodeStates.zeros(graph.n_nodes, problem.n)
-
-    def step(self, k: int) -> RoundInfo:
-        return d_lasso_round(
-            self.states, self.graph, self.blocks, self.config.rho, self.config,
-            mapper=self.mapper,
-        )
-
-
-class SubgradientStepper(Stepper):
-    def __init__(self, config, problem, graph, coloring, blocks, mapper):
-        super().__init__(config, problem, graph, coloring, mapper)
-        self.blocks = blocks
-        self.states = NodeStates.zeros(graph.n_nodes, problem.n)
-
-    def step(self, k: int) -> RoundInfo:
-        return subgradient_round(self.states, self.graph, self.blocks, k, mapper=self.mapper)
-
-
-class _DoubleLoopedStepper(Stepper):
-    def __init__(self, config, problem, graph, coloring, blocks, mapper):
-        super().__init__(config, problem, graph, coloring, mapper)
-        self.blocks = blocks
-        self.states = NodeStates.zeros(graph.n_nodes, problem.n)
+        self.col_blocks = blocks if config.kind in COLUMN_KINDS else None
+        length = problem.m if self.col_blocks is not None else problem.n
+        self.states = NodeStates.zeros(graph.n_nodes, length)
+        # each group's node indices with its rows of the adjacency matrix
+        self.groups = [
+            (np.array(group), graph.adjacency_matrix[list(group)])
+            for group in self.spec.groups(graph, coloring)
+        ]
         self.inner_tol = config.inner_tol_rel * (1.0 + float(np.abs(problem.b).max()))
         self.t_inner = 0
+        self.spec.setup(self)
 
-    def _inner_finished(self, change: float) -> bool:
-        return change <= self.inner_tol or self.t_inner >= self.config.inner_cap
-
-
-class MMStepper(_DoubleLoopedStepper):
-    """Multiplier-method outer loop with a Gauss-Seidel ("ngs") or damped
-    parallel ("dqa") inner loop."""
-
-    def __init__(self, config, problem, graph, coloring, blocks, mapper, flavor):
-        super().__init__(config, problem, graph, coloring, blocks, mapper)
-        self.flavor = flavor
-        self.edge_duals = EdgeDuals.zeros(graph.n_edges, problem.n)
+    def inner_finished(self, X_prev: np.ndarray) -> bool:
+        """Whether the inner loop of a double-looped kind has finished: the
+        iterate moved by at most inner_tol, or the loop reached inner_cap
+        steps. A finished loop restarts its count."""
+        change = float(np.abs(self.states.primal - X_prev).max())
+        if change <= self.inner_tol or self.t_inner >= self.config.inner_cap:
+            self.t_inner = 0
+            return True
+        return False
 
     def step(self, k: int) -> RoundInfo:
-        before = self.states.primal.copy()
-        if self.flavor == "ngs":
-            info = ngs_inner_round(self.states, self.graph, self.blocks, self.config.rho, self.config)
-        else:
-            info = dqa_inner_round(
-                self.states, self.graph, self.blocks, self.config.rho, self.config,
-                mapper=self.mapper,
-            )
+        spec, info = self.spec, RoundInfo()
         self.t_inner += 1
-        change = float(np.abs(self.states.primal - before).max())
-        if self._inner_finished(change):
-            mm_outer_update(self.edge_duals, self.states, self.graph, self.config.rho)
-            self.t_inner = 0
-        return info
-
-
-class DNStepper(_DoubleLoopedStepper):
-    """Accelerated dual outer loop with a FISTA inner loop; the FISTA step
-    size is 1/(rho * lambda_max(graph Laplacian)), computed once."""
-
-    def __init__(self, config, problem, graph, coloring, blocks, mapper):
-        super().__init__(config, problem, graph, coloring, blocks, mapper)
-        self.alpha = 1.0 / (config.rho * lambda_max(laplacian(graph), tol=1e-10))
-        self.lam = EdgeDuals.zeros(graph.n_edges, problem.n)
-        self.eta = EdgeDuals.zeros(graph.n_edges, problem.n)
-        self.k_outer = 1
-        self.states.scratch["fista_x"] = np.zeros_like(self.states.primal)
-        self.states.scratch["fista_y"] = np.zeros_like(self.states.primal)
-
-    def step(self, k: int) -> RoundInfo:
-        before = self.states.scratch["fista_x"].copy()
-        self.t_inner += 1
-        info = dn_inner_round(
-            self.states, self.graph, self.blocks, self.config.rho, self.alpha,
-            self.t_inner, self.config, mapper=self.mapper,
-        )
-        change = float(np.abs(self.states.primal - before).max())
-        if self._inner_finished(change):
-            nesterov_outer_update(
-                self.lam, self.eta, self.states, self.graph, self.config.rho, self.k_outer
-            )
-            self.k_outer += 1
-            self.t_inner = 0
-            self.states.scratch["fista_y"] = self.states.primal.copy()
+        X = getattr(self.states, spec.source).copy()
+        for group, adjacency in self.groups:
+            V, C = spec.terms(self, k, group, adjacency @ X, X)
+            for p, v, c in zip(group, V, C):
+                X[p], solution = spec.node(self, p, v, c)
+                if solution is not None:
+                    info.absorb(solution)
+        spec.update(self, X)
         return info
 
 
@@ -617,7 +374,6 @@ def make_stepper(
     problem: ProblemInstance,
     graph: Graph,
     coloring: Coloring | None = None,
-    mapper=map,
 ) -> Stepper:
     """Build the stepper for a configured algorithm on a partitioned problem.
 
@@ -638,37 +394,15 @@ def make_stepper(
     if problem.partition.kind != expected:
         raise InputError(f"{config.kind} needs a {expected} partition")
 
-    if config.kind in ("dadmm_row", "dadmm_col"):
+    if KINDS[config.kind].groups is _color_classes:
         if coloring is None:
             raise InputError("color-scheduled solvers need a coloring")
-        _require_coloring(graph, coloring)
+        if len(coloring.colors) != graph.n_nodes or not is_proper(graph, coloring):
+            raise InputError("coloring is not a proper coloring of the graph")
 
-    if config.kind == "dadmm_col":
-        col_blocks = [
-            ColSubproblem(A_p, config.delta)
-            for A_p in partition_blocks(problem.A, problem.b, problem.partition)
-        ]
-        return DADMMColStepper(config, problem, graph, coloring, col_blocks, mapper)
-
-    blocks = [
-        RowSubproblem(A_p, b_p)
-        for A_p, b_p in partition_blocks(problem.A, problem.b, problem.partition)
-    ]
-    if config.kind == "dadmm_row":
-        return DADMMRowStepper(config, problem, graph, coloring, blocks, mapper)
-    if config.kind == "dlasso":
-        return DLassoStepper(config, problem, graph, coloring, blocks, mapper)
-    if config.kind == "subgradient":
-        return SubgradientStepper(config, problem, graph, coloring, blocks, mapper)
-    if config.kind == "mm_ngs":
-        return MMStepper(config, problem, graph, coloring, blocks, mapper, flavor="ngs")
-    if config.kind == "mm_dqa":
-        return MMStepper(config, problem, graph, coloring, blocks, mapper, flavor="dqa")
-    if config.kind == "dn":
-        return DNStepper(config, problem, graph, coloring, blocks, mapper)
-    raise InputError(f"unknown solver kind {config.kind!r}")
-
-
-def incidence_gamma_check(graph: Graph, duals: EdgeDuals) -> np.ndarray:
-    """Matrix form of gamma_from_edge_duals (B @ lambda), used for tests."""
-    return incidence_matrix(graph) @ duals.values
+    parts = partition_blocks(problem.A, problem.b, problem.partition)
+    if expected == "column":
+        blocks = [ColSubproblem(A_p, config.delta) for A_p in parts]
+    else:
+        blocks = [RowSubproblem(A_p, b_p) for A_p, b_p in parts]
+    return Stepper(config, problem, graph, coloring, blocks)

@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's own code paths: brute-force grid
 minimization, sign-pattern KKT enumeration, Jacobi eigenvalue sweeps,
-Floyd-Warshall reachability and central finite differences.
+Floyd-Warshall reachability, central finite differences, graph matrices
+built edge by edge, and a color-scheduled round written as per-node
+neighbor loops.
 """
 
 from __future__ import annotations
@@ -137,3 +139,50 @@ def kkt_projection(A: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
     rhs = np.concatenate([p, b])
     sol = np.linalg.solve(K, rhs)
     return sol[:n]
+
+
+def incidence_oracle(n_nodes: int, edges) -> np.ndarray:
+    """Dense node-arc incidence: the column of edge (i, j), i < j, has +1 at
+    row i and -1 at row j."""
+    B = np.zeros((n_nodes, len(edges)))
+    for e, (i, j) in enumerate(edges):
+        B[i, e] = 1.0
+        B[j, e] = -1.0
+    return B
+
+
+def laplacian_oracle(n_nodes: int, edges) -> np.ndarray:
+    """Dense graph Laplacian diag(degrees) - adjacency, built edge by edge."""
+    L = np.zeros((n_nodes, n_nodes))
+    for i, j in edges:
+        L[i, j] -= 1.0
+        L[j, i] -= 1.0
+        L[i, i] += 1.0
+        L[j, j] += 1.0
+    return L
+
+
+def reference_color_round(X_old, gamma, neighbors, colors, classes, rho, kernel):
+    """One step of color-scheduled consensus ADMM as per-node loops.
+
+    Classes run in order. Node p sums its neighbors j in index order,
+    taking X_new[j] when j's color is lower than p's (already updated this
+    round) and X_old[j] otherwise, forms v_p = gamma_p - rho * sum and calls
+    kernel(p, P * v_p, P * D_p * rho / 2) for its new value. Afterwards every
+    gamma_p absorbs rho * sum_j (x_p - x_j). Returns (X_new, gamma_new).
+    """
+    P = X_old.shape[0]
+    X_new = X_old.copy()
+    for cls in classes:
+        for p in cls:
+            acc = np.zeros(X_old.shape[1])
+            for j in neighbors[p]:
+                acc += X_new[j] if colors[j] < colors[p] else X_old[j]
+            v = gamma[p] - rho * acc
+            X_new[p] = kernel(p, P * v, P * len(neighbors[p]) * rho / 2.0)
+    S = np.zeros_like(X_new)
+    for p in range(P):
+        for j in neighbors[p]:
+            S[p] += X_new[j]
+    deg = np.array([len(ns) for ns in neighbors], dtype=float)[:, None]
+    return X_new, gamma + rho * (deg * X_new - S)

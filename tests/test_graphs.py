@@ -6,17 +6,15 @@ from netl1.graphs import (
     Graph,
     generate_network,
     greedy_coloring,
-    incidence_matrix,
     is_connected,
     is_proper,
-    laplacian,
     load_network,
     save_network,
     watts_strogatz,
 )
 from netl1.linalg import InputError
 
-from oracles import floyd_warshall_reachable
+from oracles import floyd_warshall_reachable, incidence_oracle, laplacian_oracle
 
 
 def random_graphs(count, P=12):
@@ -130,7 +128,7 @@ class TestColoring:
         # rows of B for one color class: B_c B_c' is diagonal with the degrees
         for g in random_graphs(20):
             coloring = greedy_coloring(g)
-            B = incidence_matrix(g)
+            B = g.incidence.toarray()
             for cls in coloring.classes:
                 rows = B[list(cls), :]
                 gram = rows @ rows.T
@@ -141,20 +139,28 @@ class TestColoring:
             Coloring(colors=(0, 0), n_colors=1, classes=((0,),))
 
 
+def laplacian(g):
+    B = g.incidence
+    return (B @ B.T).toarray()
+
+
 class TestMatrices:
     def test_incidence_example_graph(self):
         # connected 7-node, 7-edge graph; first column is edge (0, 1)
         edges = [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5), (4, 5), (4, 6)]
         g = Graph.from_edges(7, edges)
-        B = incidence_matrix(g)
+        B = g.incidence.toarray()
         assert B.shape == (7, 7)
         np.testing.assert_array_equal(B[:, 0], [1, -1, 0, 0, 0, 0, 0])
         assert (B.sum(axis=0) == 0).all()
+        np.testing.assert_array_equal(B, incidence_oracle(7, g.edges))
+        assert g.incidence.has_sorted_indices and g.adjacency_matrix.has_sorted_indices
 
     def test_incidence_times_transpose_is_laplacian(self):
         for g in random_graphs(10):
-            B = incidence_matrix(g)
-            np.testing.assert_allclose(B @ B.T, laplacian(g), atol=1e-12)
+            np.testing.assert_array_equal(laplacian(g), laplacian_oracle(g.n_nodes, g.edges))
+            adjacency = np.diag(g.degrees) - laplacian_oracle(g.n_nodes, g.edges)
+            np.testing.assert_array_equal(g.adjacency_matrix.toarray(), adjacency)
 
     def test_laplacian_single_edge(self):
         g = Graph.from_edges(2, [(0, 1)])

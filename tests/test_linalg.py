@@ -5,15 +5,13 @@ from netl1.linalg import (
     FactorizationError,
     InputError,
     PartitionSpec,
-    PowerIterationError,
     affine_projection,
     gram_factorization,
-    lambda_max,
     partition,
 )
-from netl1.graphs import generate_network, laplacian
+from netl1.graphs import Graph, generate_network
 
-from oracles import jacobi_eigenvalues, kkt_projection
+from oracles import jacobi_eigenvalues, kkt_projection, laplacian_oracle
 
 
 class TestPartition:
@@ -111,33 +109,32 @@ class TestGramFactorization:
         assert err <= 1e-10
 
 
+def lambda_max(g):
+    """The largest Laplacian eigenvalue as dn's step size takes it: eigvalsh
+    of L = B B' from the graph's incidence operator."""
+    B = g.incidence
+    return np.linalg.eigvalsh((B @ B.T).toarray())[-1]
+
+
 class TestLambdaMax:
     def test_complete_graph(self):
         g = generate_network("erdos_renyi", 5, 0, p=1.0)
-        assert lambda_max(laplacian(g), tol=1e-10) == pytest.approx(5.0, rel=1e-8)
+        assert lambda_max(g) == pytest.approx(5.0, rel=1e-12)
 
     def test_single_edge(self):
-        L = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        assert lambda_max(L, tol=1e-10) == pytest.approx(2.0, rel=1e-8)
+        assert lambda_max(Graph.from_edges(2, [(0, 1)])) == pytest.approx(2.0, rel=1e-12)
 
     def test_lattice_matches_jacobi_oracle(self):
-        L = laplacian(generate_network("lattice", 64))
-        expected = jacobi_eigenvalues(L)[-1]
-        assert lambda_max(L, tol=1e-8) == pytest.approx(expected, rel=1e-6)
+        g = generate_network("lattice", 64)
+        expected = jacobi_eigenvalues(laplacian_oracle(g.n_nodes, g.edges))[-1]
+        assert lambda_max(g) == pytest.approx(expected, rel=1e-10)
 
     def test_spectral_bounds_on_generated_graphs(self):
         for seed in range(5):
             g = generate_network("erdos_renyi", 12, seed, p=0.4)
             if g.n_edges == 0:
                 continue
-            L = laplacian(g)
-            lam = lambda_max(L, tol=1e-8)
-            max_row_sum = np.abs(L).sum(axis=1).max()
+            lam = lambda_max(g)
+            max_row_sum = np.abs(laplacian_oracle(g.n_nodes, g.edges)).sum(axis=1).max()
             assert lam >= max_row_sum / 2 - 1e-8
             assert lam <= 2 * g.degrees.max() + 1e-8
-
-    def test_nonconvergence_carries_estimate(self):
-        L = laplacian(generate_network("lattice", 64))
-        with pytest.raises(PowerIterationError) as err:
-            lambda_max(L, tol=1e-14, max_iter=3)
-        assert 0 < err.value.last_estimate <= 8.0

@@ -9,7 +9,6 @@ from netl1.nodeprob import (
     bb_minimize,
     psi_p,
     row_dual_value,
-    shrink_delta,
     solve_col_node,
     solve_row_node,
     x_of_u,
@@ -61,18 +60,23 @@ class TestScalarKernel:
 
 
 class TestShrink:
+    """The column kernel's shrink: the minimizer of |x| + u*x + (delta/2)*x^2
+    is x_of_u(u, delta/2)."""
+
     def test_dead_zone(self):
-        assert shrink_delta(0.9, 1e-3) == 0.0
+        assert x_of_u(0.9, 1e-3 / 2.0) == 0.0
 
     def test_branch(self):
-        assert shrink_delta(2.0, 1.0) == pytest.approx(-1.0)
+        assert x_of_u(2.0, 1.0 / 2.0) == pytest.approx(-1.0)
 
     def test_equals_scalar_kernel(self):
+        # soft thresholding at 1, scaled by 1/delta
         rng = np.random.default_rng(2)
         for _ in range(100):
             u = rng.uniform(-4, 4)
             delta = rng.uniform(1e-4, 2.0)
-            assert shrink_delta(u, delta) == x_of_u(u, delta / 2.0)
+            expected = -np.sign(u) * max(abs(u) - 1.0, 0.0) / delta
+            assert x_of_u(u, delta / 2.0) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def random_row_subproblem(rng, m, n):
