@@ -81,6 +81,27 @@ def _soft_threshold(w: np.ndarray, t: float) -> np.ndarray:
     return np.sign(w) * np.maximum(np.abs(w) - t, 0.0)
 
 
+def _splitting(A, b, fact, prox, rho: float, tol: float, max_iter: int):
+    """The oracles' two-block splitting iteration: x is the projection of
+    z - u onto {Ax = b}, z the prox of x + u, and u accumulates x - z.
+    Yields (iteration, x, u) whenever the split variables agree and z has
+    settled, both to 0.1 tol scaled by 1 + ||b||_inf."""
+    n = A.shape[1]
+    z = np.zeros(n)
+    u = np.zeros(n)
+    scale = 1.0 + float(np.abs(b).max(initial=0.0))
+    for it in range(1, max_iter + 1):
+        w = z - u
+        x = w - A.T @ gram_solve(fact, A @ w - b)
+        z_new = prox(x + u)
+        u += x - z_new
+        primal = float(np.abs(x - z_new).max())
+        dual = rho * float(np.abs(z_new - z).max())
+        z = z_new
+        if max(primal, dual) <= 0.1 * tol * scale:
+            yield it, x, u
+
+
 def solve_bp_centralized(A, b, tol: float = 1e-9, max_iter: int = 100_000, rho: float = 1.0):
     """Certified minimum-l1 solution of A x = b (A full row rank).
 
@@ -93,21 +114,10 @@ def solve_bp_centralized(A, b, tol: float = 1e-9, max_iter: int = 100_000, rho: 
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     fact = gram_factorization(A)
-    n = A.shape[1]
-    z = np.zeros(n)
-    u = np.zeros(n)
     best_gap = np.inf
-    scale = 1.0 + float(np.abs(b).max(initial=0.0))
-
-    for it in range(1, max_iter + 1):
-        w = z - u
-        x = w - A.T @ gram_solve(fact, A @ w - b)
-        z_new = _soft_threshold(x + u, 1.0 / rho)
-        u += x - z_new
-        primal = float(np.abs(x - z_new).max())
-        dual = rho * float(np.abs(z_new - z).max())
-        z = z_new
-        if max(primal, dual) <= 0.1 * tol * scale and (it % 10 == 0 or it < 10):
+    iterates = _splitting(A, b, fact, lambda w: _soft_threshold(w, 1.0 / rho), rho, tol, max_iter)
+    for it, x, u in iterates:
+        if it % 10 == 0 or it < 10:
             lam = gram_solve(fact, A @ (rho * u))
             corr = float(np.abs(A.T @ lam).max()) - 1.0
             gap = float(np.abs(x).sum() - b @ lam)
@@ -132,20 +142,12 @@ def solve_regularized_bp(A, b, delta: float, tol: float = 1e-9, max_iter: int = 
     if delta <= 0:
         raise InputError("delta must be positive")
     fact = gram_factorization(A)
-    n = A.shape[1]
-    z = np.zeros(n)
-    u = np.zeros(n)
-    scale = 1.0 + float(np.abs(b).max(initial=0.0))
-    for _ in range(max_iter):
-        w = z - u
-        x = w - A.T @ gram_solve(fact, A @ w - b)
-        z_new = _soft_threshold(rho * (x + u), 1.0) / (delta + rho)
-        u += x - z_new
-        primal = float(np.abs(x - z_new).max())
-        dual = rho * float(np.abs(z_new - z).max())
-        z = z_new
-        if max(primal, dual) <= 0.1 * tol * scale:
-            return x
+
+    def elastic(w):
+        return _soft_threshold(rho * w, 1.0) / (delta + rho)
+
+    for _, x, _ in _splitting(A, b, fact, elastic, rho, tol, max_iter):
+        return x  # the first agreement is the solution
     raise ToleranceError(f"regularized solver missed tol={tol}", float("nan"))
 
 
@@ -222,17 +224,16 @@ def rho_sweep(
     coloring: Coloring | None = None,
     rule: StopRule | None = None,
     x_ref=None,
-    early_abandon: bool = True,
 ) -> SweepResult:
     """Run one algorithm for every penalty weight in the grid and keep the
     best.
 
     Best means: reaches the finest accuracy target in the fewest
     communication steps; runs reaching fewer targets rank behind, and exact
-    ties break toward the smaller weight. With early_abandon, once some
-    weight has reached the finest target in s steps, later candidates run
-    with their budget capped at s (they could not win beyond it); capped
-    runs still appear in traces as prefixes.
+    ties break toward the smaller weight. Once some weight has reached the
+    finest target in s steps, later candidates run with their budget capped
+    at s (they could not win beyond it); capped runs still appear in traces
+    as prefixes.
     """
     grid = tuple(float(r) for r in grid)
     if not grid:
@@ -242,11 +243,9 @@ def rho_sweep(
     best_key = None
     cap = rule.max_comm_steps
     for rho in grid:
-        cfg = replace(config, rho=rho)
-        budget = cap if early_abandon else rule.max_comm_steps
         trace = run(
-            cfg, problem, graph, coloring,
-            StopRule(targets=rule.targets, max_comm_steps=budget), x_ref,
+            replace(config, rho=rho), problem, graph, coloring,
+            StopRule(targets=rule.targets, max_comm_steps=cap), x_ref,
         )
         result.traces[rho] = trace
         key = _achieved(trace, rule.targets) + (rho,)
@@ -254,7 +253,7 @@ def rho_sweep(
             best_key = key
             result.best_rho = rho
             result.best_trace = trace
-        if early_abandon and rule.finest in trace.steps_to_accuracy:
+        if rule.finest in trace.steps_to_accuracy:
             cap = min(cap, trace.steps_to_accuracy[rule.finest])
     return result
 

@@ -69,52 +69,44 @@ class Graph:
         return np.array([len(ns) for ns in self.adjacency], dtype=int)
 
     @cached_property
+    def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edge list as index arrays (i, j), i < j, so that X[i] - X[j]
+        holds the edge differences x_i - x_j."""
+        i, j = np.array(self.edges, dtype=int).reshape(-1, 2).T
+        return i, j
+
+    @cached_property
     def adjacency_matrix(self) -> sparse.csr_matrix:
         """P x P 0/1 adjacency in CSR form with sorted column indices, so a
         product Adj @ X sums each node's neighbor rows in index order."""
-        i, j = np.array(self.edges, dtype=int).reshape(-1, 2).T
+        i, j = self.endpoints
         P = self.n_nodes
-        return _csr(np.ones(2 * self.n_edges), np.r_[i, j], np.r_[j, i], (P, P))
-
-    @cached_property
-    def incidence(self) -> sparse.csr_matrix:
-        """P x E node-arc incidence B in CSR form with sorted indices: the
-        column of edge (i, j), i < j, has +1 at row i and -1 at row j, so
-        B.T @ X gives the edge differences x_i - x_j, B @ lam the node sums
-        of signed edge values, and B @ B.T the graph Laplacian."""
-        i, j = np.array(self.edges, dtype=int).reshape(-1, 2).T
-        e = np.arange(self.n_edges)
-        data = np.r_[np.ones(self.n_edges), -np.ones(self.n_edges)]
-        return _csr(data, np.r_[i, j], np.r_[e, e], (self.n_nodes, self.n_edges))
-
-
-def _csr(data, rows, cols, shape) -> sparse.csr_matrix:
-    M = sparse.csr_matrix((data, (rows, cols)), shape=shape)
-    M.sort_indices()
-    return M
+        M = sparse.csr_matrix((np.ones(2 * self.n_edges), (np.r_[i, j], np.r_[j, i])), (P, P))
+        M.sort_indices()
+        return M
 
 
 @dataclass(frozen=True)
 class Coloring:
-    """Proper node coloring; classes lists the nodes of each color in order."""
+    """Node coloring given by each node's color. The color classes list the
+    nodes of each distinct color in index order, by ascending color, so
+    they always partition the nodes and agree with colors."""
 
     colors: tuple[int, ...]
-    n_colors: int
-    classes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if sorted(c for cls in self.classes for c in cls) != list(range(len(self.colors))):
-            raise InputError("color classes must partition the node set")
+        object.__setattr__(self, "colors", tuple(int(c) for c in self.colors))
 
-    @classmethod
-    def from_colors(cls, colors) -> "Coloring":
-        """Coloring with classes listing each color's nodes in index order."""
-        colors = tuple(int(c) for c in colors)
-        n_colors = max(colors) + 1
-        classes = tuple(
-            tuple(p for p, c in enumerate(colors) if c == color) for color in range(n_colors)
+    @cached_property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(
+            tuple(p for p, c in enumerate(self.colors) if c == color)
+            for color in sorted(set(self.colors))
         )
-        return cls(colors=colors, n_colors=n_colors, classes=classes)
+
+    @property
+    def n_colors(self) -> int:
+        return len(self.classes)
 
 
 def erdos_renyi(P: int, p: float, seed: int) -> Graph:
@@ -289,7 +281,7 @@ def greedy_coloring(g: Graph) -> Coloring:
         while c in used:
             c += 1
         colors[p] = c
-    return Coloring.from_colors(colors)
+    return Coloring(colors)
 
 
 def is_proper(g: Graph, coloring: Coloring) -> bool:
@@ -315,14 +307,17 @@ def load_network(path) -> tuple[Graph, Coloring | None]:
     P, E = int(tokens[0][0]), int(tokens[0][1])
     if len(tokens) < 1 + E:
         raise InputError(f"network file declares {E} edges but has fewer lines")
-    edges = [(int(t[0]), int(t[1])) for t in tokens[1 : 1 + E]]
+    try:
+        edges = [(int(i), int(j)) for i, j in tokens[1 : 1 + E]]
+    except ValueError:
+        raise InputError("edge lines must hold two integers 'i j'") from None
     g = Graph.from_edges(P, edges)
     coloring = None
     if len(tokens) > 1 + E:
         tail = tokens[1 + E]
         if tail[0] != "colors" or len(tail) != 1 + P:
             raise InputError("trailing line must be 'colors c_0 ... c_{P-1}'")
-        coloring = Coloring.from_colors(tail[1:])
+        coloring = Coloring(tail[1:])
         if not is_proper(g, coloring):
             raise InputError("network file carries an improper coloring")
     return g, coloring

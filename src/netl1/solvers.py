@@ -16,6 +16,12 @@ Single-looped algorithms consume one step per outer iteration;
 double-looped ones consume one step per inner iteration and none for
 their outer dual updates.
 
+The multipliers lambda_ij belong to the edges (i, j), i < j, but node p
+only ever reads their signed sum gamma_p over its own edges (+lambda_pj,
+-lambda_ip). Every dual update is linear in lambda, so every kind keeps
+the node sums gamma (P, L) and no edge-indexed state: a step
+lambda_ij += rho (x_i - x_j) is gamma_p += rho sum_j (x_p - x_j).
+
 All row algorithms minimize (1/P) sum_p ||x_p||_1 subject to the per-node
 constraints A_p x_p = b_p plus edge consensus. The per-node subproblems are
 mapped onto the shared kernel min ||x||_1 + v'x + c||x||^2 s.t. Ax = b by
@@ -189,14 +195,18 @@ def _projection_node(st: "Stepper", p, point, _):
 # updates after the sweep, and the outer loops of the double-looped kinds
 
 
+def _disagreements(graph: Graph, X: np.ndarray) -> np.ndarray:
+    """sum_j (x_p - x_j) over each node's neighbors, the rows the dual
+    aggregates absorb; they are antisymmetric per edge, so aggregates that
+    start at zero always sum to zero. The sums are taken as D X - Adj X
+    rather than L X so that each neighbor sum is formed on its own, in
+    index order."""
+    return graph.degrees[:, None] * X - graph.adjacency_matrix @ X
+
+
 def _admm_update(st: "Stepper", X):
-    """Every node's dual aggregate absorbs rho * sum_j (x_p - x_j); the
-    terms are antisymmetric per edge, so the aggregates always sum to zero.
-    The sums are taken as D X - Adj X rather than L X so that each neighbor
-    sum is formed on its own, in index order."""
     st.states.primal = X
-    graph = st.graph
-    st.states.gamma += st.config.rho * (graph.degrees[:, None] * X - graph.adjacency_matrix @ X)
+    st.states.gamma += st.config.rho * _disagreements(st.graph, X)
 
 
 def _replace_primal(st: "Stepper", X):
@@ -205,10 +215,10 @@ def _replace_primal(st: "Stepper", X):
 
 def _multiplier_update(st: "Stepper", X):
     """Multiplier method: once the inner loop has finished, one dual ascent
-    step on the edge multipliers."""
+    step on the multipliers."""
     X_prev, st.states.primal = st.states.primal, X
     if st.inner_finished(X_prev):
-        mm_outer_update(st.edge_duals, st.states, st.graph, st.config.rho)
+        mm_outer_update(st.states, st.graph, st.config.rho)
 
 
 def _dqa_update(st: "Stepper", U):
@@ -227,48 +237,44 @@ def _dn_update(st: "Stepper", X):
     momentum = (st.t_inner - 1.0) / (st.t_inner + 2.0)
     st.states.fista_y = X + momentum * (X - X_prev)
     if st.inner_finished(X_prev):
-        nesterov_outer_update(st.lam, st.eta, st.states, st.graph, st.config.rho, st.k_outer)
+        nesterov_outer_update(st.lam_sums, st.states, st.graph, st.config.rho, st.k_outer)
         st.k_outer += 1
         st.states.fista_y = X.copy()
 
 
-def mm_outer_update(edge_duals: np.ndarray, states: NodeStates, graph: Graph, rho: float) -> None:
-    """Dual gradient ascent on the (E, L) edge multipliers once an inner
-    loop has finished: lambda_{i,j} += rho * (x_i - x_j), then the node
-    aggregates gamma = B lambda are rebuilt from the updated multipliers."""
-    edge_duals += rho * (graph.incidence.T @ states.primal)
-    states.gamma = graph.incidence @ edge_duals
+def mm_outer_update(states: NodeStates, graph: Graph, rho: float) -> None:
+    """Dual gradient ascent once an inner loop has finished: the edge
+    multipliers take lambda_{i,j} += rho * (x_i - x_j), and each node keeps
+    only its aggregate gamma_p of the multipliers on its edges, so the step
+    is the ADMM dual step on gamma."""
+    states.gamma += rho * _disagreements(graph, states.primal)
 
 
 def nesterov_outer_update(
-    lam: np.ndarray, eta: np.ndarray, states: NodeStates, graph: Graph, rho: float, k_outer: int
+    lam_sums: np.ndarray, states: NodeStates, graph: Graph, rho: float, k_outer: int
 ) -> None:
-    """Accelerated dual update on the (E, L) edge multipliers, in place.
+    """Accelerated dual update in node space, in place.
 
-    The gradient step is taken at the extrapolated multipliers eta (the
-    point the finished inner loop solved at); the new extrapolation uses
-    the momentum coefficient (k-1)/(k+2) of the 1-based outer index k.
-    The inner loops read gamma built from eta.
+    The edge multipliers lambda take a gradient step at their extrapolation
+    eta (the point the finished inner loop solved at), and the new
+    extrapolation uses the momentum coefficient (k-1)/(k+2) of the 1-based
+    outer index k. Both recursions are linear, so each node keeps only its
+    aggregates: lam_sums holds the node sums of lambda and states.gamma,
+    which the inner loops read, those of eta.
     """
-    lam_new = eta + rho * (graph.incidence.T @ states.primal)
+    stepped = states.gamma + rho * _disagreements(graph, states.primal)
     momentum = (k_outer - 1.0) / (k_outer + 2.0)
-    eta[:] = lam_new + momentum * (lam_new - lam)
-    lam[:] = lam_new
-    states.gamma = graph.incidence @ eta
-
-
-def _multiplier_setup(st: "Stepper"):
-    st.edge_duals = np.zeros((st.graph.n_edges, st.states.primal.shape[1]))
+    states.gamma = stepped + momentum * (stepped - lam_sums)
+    lam_sums[:] = stepped
 
 
 def _dn_setup(st: "Stepper"):
     """The FISTA step size is 1/(rho * lambda_max(L)) for the graph
-    Laplacian L = B B'; the edge multipliers lam and their extrapolation
-    eta start at zero."""
-    B = st.graph.incidence
-    st.alpha = 1.0 / (st.config.rho * np.linalg.eigvalsh((B @ B.T).toarray())[-1])
-    st.lam = np.zeros((st.graph.n_edges, st.states.primal.shape[1]))
-    st.eta = np.zeros_like(st.lam)
+    Laplacian L = D - Adj; the node sums of the multipliers and of their
+    extrapolation start at zero."""
+    laplacian = np.diag(st.graph.degrees.astype(float)) - st.graph.adjacency_matrix.toarray()
+    st.alpha = 1.0 / (st.config.rho * np.linalg.eigvalsh(laplacian)[-1])
+    st.lam_sums = np.zeros_like(st.states.primal)
     st.k_outer = 1
     st.states.fista_y = np.zeros_like(st.states.primal)
 
@@ -310,10 +316,8 @@ KINDS = {
     "dadmm_col": KindSpec(_color_classes, _column_terms, _column_node, _admm_update),
     "dlasso": KindSpec(_all_nodes, _dlasso_terms, _row_node, _admm_update),
     "subgradient": KindSpec(_all_nodes, _subgradient_terms, _projection_node, _replace_primal),
-    "mm_ngs": KindSpec(_single_nodes, _consensus_terms, _row_node, _multiplier_update,
-                       setup=_multiplier_setup),
-    "mm_dqa": KindSpec(_all_nodes, _consensus_terms, _row_node, _dqa_update,
-                       setup=_multiplier_setup),
+    "mm_ngs": KindSpec(_single_nodes, _consensus_terms, _row_node, _multiplier_update),
+    "mm_dqa": KindSpec(_all_nodes, _consensus_terms, _row_node, _dqa_update),
     "dn": KindSpec(_all_nodes, _fista_terms, _row_node, _dn_update, source="fista_y",
                    setup=_dn_setup),
 }
@@ -323,8 +327,8 @@ class Stepper:
     """One run of one solver kind; step(k) advances one communication step.
 
     blocks holds the node problems (col_blocks too for the column variant,
-    None otherwise); edge multipliers, the FISTA step size alpha and the
-    outer counter k_outer exist for the kinds that use them.
+    None otherwise); dn adds its multiplier sums lam_sums, the FISTA step
+    size alpha and the outer counter k_outer.
     """
 
     def __init__(self, config, problem, graph, coloring, blocks):

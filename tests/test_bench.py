@@ -4,6 +4,7 @@ import pytest
 import netl1 as nl
 from netl1.bench import (
     InstanceSpec,
+    _achieved,
     connected_network,
     gen_instance,
     rho_sweep,
@@ -161,11 +162,9 @@ class TestRhoSweep:
         # doubling the budget never increases the winner's steps-to-accuracy
         prob, g = self._setup()
         short = rho_sweep((1e-1, 1.0), SolverConfig(kind="dadmm_row"), prob, g,
-                          rule=StopRule(targets=(1e-2,), max_comm_steps=150),
-                          early_abandon=False)
+                          rule=StopRule(targets=(1e-2,), max_comm_steps=150))
         long = rho_sweep((1e-1, 1.0), SolverConfig(kind="dadmm_row"), prob, g,
-                         rule=StopRule(targets=(1e-2,), max_comm_steps=300),
-                         early_abandon=False)
+                         rule=StopRule(targets=(1e-2,), max_comm_steps=300))
         s_short = short.best_trace.steps_to_accuracy.get(1e-2)
         s_long = long.best_trace.steps_to_accuracy.get(1e-2)
         if s_short is not None:
@@ -182,15 +181,18 @@ class TestRhoSweep:
         assert result.best_rho in (1e-2, 1e-1, 1.0)
 
     def test_early_abandon_same_winner(self):
+        # the capped sweep picks the winner of one full-budget run per rho,
+        # ranked by the same key
         prob, g = self._setup()
+        grid = (1e-2, 1e-1, 1.0)
         rule = StopRule(targets=(1e-2, 1e-4), max_comm_steps=3000)
-        fast = rho_sweep((1e-2, 1e-1, 1.0), SolverConfig(kind="dadmm_row"),
-                         prob, g, rule=rule, early_abandon=True)
-        full = rho_sweep((1e-2, 1e-1, 1.0), SolverConfig(kind="dadmm_row"),
-                         prob, g, rule=rule, early_abandon=False)
-        assert fast.best_rho == full.best_rho
+        fast = rho_sweep(grid, SolverConfig(kind="dadmm_row"), prob, g, rule=rule)
+        full = {rho: nl.run(SolverConfig(kind="dadmm_row", rho=rho), prob, g, rule=rule)
+                for rho in grid}
+        best_rho = min(grid, key=lambda rho: _achieved(full[rho], rule.targets) + (rho,))
+        assert fast.best_rho == best_rho
         assert (fast.best_trace.steps_to_accuracy[1e-4]
-                == full.best_trace.steps_to_accuracy[1e-4])
+                == full[best_rho].steps_to_accuracy[1e-4])
 
 
 class TestScaleExperiment:

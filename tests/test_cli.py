@@ -78,3 +78,18 @@ def test_scale_cli(tmp_path, capsys):
                  "--max-steps", "2000", "--out", str(out)])
     assert code == 0
     assert out.read_text().startswith("P,dadmm_row,dlasso")
+
+
+def test_run_reads_network_files_as_written(tmp_path):
+    inst = tmp_path / "inst.txt"
+    net = tmp_path / "net.txt"
+    main(["gen-instance", "--m", "8", "--n", "24", "--P", "2", "--k", "1",
+          "--seed", "5", "--out", str(inst)])
+    run = ["run", "--algo", "dadmm", "--instance", str(inst), "--network", str(net),
+           "--targets", "1e-2", "--max-steps", "3000"]
+    # a gap in the color numbers is two classes, not an empty middle one
+    net.write_text("2 1\n0 1\ncolors 0 2\n")
+    assert main(run) == 0
+    # an edge line that is not two integers is an input error
+    net.write_text("2 1\n0\n")
+    assert main(run) == 1

@@ -151,11 +151,11 @@ class TestRun:
         from netl1.solvers import make_stepper
 
         stepper = make_stepper(config, prob, g)
-        duals_before = stepper.edge_duals.copy()
+        gamma_before = stepper.states.gamma.copy()
         for k in range(1, 8):
             stepper.step(k)
         # after at most inner_cap steps the outer update must have fired
-        assert not np.array_equal(stepper.edge_duals, duals_before)
+        assert not np.array_equal(stepper.states.gamma, gamma_before)
 
     def test_desk_instance_on_grid_reaches_fine_target(self):
         prob = nl.gen_instance(nl.InstanceSpec(m=40, n=160, P=8, k=5, seed=3))

@@ -128,39 +128,53 @@ class TestColoring:
         # rows of B for one color class: B_c B_c' is diagonal with the degrees
         for g in random_graphs(20):
             coloring = greedy_coloring(g)
-            B = g.incidence.toarray()
+            B = incidence_oracle(g.n_nodes, g.edges)
             for cls in coloring.classes:
                 rows = B[list(cls), :]
                 gram = rows @ rows.T
                 np.testing.assert_allclose(gram, np.diag(g.degrees[list(cls)]), atol=1e-12)
 
     def test_classes_must_partition(self):
-        with pytest.raises(InputError):
-            Coloring(colors=(0, 0), n_colors=1, classes=((0,),))
+        # the classes are derived from the colors, so they partition the
+        # nodes and hold each color's nodes only
+        coloring = Coloring(colors=(1, 0, 1, 0, 2))
+        assert coloring.classes == ((1, 3), (0, 2), (4,))
+        assert coloring.n_colors == 3
+        with pytest.raises(TypeError):
+            Coloring(colors=(0, 1, 0, 1), classes=((0, 1), (2, 3)))
+
+    def test_gaps_in_colors_leave_no_empty_class(self):
+        coloring = Coloring(colors=("0", "2"))
+        assert coloring.colors == (0, 2)
+        assert coloring.classes == ((0,), (1,)) and coloring.n_colors == 2
 
 
 def laplacian(g):
-    B = g.incidence
-    return (B @ B.T).toarray()
+    """dn's Laplacian D - Adj from the graph's adjacency operator."""
+    return np.diag(g.degrees.astype(float)) - g.adjacency_matrix.toarray()
 
 
 class TestMatrices:
     def test_incidence_example_graph(self):
-        # connected 7-node, 7-edge graph; first column is edge (0, 1)
+        # connected 7-node, 7-edge graph; first column is edge (0, 1), and
+        # the edge endpoints give the same differences as B'
         edges = [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5), (4, 5), (4, 6)]
         g = Graph.from_edges(7, edges)
-        B = g.incidence.toarray()
+        B = incidence_oracle(7, g.edges)
         assert B.shape == (7, 7)
         np.testing.assert_array_equal(B[:, 0], [1, -1, 0, 0, 0, 0, 0])
         assert (B.sum(axis=0) == 0).all()
-        np.testing.assert_array_equal(B, incidence_oracle(7, g.edges))
-        assert g.incidence.has_sorted_indices and g.adjacency_matrix.has_sorted_indices
+        X = np.random.default_rng(3).normal(size=(7, 2))
+        i, j = g.endpoints
+        np.testing.assert_array_equal(X[i] - X[j], B.T @ X)
+        assert g.adjacency_matrix.has_sorted_indices
 
     def test_incidence_times_transpose_is_laplacian(self):
+        # B B' equals D - Adj entry for entry
         for g in random_graphs(10):
+            B = incidence_oracle(g.n_nodes, g.edges)
+            np.testing.assert_array_equal(laplacian(g), B @ B.T)
             np.testing.assert_array_equal(laplacian(g), laplacian_oracle(g.n_nodes, g.edges))
-            adjacency = np.diag(g.degrees) - laplacian_oracle(g.n_nodes, g.edges)
-            np.testing.assert_array_equal(g.adjacency_matrix.toarray(), adjacency)
 
     def test_laplacian_single_edge(self):
         g = Graph.from_edges(2, [(0, 1)])
@@ -191,5 +205,18 @@ class TestNetworkFile:
     def test_improper_coloring_rejected(self, tmp_path):
         path = tmp_path / "net.txt"
         path.write_text("2 1\n0 1\ncolors 0 0\n")
+        with pytest.raises(InputError):
+            load_network(path)
+
+    def test_colors_with_gaps(self, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_text("2 1\n0 1\ncolors 0 2\n")
+        _, coloring = load_network(path)
+        assert coloring.classes == ((0,), (1,))
+
+    @pytest.mark.parametrize("line", ["0", "0 1 2", "0 x"])
+    def test_malformed_edge_line_rejected(self, tmp_path, line):
+        path = tmp_path / "net.txt"
+        path.write_text(f"2 1\n{line}\n")
         with pytest.raises(InputError):
             load_network(path)

@@ -111,9 +111,9 @@ class TestGramFactorization:
 
 def lambda_max(g):
     """The largest Laplacian eigenvalue as dn's step size takes it: eigvalsh
-    of L = B B' from the graph's incidence operator."""
-    B = g.incidence
-    return np.linalg.eigvalsh((B @ B.T).toarray())[-1]
+    of L = D - Adj from the graph's adjacency operator."""
+    laplacian = np.diag(g.degrees.astype(float)) - g.adjacency_matrix.toarray()
+    return np.linalg.eigvalsh(laplacian)[-1]
 
 
 class TestLambdaMax:

@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import netl1 as nl
 from netl1.graphs import Coloring, Graph, greedy_coloring
 from netl1.linalg import InputError, partition
 from netl1.nodeprob import BBConfig, RowSubproblem, solve_row_node
-from netl1.solvers import SolverConfig, make_stepper, mm_outer_update, NodeStates
+from netl1.solvers import (
+    NodeStates,
+    SolverConfig,
+    make_stepper,
+    mm_outer_update,
+    nesterov_outer_update,
+)
 
 from oracles import (
     central_difference_gradient,
@@ -48,7 +55,7 @@ KIND_COUNTS = {
     "subgradient": (1.0, 310, {1e-1: 310}, 0),
     "mm_ngs": (10.0, 82, {1e-2: 78, 1e-4: 82}, 4804),
     "mm_dqa": (10.0, 586, {1e-2: 467, 1e-4: 586}, 40196),
-    "dn": (10.0, 163, {1e-2: 118, 1e-4: 163}, 12178),
+    "dn": (10.0, 163, {1e-2: 118, 1e-4: 163}, 12152),
     "dadmm_col": (1.0, 51, {1e-2: 22, 1e-4: 51}, 15919),
 }
 
@@ -105,19 +112,36 @@ class TestDADMMRound:
             np.testing.assert_array_equal(stepper.states.gamma, gamma)
 
     def test_within_color_order_invariance(self):
+        # swapping the labels of the same-color nodes 0 and 1 of K22, with
+        # their data, reverses their order within the class sweep and only
+        # permutes the iterates
         prob = desk_problem(m=16, n=48, P=4, seed=10)
         g = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])  # bipartite K22
         coloring = greedy_coloring(g)
+        assert coloring.classes == ((0, 1), (2, 3))
         cfg = SolverConfig(kind="dadmm_row", rho=0.7)
+        states = run_steps(make_stepper(cfg, prob, g, coloring), 3)
 
-        def run_rounds(classes):
-            col = Coloring(colors=coloring.colors, n_colors=coloring.n_colors, classes=classes)
-            return run_steps(make_stepper(cfg, prob, g, col), 3)
+        swap = [1, 0, 2, 3]  # its own inverse
+        g2 = Graph.from_edges(4, [(swap[i], swap[j]) for i, j in g.edges])
+        assert g2.edges == g.edges
+        parts = partition(prob.A, prob.b, prob.partition)
+        prob2 = nl.ProblemInstance(
+            A=np.vstack([parts[swap[p]][0] for p in range(4)]),
+            b=np.concatenate([parts[swap[p]][1] for p in range(4)]),
+        ).with_partition("row", 4)
+        states2 = run_steps(make_stepper(cfg, prob2, g2, greedy_coloring(g2)), 3)
+        np.testing.assert_array_equal(states2.primal, states.primal[swap])
+        np.testing.assert_array_equal(states2.gamma, states.gamma[swap])
 
-        forward = run_rounds(coloring.classes)
-        flipped = run_rounds(tuple(tuple(reversed(cls)) for cls in coloring.classes))
-        np.testing.assert_array_equal(forward.primal, flipped.primal)
-        np.testing.assert_array_equal(forward.gamma, flipped.gamma)
+    def test_sweep_groups_share_no_edges(self):
+        # the classes come from the colors, so a coloring cannot put the
+        # adjacent nodes 0 and 1 of the 4-cycle into one group
+        prob = desk_problem()
+        g = ring_graph(4)
+        stepper = stepper_for("dadmm_row", prob, g, Coloring(colors=(0, 1, 0, 1)))
+        groups = [tuple(int(p) for p in group) for group, _ in stepper.groups]
+        assert groups == [(0, 2), (1, 3)]
 
     def test_single_node_rejected(self):
         prob = desk_problem(m=16, n=48, P=1, seed=5)
@@ -128,7 +152,7 @@ class TestDADMMRound:
     def test_improper_coloring_rejected(self):
         prob = desk_problem()
         g = ring_graph(4)
-        bad = Coloring(colors=(0, 0, 1, 1), n_colors=2, classes=((0, 1), (2, 3)))
+        bad = Coloring(colors=(0, 0, 1, 1))
         with pytest.raises(InputError):
             make_stepper(SolverConfig(kind="dadmm_row"), prob, g, bad)
 
@@ -265,49 +289,67 @@ class TestSubgradient:
             stepper_for("subgradient", prob, g).step(0)
 
 
-class TestEdgeDualMachinery:
+@st.composite
+def graphs_and_iterates(draw):
+    """A random simple graph on 2-7 nodes and a sequence of iterates."""
+    P = draw(st.integers(2, 7))
+    pairs = [(i, j) for i in range(P) for j in range(i + 1, P)]
+    g = Graph.from_edges(P, [e for e in pairs if draw(st.booleans())])
+    L = draw(st.integers(1, 4))
+    values = st.floats(-1.0, 1.0, allow_nan=False)
+    count = draw(st.integers(1, 5))
+    Xs = [np.array(draw(st.lists(values, min_size=P * L, max_size=P * L))).reshape(P, L)
+          for _ in range(count)]
+    return g, Xs, draw(st.floats(0.1, 2.0))
+
+
+class TestOuterUpdates:
     def test_no_update_at_consensus(self):
         g = ring_graph(4)
-        duals = np.zeros((g.n_edges, 5))
         states = NodeStates.zeros(4, 5)
         states.primal[:] = np.arange(5.0)  # identical rows
-        mm_outer_update(duals, states, g, rho=2.0)
-        np.testing.assert_array_equal(duals, 0.0)
+        mm_outer_update(states, g, rho=2.0)
+        np.testing.assert_array_equal(states.gamma, 0.0)
 
     def test_single_edge_increment(self):
+        # lambda_01 = 0.5 (x_0 - x_1): node 0 holds +lambda, node 1 -lambda
         g = Graph.from_edges(2, [(0, 1)])
-        duals = np.zeros((1, 3))
         states = NodeStates.zeros(2, 3)
         states.primal[0] = [1.0, 2.0, 3.0]
         states.primal[1] = [0.0, 2.0, 5.0]
-        mm_outer_update(duals, states, g, rho=0.5)
-        np.testing.assert_allclose(duals[0], [0.5, 0.0, -1.0])
+        mm_outer_update(states, g, rho=0.5)
+        np.testing.assert_allclose(states.gamma, [[0.5, 0.0, -1.0], [-0.5, 0.0, 1.0]])
 
-    def test_gamma_reconstruction_matches_incremental_updates(self):
-        # route A: incremental gamma += rho * sum_j (x_p - x_j), route B: B @ lambda
-        rng = np.random.default_rng(18)
-        g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)])
-        duals = np.zeros((g.n_edges, 4))
-        gamma_inc = np.zeros((5, 4))
-        states = NodeStates.zeros(5, 4)
-        for _ in range(6):
-            X = rng.normal(size=(5, 4))
-            states.primal = X
-            deg = g.degrees[:, None]
-            S = np.zeros_like(X)
-            for i, j in g.edges:
-                S[i] += X[j]
-                S[j] += X[i]
-            gamma_inc += 1.3 * (deg * X - S)
-            mm_outer_update(duals, states, g, rho=1.3)
-            np.testing.assert_allclose(states.gamma, gamma_inc, atol=1e-12)
-            B = incidence_oracle(g.n_nodes, g.edges)
-            np.testing.assert_allclose(states.gamma, B @ duals, atol=1e-12)
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(graphs_and_iterates())
+    def test_node_space_duals_match_edge_recursions(self, case):
+        # the node sums gamma after each outer update equal B lambda (and
+        # B eta for the accelerated update) of the edge-space recursions
+        g, Xs, rho = case
+        B = incidence_oracle(g.n_nodes, g.edges)
+        P, L = Xs[0].shape
+        plain, accelerated = NodeStates.zeros(P, L), NodeStates.zeros(P, L)
+        lam_sums = np.zeros((P, L))
+        lam = np.zeros((g.n_edges, L))
+        lam_acc, eta = lam.copy(), lam.copy()
+        for k, X in enumerate(Xs, start=1):
+            plain.primal = accelerated.primal = X
+            mm_outer_update(plain, g, rho)
+            nesterov_outer_update(lam_sums, accelerated, g, rho, k)
+            lam += rho * (B.T @ X)
+            lam_new = eta + rho * (B.T @ X)
+            eta = lam_new + (k - 1.0) / (k + 2.0) * (lam_new - lam_acc)
+            lam_acc = lam_new
+            np.testing.assert_allclose(plain.gamma, B @ lam, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(accelerated.gamma, B @ eta, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(lam_sums, B @ lam_acc, rtol=0, atol=1e-12)
 
     def test_edge_differences_orientation(self):
         g = Graph.from_edges(3, [(0, 2), (1, 2)])
         X = np.array([[1.0], [2.0], [5.0]])
-        np.testing.assert_array_equal(g.incidence.T @ X, [[-4.0], [-3.0]])
+        i, j = g.endpoints
+        np.testing.assert_array_equal(X[i] - X[j], [[-4.0], [-3.0]])
+        np.testing.assert_array_equal(X[i] - X[j], incidence_oracle(3, g.edges).T @ X)
 
 
 class TestNGSAndDQA:
@@ -430,7 +472,7 @@ class TestDN:
         g = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
         rho = 0.8
         lam = rng.normal(size=(3, 4))
-        gamma = g.incidence @ lam
+        gamma = incidence_oracle(g.n_nodes, g.edges) @ lam
         X = rng.normal(size=(3, 4))
 
         def smooth(xflat):
