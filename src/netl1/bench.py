@@ -304,6 +304,8 @@ def scale_experiment(
     for tiny P) and every algorithm runs until `target` relative error or
     the step budget. Cells that exhaust the budget are recorded as -1.
     """
+    if not p_values:
+        raise InputError("the scaling study needs at least one network size")
     spec = InstanceSpec(m=m, n=n, P=p_values[0], k=k, seed=seed)
     base = gen_instance(spec)
     x_ref = solve_bp_centralized(base.A, base.b, tol=1e-10)

@@ -123,7 +123,7 @@ def cmd_sweep_rho(args) -> int:
         coloring = graphs.greedy_coloring(g)
     problem = _load_problem(args, args.partition, g.n_nodes)
     grid = _parse_targets(args.grid)
-    config = SolverConfig(kind=kind, rho=grid[0], delta=args.delta)
+    config = SolverConfig(kind=kind, delta=args.delta)  # the sweep sets rho
     rule = engine.StopRule(targets=_parse_targets(args.targets), max_comm_steps=args.max_steps)
     result = bench.rho_sweep(grid, config, problem, g, coloring, rule)
     for rho in grid:

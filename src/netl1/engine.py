@@ -108,7 +108,7 @@ def global_estimate(states, partition, x_ref=None, col_blocks=None):
     X = states.primal
     if x_ref is None:
         return X[0].copy()
-    return X[int(np.argmax([relative_error(x, x_ref) for x in X]))].copy()
+    return X[int(np.argmax(np.linalg.norm(X - x_ref, axis=1)))].copy()
 
 
 def run(

@@ -9,9 +9,11 @@ edge-variable ADMM baseline, consensus subgradient, the diagonal quadratic
 approximation inner loop and the FISTA inner loop of the double Nesterov
 scheme). Each group reads its neighbors' latest values through one product
 with the graph's adjacency matrix; each of its nodes then forms its terms
-(v, c) and solves its own problem. A per-kind update follows the sweep:
-the dual aggregates of the ADMM variants, damping or momentum for the
-inner loops, and the outer dual updates of the double-looped methods.
+(v, c), and the group's node problems are solved in one call (the row
+kernel solves a wide group's nodes in lockstep). A per-kind update follows
+the sweep: the dual aggregates of the ADMM variants, damping or momentum
+for the inner loops, and the outer dual updates of the double-looped
+methods.
 Single-looped algorithms consume one step per outer iteration;
 double-looped ones consume one step per inner iteration and none for
 their outer dual updates.
@@ -46,6 +48,7 @@ from .linalg import InputError, affine_projection
 from .nodeprob import (
     BBConfig,
     ColSubproblem,
+    RowGroup,
     RowSubproblem,
     solve_col_node,
     solve_row_node,
@@ -105,7 +108,8 @@ class NodeStates:
 @dataclass
 class RoundInfo:
     """Per-communication-step bookkeeping: total inner BB iterations and the
-    number of node solves that hit their iteration cap."""
+    number of solves that hit their iteration cap (a group solve counts
+    once however many of its nodes hit it)."""
 
     bb_iterations: int = 0
     flagged: int = 0
@@ -171,24 +175,29 @@ def _fista_terms(st: "Stepper", k, group, S, Y):
 
 
 # ---------------------------------------------------------------------------
-# node solves: (stepper, node, v, c) -> (new value, solution to count or None)
+# group solves: (stepper, the group's stacked blocks, V, C) -> (the group's
+# new values, solutions to count)
 
 
-def _row_node(st: "Stepper", p, v, c):
-    solution = solve_row_node(st.blocks[p], v, c, st.config.bb)
-    return solution.x, solution
+def _row_group(st: "Stepper", rows: RowGroup, V, C):
+    """One kernel call per group: the nodes of a group share no edges, so
+    their problems are independent."""
+    solution = solve_row_node(rows, V, C, st.config.bb)
+    return solution.x, (solution,)
 
 
-def _column_node(st: "Stepper", p, v, q):
-    """min psi_p(y) + (v_p + b/P)'y + q||y||^2, unconstrained: every node
-    knows b, and each transmits y_p (length m) instead of a length-n iterate."""
-    solution = solve_col_node(st.blocks[p], v, st.problem.b, st.graph.n_nodes, q, st.config.bb)
-    return solution.y, solution
+def _column_group(st: "Stepper", blocks, V, Q):
+    """min psi_p(y) + (v_p + b/P)'y + q||y||^2 per node, unconstrained: every
+    node knows b, and each transmits y_p (length m) instead of a length-n
+    iterate."""
+    P, b, bb = st.graph.n_nodes, st.problem.b, st.config.bb
+    solutions = [solve_col_node(sp, v, b, P, q, bb) for sp, v, q in zip(blocks, V, Q)]
+    return [solution.y for solution in solutions], solutions
 
 
-def _projection_node(st: "Stepper", p, point, _):
-    sp = st.blocks[p]
-    return affine_projection(sp.A, sp.b, sp.gram, point), None
+def _projection_group(st: "Stepper", rows: RowGroup, points, _):
+    return [affine_projection(sp.A, sp.b, sp.gram, point)
+            for sp, point in zip(rows.blocks, points)], ()
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +295,14 @@ def _dn_setup(st: "Stepper"):
 @dataclass(frozen=True)
 class KindSpec:
     """How a solver kind takes one communication step: the node groups it
-    sweeps in order, how a group's node terms (v, c) are formed, which node
-    problem is solved, and the update after the sweep. The sweep starts
-    from the NodeStates field named by source; setup adds the kind's own
-    state to a new stepper."""
+    sweeps in order, how a group's node terms (v, c) are formed, how the
+    group's node problems are solved, and the update after the sweep. The
+    sweep starts from the NodeStates field named by source; setup adds the
+    kind's own state to a new stepper."""
 
     groups: Callable[[Graph, Coloring], tuple]
     terms: Callable
-    node: Callable
+    solve: Callable
     update: Callable
     source: str = "primal"
     setup: Callable = lambda st: None
@@ -312,13 +321,13 @@ def _all_nodes(graph, coloring):
 
 
 KINDS = {
-    "dadmm_row": KindSpec(_color_classes, _consensus_terms, _row_node, _admm_update),
-    "dadmm_col": KindSpec(_color_classes, _column_terms, _column_node, _admm_update),
-    "dlasso": KindSpec(_all_nodes, _dlasso_terms, _row_node, _admm_update),
-    "subgradient": KindSpec(_all_nodes, _subgradient_terms, _projection_node, _replace_primal),
-    "mm_ngs": KindSpec(_single_nodes, _consensus_terms, _row_node, _multiplier_update),
-    "mm_dqa": KindSpec(_all_nodes, _consensus_terms, _row_node, _dqa_update),
-    "dn": KindSpec(_all_nodes, _fista_terms, _row_node, _dn_update, source="fista_y",
+    "dadmm_row": KindSpec(_color_classes, _consensus_terms, _row_group, _admm_update),
+    "dadmm_col": KindSpec(_color_classes, _column_terms, _column_group, _admm_update),
+    "dlasso": KindSpec(_all_nodes, _dlasso_terms, _row_group, _admm_update),
+    "subgradient": KindSpec(_all_nodes, _subgradient_terms, _projection_group, _replace_primal),
+    "mm_ngs": KindSpec(_single_nodes, _consensus_terms, _row_group, _multiplier_update),
+    "mm_dqa": KindSpec(_all_nodes, _consensus_terms, _row_group, _dqa_update),
+    "dn": KindSpec(_all_nodes, _fista_terms, _row_group, _dn_update, source="fista_y",
                    setup=_dn_setup),
 }
 
@@ -327,7 +336,8 @@ class Stepper:
     """One run of one solver kind; step(k) advances one communication step.
 
     blocks holds the node problems (col_blocks too for the column variant,
-    None otherwise); dn adds its multiplier sums lam_sums, the FISTA step
+    None otherwise) and group_blocks each group's, as a RowGroup for the
+    row kinds; dn adds its multiplier sums lam_sums, the FISTA step
     size alpha and the outer counter k_outer.
     """
 
@@ -340,11 +350,12 @@ class Stepper:
         self.col_blocks = blocks if config.kind in COLUMN_KINDS else None
         length = problem.m if self.col_blocks is not None else problem.n
         self.states = NodeStates.zeros(graph.n_nodes, length)
-        # each group's node indices with its rows of the adjacency matrix
-        self.groups = [
-            (np.array(group), graph.adjacency_matrix[list(group)])
-            for group in self.spec.groups(graph, coloring)
-        ]
+        # each group's node indices with its rows of the adjacency matrix,
+        # and its node problems (row blocks stacked once)
+        groups = self.spec.groups(graph, coloring)
+        self.groups = [(np.array(group), graph.adjacency_matrix[list(group)]) for group in groups]
+        pack = list if self.col_blocks is not None else RowGroup
+        self.group_blocks = [pack([blocks[p] for p in group]) for group in groups]
         self.inner_tol = config.inner_tol_rel * (1.0 + float(np.abs(problem.b).max()))
         self.t_inner = 0
         self.spec.setup(self)
@@ -363,12 +374,11 @@ class Stepper:
         spec, info = self.spec, RoundInfo()
         self.t_inner += 1
         X = getattr(self.states, spec.source).copy()
-        for group, adjacency in self.groups:
+        for (group, adjacency), blocks in zip(self.groups, self.group_blocks):
             V, C = spec.terms(self, k, group, adjacency @ X, X)
-            for p, v, c in zip(group, V, C):
-                X[p], solution = spec.node(self, p, v, c)
-                if solution is not None:
-                    info.absorb(solution)
+            X[group], solutions = spec.solve(self, blocks, V, C)
+            for solution in solutions:
+                info.absorb(solution)
         spec.update(self, X)
         return info
 

@@ -93,3 +93,21 @@ def test_run_reads_network_files_as_written(tmp_path):
     # an edge line that is not two integers is an input error
     net.write_text("2 1\n0\n")
     assert main(run) == 1
+
+
+def test_empty_rho_grid_is_an_input_error(tmp_path, capsys):
+    inst = tmp_path / "inst.txt"
+    net = tmp_path / "net.txt"
+    main(["gen-instance", "--m", "8", "--n", "24", "--P", "2", "--k", "1",
+          "--seed", "6", "--out", str(inst)])
+    main(["gen-network", "--model", "lattice", "--P", "2", "--out", str(net)])
+    code = main(["sweep-rho", "--algo", "dadmm", "--instance", str(inst),
+                 "--network", str(net), "--grid", ""])
+    assert code == 1
+    assert "rho grid must be nonempty" in capsys.readouterr().err
+
+
+def test_scale_without_network_sizes_is_an_input_error(capsys):
+    # doubling from P=2 never reaches a P of at most 1
+    assert main(["scale", "--m", "8", "--n", "24", "--k", "1", "--pmax", "1"]) == 1
+    assert "at least one network size" in capsys.readouterr().err

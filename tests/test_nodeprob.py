@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netl1.linalg import InputError
 from netl1.nodeprob import (
+    BATCH_MIN_WIDTH,
     BBConfig,
     ColSubproblem,
+    RowGroup,
     RowSubproblem,
+    bb_lockstep,
     bb_minimize,
     psi_p,
     row_dual_value,
@@ -182,6 +186,137 @@ class TestRowSolver:
             fired += len(values)
             assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
         assert fired > 0  # the safeguard actually triggered somewhere
+
+
+def per_node_solutions(blocks, V, C, cfg):
+    """The reference for a group solve: every node solved on its own by the
+    per-node kernel, from a copy of its warm start."""
+    solutions = []
+    for sp, v, c in zip(blocks, V, C):
+        alone = RowSubproblem(sp.A, sp.b)
+        alone.warm_lambda = sp.warm_lambda.copy()
+        solutions.append(solve_row_node(alone, v, c, cfg))
+    return solutions
+
+
+def assert_group_matches_per_node(blocks, V, C, cfg):
+    reference = per_node_solutions(blocks, V, C, cfg)
+    sol = solve_row_node(RowGroup(blocks), V, C, cfg)
+    np.testing.assert_allclose(sol.x, [r.x for r in reference], atol=1e-9, rtol=0)
+    assert sol.converged == all(r.converged for r in reference)
+    for sp, x, lam in zip(blocks, sol.x, sol.lam):
+        assert sp.warm_lambda is lam
+        if sol.converged:
+            assert np.abs(sp.A @ x - sp.b).max() <= cfg.grad_tol * (1 + np.abs(sp.b).max())
+
+
+def _row_value(fg, H, target, z):
+    """One row of a batched value-gradient function, for bb_minimize."""
+    value, grad = fg(H[None], target[None], z[None])
+    return float(value[0]), grad[0]
+
+
+class TestRowGroup:
+    """A wide group is solved by the lockstep kernel, a narrow one node by
+    node; both must give what the per-node kernel gives each node."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        width=st.integers(BATCH_MIN_WIDTH - 1, BATCH_MIN_WIDTH + 5),
+        height=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+        warm=st.booleans(),
+    )
+    def test_batched_kernel_matches_per_node_loop(self, width, height, seed, warm):
+        rng = np.random.default_rng(seed)
+        n = height + int(rng.integers(2, 14))
+        blocks = [random_row_subproblem(rng, height, n) for _ in range(width)]
+        if warm:
+            for sp in blocks:
+                sp.warm_lambda = rng.normal(size=height)
+        V = rng.normal(size=(width, n)) * rng.uniform(0.1, 5.0)
+        C = rng.uniform(0.2, 4.0, size=width)
+        assert_group_matches_per_node(blocks, V, C, BBConfig(grad_tol=1e-12, max_iter=20000))
+
+    def test_width_decides_the_path(self):
+        rng = np.random.default_rng(30)
+        cfg = BBConfig(grad_tol=1e-12, max_iter=20000)
+        for width in (BATCH_MIN_WIDTH - 1, BATCH_MIN_WIDTH):
+            blocks = [random_row_subproblem(rng, 2, 9) for _ in range(width)]
+            group = RowGroup(blocks)
+            batched = width >= BATCH_MIN_WIDTH
+            assert len(group.batches) == batched and len(group.singles) == width * (not batched)
+            assert group.A.shape == (2 * width, 9)
+            V, C = rng.normal(size=(width, 9)), rng.uniform(0.5, 2.0, size=width)
+            assert_group_matches_per_node(blocks, V, C, cfg)
+
+    def test_narrow_group_is_the_per_node_loop_bitwise(self):
+        rng = np.random.default_rng(31)
+        width = BATCH_MIN_WIDTH - 1
+        blocks = [random_row_subproblem(rng, 3, 10) for _ in range(width)]
+        V, C = rng.normal(size=(width, 10)), rng.uniform(0.5, 2.0, size=width)
+        reference = per_node_solutions(blocks, V, C, BBConfig())
+        sol = solve_row_node(RowGroup(blocks), V, C, BBConfig())
+        np.testing.assert_array_equal(sol.x, [r.x for r in reference])
+        assert sol.iterations == sum(r.iterations for r in reference)
+
+    def test_uneven_heights_batch_by_height(self):
+        rng = np.random.default_rng(32)
+        heights = [2] * BATCH_MIN_WIDTH + [1] + [3] * BATCH_MIN_WIDTH + [1]
+        blocks = [random_row_subproblem(rng, h, 11) for h in heights]
+        group = RowGroup(blocks)
+        assert [len(pos) for pos, _, _ in group.batches] == [BATCH_MIN_WIDTH] * 2
+        assert [A.shape[1] for _, A, _ in group.batches] == [2, 3]
+        assert group.singles == [BATCH_MIN_WIDTH, 2 * BATCH_MIN_WIDTH + 1]
+        assert group.A.shape == (sum(heights), 11)
+        V, C = rng.normal(size=(len(heights), 11)), rng.uniform(0.5, 2.0, size=len(heights))
+        assert_group_matches_per_node(blocks, V, C, BBConfig(grad_tol=1e-12, max_iter=20000))
+
+    def test_divergence_restart_on_batched_path(self):
+        # the safeguard test's setting, one batch of BATCH_MIN_WIDTH nodes
+        rng = np.random.default_rng(8)
+        fired = 0
+        for trial in range(5):
+            blocks = [random_row_subproblem(rng, 4, 10) for _ in range(BATCH_MIN_WIDTH)]
+            V = rng.normal(size=(BATCH_MIN_WIDTH, 10)) * 5
+            C = np.full(BATCH_MIN_WIDTH, 0.5)
+            restarts = []
+            cfg = BBConfig(grad_tol=1e-9, max_iter=800, divergence_factor=3.0)
+            sol = solve_row_node(RowGroup(blocks), V, C, cfg, on_safeguard=restarts.append)
+            assert np.all(np.isfinite(sol.x))
+            assert all(np.all(np.isfinite(lam)) for lam in restarts)
+            fired += len(restarts)
+        assert fired > 0
+
+    @pytest.mark.parametrize("divergence_factor", [1e6, 10.0])
+    def test_lockstep_counts_and_flags_match_bb_minimize(self, divergence_factor):
+        # independent quadratics: one starts at its minimizer, three finish
+        # at different evaluations and one is ill-conditioned enough to hit
+        # the cap (and, at factor 10, to trip the divergence restart)
+        rng = np.random.default_rng(33)
+        H = np.stack([np.diag(rng.uniform(1.0, 10.0, size=6)) for _ in range(5)])
+        H[4] = np.diag(np.logspace(0.0, 8.0, 6))
+        target = rng.normal(size=(5, 6))
+        x0 = np.zeros((5, 6))
+        x0[0] = target[0]
+
+        def fg(H, target, X):
+            D = X - target
+            HD = np.einsum("kij,kj->ki", H, D)
+            return 0.5 * np.einsum("ki,ki->k", D, HD), HD
+
+        cfg = BBConfig(max_iter=25, divergence_factor=divergence_factor)
+        tol = np.array([1e-10, 1e-2, 1e-5, 1e-8, 1e-10])  # rows finish at different evaluations
+        restarts, alone = [], []
+        x, iterations, converged = bb_lockstep(fg, (H, target), x0, tol, cfg,
+                                               on_safeguard=restarts.append)
+        for i in range(5):
+            xi, its, ok = bb_minimize(lambda z: _row_value(fg, H[i], target[i], z),
+                                      x0[i], tol[i], cfg, on_safeguard=alone.append)
+            assert (iterations[i], converged[i]) == (its, ok)
+            np.testing.assert_allclose(x[i], xi, atol=1e-9, rtol=0)
+        assert len(set(iterations)) == 5 and list(converged) == [True] * 4 + [False]
+        assert len(restarts) == len(alone) and (len(alone) > 0) == (divergence_factor < 1e6)
 
 
 class TestBBCore:
