@@ -45,7 +45,6 @@ class InstanceSpec:
     P: int
     k: int
     seed: int = 0
-    model: str = "gaussian_iid"
 
     def __post_init__(self):
         if self.m >= self.n:
@@ -54,8 +53,6 @@ class InstanceSpec:
             raise InputError("sparsity k must satisfy 1 <= k <= m/2")
         if self.P < 1:
             raise InputError("node count must be positive")
-        if self.model != "gaussian_iid":
-            raise InputError(f"unknown matrix model {self.model!r}")
 
 
 def gen_instance(spec: InstanceSpec, kind: str = "row") -> ProblemInstance:
@@ -81,56 +78,61 @@ def _soft_threshold(w: np.ndarray, t: float) -> np.ndarray:
     return np.sign(w) * np.maximum(np.abs(w) - t, 0.0)
 
 
-def _splitting(A, b, fact, prox, rho: float, tol: float, max_iter: int):
-    """The oracles' two-block splitting iteration: x is the projection of
-    z - u onto {Ax = b}, z the prox of x + u, and u accumulates x - z.
-    Yields (iteration, x, u) whenever the split variables agree and z has
-    settled, both to 0.1 tol scaled by 1 + ||b||_inf."""
+#: The oracles' iteration budget.
+ORACLE_MAX_ITER = 100_000
+
+
+def _splitting(A, b, fact, prox, tol: float):
+    """The oracles' two-block splitting iteration with unit penalty weight:
+    x is the projection of z - u onto {Ax = b}, z the prox of x + u, and u
+    accumulates x - z. Yields (iteration, x, u) whenever the split variables
+    agree and z has settled, both to 0.1 tol scaled by 1 + ||b||_inf; a tol
+    that is not positive raises InputError as the iteration starts."""
+    if not tol > 0:
+        raise InputError(f"oracle tolerance must be positive, got {tol}")
     n = A.shape[1]
     z = np.zeros(n)
     u = np.zeros(n)
     scale = 1.0 + float(np.abs(b).max(initial=0.0))
-    for it in range(1, max_iter + 1):
+    for it in range(1, ORACLE_MAX_ITER + 1):
         w = z - u
         x = w - A.T @ gram_solve(fact, A @ w - b)
         z_new = prox(x + u)
         u += x - z_new
         primal = float(np.abs(x - z_new).max())
-        dual = rho * float(np.abs(z_new - z).max())
+        dual = float(np.abs(z_new - z).max())
         z = z_new
         if max(primal, dual) <= 0.1 * tol * scale:
             yield it, x, u
 
 
-def solve_bp_centralized(A, b, tol: float = 1e-9, max_iter: int = 100_000, rho: float = 1.0):
+def solve_bp_centralized(A, b, tol: float = 1e-9):
     """Certified minimum-l1 solution of A x = b (A full row rank).
 
     Alternates projection onto the affine set with shrinkage until the
     split variables agree, then checks the dual certificate: lam solving
-    A'lam ~ rho*u must satisfy ||A'lam||_inf <= 1 + 10 tol and
+    A'lam ~ u must satisfy ||A'lam||_inf <= 1 + 10 tol and
     b'lam >= ||x||_1 - 10 tol. Raises ToleranceError with the best gap if
-    the budget runs out.
+    the budget of ORACLE_MAX_ITER iterations runs out.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     fact = gram_factorization(A)
     best_gap = np.inf
-    iterates = _splitting(A, b, fact, lambda w: _soft_threshold(w, 1.0 / rho), rho, tol, max_iter)
-    for it, x, u in iterates:
+    for it, x, u in _splitting(A, b, fact, lambda w: _soft_threshold(w, 1.0), tol):
         if it % 10 == 0 or it < 10:
-            lam = gram_solve(fact, A @ (rho * u))
+            lam = gram_solve(fact, A @ u)
             corr = float(np.abs(A.T @ lam).max()) - 1.0
             gap = float(np.abs(x).sum() - b @ lam)
             best_gap = min(best_gap, abs(gap))
             if corr <= 10.0 * tol and gap <= 10.0 * tol:
                 return x
     raise ToleranceError(
-        f"centralized solver missed tol={tol} after {max_iter} iterations", best_gap
+        f"centralized solver missed tol={tol} after {ORACLE_MAX_ITER} iterations", best_gap
     )
 
 
-def solve_regularized_bp(A, b, delta: float, tol: float = 1e-9, max_iter: int = 100_000,
-                         rho: float = 1.0):
+def solve_regularized_bp(A, b, delta: float, tol: float = 1e-9):
     """Minimizer of ||x||_1 + (delta/2)||x||^2 subject to A x = b.
 
     Same splitting as solve_bp_centralized with the shrinkage replaced by
@@ -144,9 +146,9 @@ def solve_regularized_bp(A, b, delta: float, tol: float = 1e-9, max_iter: int = 
     fact = gram_factorization(A)
 
     def elastic(w):
-        return _soft_threshold(rho * w, 1.0) / (delta + rho)
+        return _soft_threshold(w, 1.0) / (delta + 1.0)
 
-    for _, x, _ in _splitting(A, b, fact, elastic, rho, tol, max_iter):
+    for _, x, _ in _splitting(A, b, fact, elastic, tol):
         return x  # the first agreement is the solution
     raise ToleranceError(f"regularized solver missed tol={tol}", float("nan"))
 
@@ -180,7 +182,11 @@ FIXED_RHO = {
 }
 
 
-def connected_network(model: str, P: int, seed: int = 0, max_tries: int = 50, **params) -> Graph:
+#: How many seeds connected_network tries.
+CONNECT_TRIES = 50
+
+
+def connected_network(model: str, P: int, seed: int = 0, **params) -> Graph:
     """Generate a network, retrying with incremented seeds until connected.
 
     The generators themselves never retry; this is the bench-layer policy.
@@ -192,11 +198,11 @@ def connected_network(model: str, P: int, seed: int = 0, max_tries: int = 50, **
         params["n"] = min(params["n"], P - 1)
         if params["n"] % 2 == 1 and P % 2 == 1:
             params["n"] = max(1, params["n"] - 1)
-    for attempt in range(max_tries):
+    for attempt in range(CONNECT_TRIES):
         g = generate_network(model, P, seed + attempt, **params)
         if is_connected(g):
             return g
-    raise InputError(f"no connected {model} network with P={P} in {max_tries} tries")
+    raise InputError(f"no connected {model} network with P={P} in {CONNECT_TRIES} tries")
 
 
 @dataclass
@@ -285,6 +291,10 @@ def _fit_exponent(p_values, steps) -> float:
     return float(slope)
 
 
+#: The algorithms the scaling study compares.
+SCALE_KINDS = ("dadmm_row", "dlasso")
+
+
 def scale_experiment(
     m: int,
     n: int,
@@ -294,15 +304,14 @@ def scale_experiment(
     rho: float = 1.0,
     target: float = 1e-3,
     max_comm_steps: int = 10_000,
-    kinds=("dadmm_row", "dlasso"),
-    ws_params=(4, 0.6),
 ) -> ScaleResult:
     """Communication steps to a fixed accuracy as the network grows.
 
     One Gaussian instance (m, n, k, seed) is shared by all network sizes;
-    each P gets a connected Watts-Strogatz network (neighbor count clamped
-    for tiny P) and every algorithm runs until `target` relative error or
-    the step budget. Cells that exhaust the budget are recorded as -1.
+    each P gets a connected Watts-Strogatz network with 4 neighbors and
+    rewiring probability 0.6 (neighbor count clamped for tiny P), and each
+    of SCALE_KINDS runs until `target` relative error or the step budget.
+    Cells that exhaust the budget are recorded as -1.
     """
     if not p_values:
         raise InputError("the scaling study needs at least one network size")
@@ -311,17 +320,18 @@ def scale_experiment(
     x_ref = solve_bp_centralized(base.A, base.b, tol=1e-10)
     rule = StopRule(targets=(target,), max_comm_steps=max_comm_steps)
 
-    result = ScaleResult(p_values=list(p_values), steps={kd: [] for kd in kinds}, exponents={})
+    result = ScaleResult(p_values=list(p_values), steps={kd: [] for kd in SCALE_KINDS},
+                         exponents={})
     for P in p_values:
         if m % P != 0:
             raise InputError(f"P={P} does not divide m={m}")
         problem = base.with_partition("row", P)
         problem.x_ref = x_ref
-        g = connected_network("watts_strogatz", P, seed=seed, n=ws_params[0], p=ws_params[1])
+        g = connected_network("watts_strogatz", P, seed=seed, n=4, p=0.6)
         coloring = greedy_coloring(g)
-        for kd in kinds:
+        for kd in SCALE_KINDS:
             trace = run(SolverConfig(kind=kd, rho=rho), problem, g, coloring, rule)
             result.steps[kd].append(trace.steps_to_accuracy.get(target, -1))
-    for kd in kinds:
+    for kd in SCALE_KINDS:
         result.exponents[kd] = _fit_exponent(result.p_values, result.steps[kd])
     return result

@@ -2,7 +2,7 @@
 
 Subcommands: gen-instance, gen-network, oracle, run, sweep-rho, scale.
 Exit codes: 0 on success/convergence, 2 when a run exhausts its step
-budget, 1 on input errors.
+budget, 1 on input errors, rank-deficient blocks and oracle failures.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from . import bench, engine, graphs, problems
-from .linalg import InputError
+from .linalg import FactorizationError, InputError
 from .solvers import ALL_KINDS, SolverConfig
 
 _ALGO_ALIASES = {
@@ -217,7 +217,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, FileNotFoundError, ValueError) as exc:
+    except (InputError, FactorizationError, bench.ToleranceError, FileNotFoundError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

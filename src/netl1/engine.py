@@ -27,15 +27,16 @@ from .solvers import SolverConfig, make_stepper
 
 @dataclass
 class StopRule:
-    """Relative-error targets (positive, decreasing) and the step budget."""
+    """Relative-error targets (positive, finite, decreasing) and the step
+    budget."""
 
     targets: tuple[float, ...] = (1e-2, 1e-5)
     max_comm_steps: int = 10_000
 
     def __post_init__(self):
         targets = tuple(float(t) for t in self.targets)
-        if not targets or any(t <= 0 for t in targets):
-            raise InputError("targets must be positive")
+        if not targets or not all(0 < t < np.inf for t in targets):
+            raise InputError("targets must be positive and finite")
         if any(a <= b for a, b in zip(targets, targets[1:])):
             raise InputError("targets must be strictly decreasing")
         if self.max_comm_steps < 1:

@@ -57,16 +57,8 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        neigh = [[] for _ in range(self.n_nodes)]
-        for i, j in self.edges:
-            neigh[i].append(j)
-            neigh[j].append(i)
-        return tuple(tuple(sorted(ns)) for ns in neigh)
-
-    @cached_property
     def degrees(self) -> np.ndarray:
-        return np.array([len(ns) for ns in self.adjacency], dtype=int)
+        return np.diff(self.adjacency_matrix.indptr).astype(int)
 
     @cached_property
     def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
@@ -78,7 +70,8 @@ class Graph:
     @cached_property
     def adjacency_matrix(self) -> sparse.csr_matrix:
         """P x P 0/1 adjacency in CSR form with sorted column indices, so a
-        product Adj @ X sums each node's neighbor rows in index order."""
+        product Adj @ X sums each node's neighbor rows in index order; row p
+        lists the neighbors of node p."""
         i, j = self.endpoints
         P = self.n_nodes
         M = sparse.csr_matrix((np.ones(2 * self.n_edges), (np.r_[i, j], np.r_[j, i])), (P, P))
@@ -251,19 +244,16 @@ def generate_network(model: str, P: int, seed: int = 0, **params) -> Graph:
 
 
 def is_connected(g: Graph) -> bool:
-    """Breadth-first reachability of all nodes from node 0."""
-    seen = np.zeros(g.n_nodes, dtype=bool)
-    seen[0] = True
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for j in g.adjacency[node]:
-                if not seen[j]:
-                    seen[j] = True
-                    nxt.append(j)
-        frontier = nxt
-    return bool(seen.all())
+    """Whether every node is reachable from node 0: the reached set grows by
+    its neighbors, one product with the adjacency matrix at a time, until it
+    stops growing. (scipy.sparse.csgraph would add ~3 MB to peak memory.)"""
+    reached = np.zeros(g.n_nodes, dtype=bool)
+    reached[0] = True
+    while True:
+        grown = reached | (g.adjacency_matrix @ reached > 0)
+        if (grown == reached).all():
+            return bool(reached.all())
+        reached = grown
 
 
 def greedy_coloring(g: Graph) -> Coloring:
@@ -274,9 +264,10 @@ def greedy_coloring(g: Graph) -> Coloring:
     result uses at most max degree + 1 colors.
     """
     order = sorted(range(g.n_nodes), key=lambda p: (-g.degrees[p], p))
+    indptr, neighbors = g.adjacency_matrix.indptr.tolist(), g.adjacency_matrix.indices.tolist()
     colors = [-1] * g.n_nodes
     for p in order:
-        used = {colors[j] for j in g.adjacency[p] if colors[j] >= 0}
+        used = {colors[j] for j in neighbors[indptr[p]:indptr[p + 1]] if colors[j] >= 0}
         c = 0
         while c in used:
             c += 1

@@ -18,7 +18,7 @@ class InputError(ValueError):
 
 
 class FactorizationError(RuntimeError):
-    """A Gram matrix could not be factorized; signals a rank-deficient block."""
+    """A block without full row rank, whose Gram matrix cannot be factorized."""
 
 
 def as_matrix(A) -> np.ndarray:
@@ -75,35 +75,28 @@ class PartitionSpec:
 
 @dataclass(frozen=True)
 class GramFactorization:
-    """Cholesky factor of A A^T for an m-by-n matrix A.
-
-    lower is lower triangular with lower @ lower.T == A @ A.T up to the
-    tiny diagonal jitter added when the plain factorization breaks down.
-    """
+    """Cholesky factor of A A^T for an m-by-n matrix A of full row rank:
+    lower is lower triangular with lower @ lower.T == A @ A.T."""
 
     shape: tuple[int, int]
     lower: np.ndarray
 
 
 def gram_factorization(A) -> GramFactorization:
-    """Factor A A^T, adding a diagonal jitter of 1e-12 * trace/m on breakdown.
+    """Factor A A^T.
 
-    Raises FactorizationError if the matrix stays numerically singular even
-    with jitter (a genuinely rank-deficient block).
+    Raises FactorizationError unless A has full row rank (numerical rank
+    by np.linalg.matrix_rank), so a block with a dependent row, or with
+    more rows than columns, is rejected before any solve uses it.
     """
     A = as_matrix(A)
-    m = A.shape[0]
-    gram = A @ A.T
+    m, n = A.shape
+    if np.linalg.matrix_rank(A) < m:
+        raise FactorizationError(f"a {m}x{n} block does not have full row rank")
     try:
-        lower = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        jitter = 1e-12 * np.trace(gram) / m
-        try:
-            lower = np.linalg.cholesky(gram + jitter * np.eye(m))
-        except np.linalg.LinAlgError as exc:
-            raise FactorizationError(
-                f"Gram matrix of a {A.shape[0]}x{A.shape[1]} block is singular"
-            ) from exc
+        lower = np.linalg.cholesky(A @ A.T)
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError(f"Gram matrix of a {m}x{n} block is singular") from exc
     return GramFactorization(shape=A.shape, lower=lower)
 
 

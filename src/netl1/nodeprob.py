@@ -46,15 +46,22 @@ def x_of_u(u, c: float):
     return float(x) if x.ndim == 0 else x
 
 
+#: Bounds on every BB step length.
+STEP_MIN, STEP_MAX = 1e-10, 1e10
+
+#: The watchdog's memory (accepted objective values) and Armijo margin.
+MEMORY, ARMIJO = 10, 1e-4
+
+
 @dataclass
 class BBConfig:
     """Barzilai-Borwein loop controls.
 
     grad_tol is the target infinity norm of the gradient (scaled by the
     problem, see the solvers); the two spectral step lengths alternate and
-    are clamped to [step_min, step_max]. Raw BB steps are nonmonotone, so
+    are clamped to [STEP_MIN, STEP_MAX]. Raw BB steps are nonmonotone, so
     each step must additionally pass a watchdog: the objective may not
-    exceed the worst of the last `memory` accepted values minus an Armijo
+    exceed the worst of the last MEMORY accepted values minus an Armijo
     margin, else the step is halved (the duals are piecewise quadratic with
     flat stretches on which unguarded BB limit-cycles). A gradient blow-up
     by divergence_factor over the best seen additionally restarts from the
@@ -63,19 +70,11 @@ class BBConfig:
 
     grad_tol: float = 1e-10
     max_iter: int = 2000
-    step_min: float = 1e-10
-    step_max: float = 1e10
     divergence_factor: float = 1e6
-    memory: int = 10
-    armijo: float = 1e-4
 
     def __post_init__(self):
         if self.grad_tol <= 0:
             raise InputError("grad_tol must be positive")
-        if not 0 < self.step_min < self.step_max:
-            raise InputError("step clamp must satisfy 0 < min < max")
-        if self.memory < 1:
-            raise InputError("memory must be at least 1")
 
 
 def bb_minimize(value_grad_fn, x0: np.ndarray, tol: float, cfg: BBConfig, on_safeguard=None):
@@ -107,7 +106,7 @@ def bb_minimize(value_grad_fn, x0: np.ndarray, tol: float, cfg: BBConfig, on_saf
             x_new = x - t * g
             f_new, g_new = value_grad_fn(x_new)
             evals += 1
-            if f_new <= bound - cfg.armijo * t * gg or t <= cfg.step_min or evals >= cfg.max_iter:
+            if f_new <= bound - ARMIJO * t * gg or t <= STEP_MIN or evals >= cfg.max_iter:
                 break
             t *= 0.5
 
@@ -134,11 +133,11 @@ def bb_minimize(value_grad_fn, x0: np.ndarray, tol: float, cfg: BBConfig, on_saf
             raw = float(s @ s) / sd
         else:
             raw = sd / float(d @ d)
-        step = min(max(raw, cfg.step_min), cfg.step_max)
+        step = min(max(raw, STEP_MIN), STEP_MAX)
         use_first = not use_first
         x, f, g = x_new, f_new, g_new
         window.append(f)
-        if len(window) > cfg.memory:
+        if len(window) > MEMORY:
             window.pop(0)
     return best_x, evals, False
 
@@ -164,8 +163,8 @@ def bb_lockstep(value_grad_fn, data, x0, tol, cfg: BBConfig, on_safeguard=None):
     f, g = value_grad_fn(*data, x)
     gnorm = np.abs(g).max(axis=1)
     best_x, best_g, best_f, best_norm = x.copy(), g.copy(), f, gnorm
-    # the last `memory` accepted values of each problem, as a ring
-    window = np.full((len(x), cfg.memory), -np.inf)
+    # the last MEMORY accepted values of each problem, as a ring
+    window = np.full((len(x), MEMORY), -np.inf)
     window[:, 0] = f
     filled = np.ones(len(x), dtype=int)
     t = 1.0 / np.sqrt(_rowdot(g, g))  # each line search's trial step
@@ -191,7 +190,7 @@ def bb_lockstep(value_grad_fn, data, x0, tol, cfg: BBConfig, on_safeguard=None):
         f_new, g_new = value_grad_fn(*data, trial)
         evals += 1
         # a row whose line search ends takes its step; the others halve t
-        ends = (f_new <= window.max(axis=1) - cfg.armijo * t * gg) | (t <= cfg.step_min)
+        ends = (f_new <= window.max(axis=1) - ARMIJO * t * gg) | (t <= STEP_MIN)
         if evals >= cfg.max_iter:
             ends[:] = True
         gnorm = np.abs(g_new).max(axis=1)
@@ -210,20 +209,14 @@ def bb_lockstep(value_grad_fn, data, x0, tol, cfg: BBConfig, on_safeguard=None):
         flat = ~np.isfinite(sd) | (sd <= 1e-12 * ss)
         if flat.any():
             step[flat] = 1.0 / np.sqrt(_rowdot(g_new[flat], g_new[flat]))
-        step = step.clip(cfg.step_min, cfg.step_max)
-        if ends.all():  # the common case: every line search ends
-            t, x, g = step, trial, g_new
-            use_first = ~use_first
-            window[np.arange(len(ids)), filled % cfg.memory] = f_new
-            filled += 1
-        else:
-            t = np.where(ends, step, 0.5 * t)
-            use_first ^= ends
-            x = np.where(ends[:, None], trial, x)
-            g = np.where(ends[:, None], g_new, g)
-            rows = np.flatnonzero(ends)
-            window[rows, filled[rows] % cfg.memory] = f_new[rows]
-            filled += ends
+        step = step.clip(STEP_MIN, STEP_MAX)
+        t = np.where(ends, step, 0.5 * t)
+        use_first ^= ends
+        x = np.where(ends[:, None], trial, x)
+        g = np.where(ends[:, None], g_new, g)
+        rows = np.flatnonzero(ends)
+        window[rows, filled[rows] % MEMORY] = f_new[rows]
+        filled += ends
         if restart.any():
             if on_safeguard is not None:
                 for i in np.flatnonzero(restart):
@@ -254,7 +247,7 @@ class RowSubproblem:
     def __post_init__(self):
         self.A = as_matrix(self.A)
         self.b = as_vector(self.b, self.A.shape[0], "b")
-        self.gram = gram_factorization(self.A)  # also validates row rank
+        self.gram = gram_factorization(self.A)  # rejects a block without full row rank
         self.warm_lambda = np.zeros(self.A.shape[0])
 
 
@@ -270,15 +263,15 @@ class RowSolution:
     converged: bool
 
 
-#: Narrowest run of equal-height nodes that solve_row_node batches. A
-#: lockstep batch pays ~50 small array operations of bookkeeping per
-#: evaluation of all its nodes, so it wins only when that replaces enough
-#: per-node evaluations. Replaying the recorded group solves of the
-#: benchmark's grid64_row (1x256 blocks) and desk8_mixed dn (5x160 blocks)
-#: runs in slices of each width, per-node loop against lockstep batch, the
-#: batch ran at 0.31-0.40x the loop's speed for one node, 0.56-0.63x for
-#: two, 0.80-0.95x for three, 0.96-1.21x for four, 1.65-1.86x for eight and
-#: 3.8-4.3x for 32 (CPU time, 2-vCPU KVM Xeon, numpy 2.4.6).
+#: Narrowest group that solve_row_node batches. A lockstep batch pays ~50
+#: small array operations of bookkeeping per evaluation of all its nodes,
+#: so it wins only when that replaces enough per-node evaluations.
+#: Replaying the recorded group solves of the benchmark's grid64_row (1x256
+#: blocks) and desk8_mixed dn (5x160 blocks) runs in slices of each width,
+#: per-node loop against lockstep batch, the batch ran at 0.31-0.40x the
+#: loop's speed for one node, 0.56-0.63x for two, 0.80-0.95x for three,
+#: 0.96-1.21x for four, 1.65-1.86x for eight and 3.8-4.3x for 32 (CPU time,
+#: 2-vCPU KVM Xeon, numpy 2.4.6).
 BATCH_MIN_WIDTH = 4
 
 
@@ -286,31 +279,23 @@ BATCH_MIN_WIDTH = 4
 class RowGroup:
     """The node problems of one group, stacked once for solve_row_node.
 
-    A holds every block's rows in node order. Nodes whose blocks have the
-    same height are solved in lockstep when there are at least
-    BATCH_MIN_WIDTH of them: batches holds their positions, blocks
-    (width, height, n) and slices (width, height). singles holds the
-    positions of the nodes solved one at a time. Warm starts stay with the
-    blocks.
+    A holds every block's rows in node order. A group of at least
+    BATCH_MIN_WIDTH nodes of one block height is solved in lockstep, and
+    stack holds its blocks (width, height, n) and slices (width, height);
+    any other group is solved node by node, and stack is None. Warm starts
+    stay with the blocks.
     """
 
     blocks: list
     A: np.ndarray = field(init=False)
-    batches: list = field(init=False)
-    singles: list = field(init=False)
+    stack: tuple | None = field(init=False)
 
     def __post_init__(self):
         self.A = np.vstack([sp.A for sp in self.blocks])
-        heights = np.array([sp.A.shape[0] for sp in self.blocks])
-        self.batches, self.singles = [], []
-        for height in np.unique(heights):
-            pos = np.flatnonzero(heights == height)
-            if len(pos) < BATCH_MIN_WIDTH:
-                self.singles.extend(int(i) for i in pos)
-                continue
-            A = np.stack([self.blocks[i].A for i in pos])
-            b = np.stack([self.blocks[i].b for i in pos])
-            self.batches.append((pos, A, b))
+        self.stack = None
+        if len(self.blocks) >= BATCH_MIN_WIDTH and len({sp.A.shape[0] for sp in self.blocks}) == 1:
+            self.stack = (np.stack([sp.A for sp in self.blocks]),
+                          np.stack([sp.b for sp in self.blocks]))
 
 
 def solve_row_node(sp, v, c, cfg: BBConfig, on_safeguard=None) -> RowSolution:
@@ -367,25 +352,24 @@ def _solve_row_group(group: RowGroup, V, C, cfg: BBConfig, on_safeguard) -> RowS
     V, C = np.asarray(V, dtype=float), np.asarray(C, dtype=float)
     if V.shape != (len(group.blocks), group.A.shape[1]) or C.shape != (len(group.blocks),):
         raise InputError("a group solve needs one row of v and one c per node")
-    X = np.empty_like(V)
-    iterations, converged = 0, True
-    for i in group.singles:
-        solution = solve_row_node(group.blocks[i], V[i], C[i], cfg, on_safeguard)
-        X[i] = solution.x
-        iterations += solution.iterations
-        converged = converged and solution.converged
-    for pos, A, b in group.batches:
-        Vb, C2 = V[pos], 2.0 * C[pos, None]
+    if group.stack is None:
+        solutions = [solve_row_node(sp, v, c, cfg, on_safeguard)
+                     for sp, v, c in zip(group.blocks, V, C)]
+        X = np.array([solution.x for solution in solutions])
+        iterations = sum(solution.iterations for solution in solutions)
+        converged = all(solution.converged for solution in solutions)
+    else:
+        A, b = group.stack
+        C2 = 2.0 * C[:, None]
         lam, iters, ok = bb_lockstep(
-            _batch_neg_duals, (A, b, Vb, C2),
-            np.stack([group.blocks[i].warm_lambda for i in pos]),
+            _batch_neg_duals, (A, b, V, C2),
+            np.stack([sp.warm_lambda for sp in group.blocks]),
             cfg.grad_tol * (1.0 + np.abs(b).max(axis=1)), cfg, on_safeguard,
         )
-        for i, lam_i in zip(pos, lam):
-            group.blocks[i].warm_lambda = lam_i
-        X[pos] = _batch_points(A, Vb, C2, lam)[1]
-        iterations += int(iters.sum())
-        converged = converged and bool(ok.all())
+        for sp, lam_i in zip(group.blocks, lam):
+            sp.warm_lambda = lam_i
+        X = _batch_points(A, V, C2, lam)[1]
+        iterations, converged = int(iters.sum()), bool(ok.all())
     lam = [sp.warm_lambda for sp in group.blocks]
     return RowSolution(x=X, lam=lam, iterations=iterations, converged=converged)
 

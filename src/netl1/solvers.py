@@ -82,6 +82,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
             raise InputError(f"unknown solver kind {self.kind!r}; expected one of {ALL_KINDS}")
+        if not (np.isfinite(self.rho) and np.isfinite(self.delta)):
+            raise InputError("rho and delta must be finite")
         if self.kind != "subgradient" and self.rho <= 0:
             raise InputError("rho must be positive")
         if self.kind == "dadmm_col" and self.delta <= 0:

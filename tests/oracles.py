@@ -162,7 +162,16 @@ def laplacian_oracle(n_nodes: int, edges) -> np.ndarray:
     return L
 
 
-def reference_color_round(X_old, gamma, neighbors, colors, classes, rho, kernel):
+def neighbor_lists(n_nodes: int, edges) -> list[list[int]]:
+    """Each node's neighbors in index order, built edge by edge."""
+    neighbors = [[] for _ in range(n_nodes)]
+    for i, j in edges:
+        neighbors[i].append(j)
+        neighbors[j].append(i)
+    return [sorted(ns) for ns in neighbors]
+
+
+def reference_color_round(X_old, gamma, edges, colors, classes, rho, kernel):
     """One step of color-scheduled consensus ADMM as per-node loops.
 
     Classes run in order. Node p sums its neighbors j in index order,
@@ -172,6 +181,7 @@ def reference_color_round(X_old, gamma, neighbors, colors, classes, rho, kernel)
     gamma_p absorbs rho * sum_j (x_p - x_j). Returns (X_new, gamma_new).
     """
     P = X_old.shape[0]
+    neighbors = neighbor_lists(P, edges)
     X_new = X_old.copy()
     for cls in classes:
         for p in cls:

@@ -224,7 +224,7 @@ def test_criterion_8_exact_invariants(desk8):
     X, gamma = stepper.states.primal, stepper.states.gamma
     for k in range(1, 4):
         X, gamma = reference_color_round(
-            X, gamma, graph.adjacency, coloring.colors, coloring.classes, 1.0,
+            X, gamma, graph.edges, coloring.colors, coloring.classes, 1.0,
             lambda p, v, c: solve_row_node(blocks[p], v, c, bb).x)
         stepper.step(k)
         assert np.array_equal(stepper.states.primal, X)

@@ -1,7 +1,8 @@
 import numpy as np
 
+from netl1 import bench
 from netl1.cli import main
-from netl1.problems import load_instance
+from netl1.problems import load_instance, save_instance
 
 
 def test_gen_instance_and_oracle_roundtrip(tmp_path, capsys):
@@ -111,3 +112,63 @@ def test_scale_without_network_sizes_is_an_input_error(capsys):
     # doubling from P=2 never reaches a P of at most 1
     assert main(["scale", "--m", "8", "--n", "24", "--k", "1", "--pmax", "1"]) == 1
     assert "at least one network size" in capsys.readouterr().err
+
+
+def _instance_and_network(tmp_path, seed):
+    inst = tmp_path / "inst.txt"
+    net = tmp_path / "net.txt"
+    main(["gen-instance", "--m", "8", "--n", "24", "--P", "2", "--k", "1",
+          "--seed", str(seed), "--out", str(inst)])
+    main(["gen-network", "--model", "lattice", "--P", "2", "--out", str(net)])
+    return inst, net
+
+
+def test_nonpositive_oracle_tol_is_an_input_error(tmp_path, capsys):
+    inst, net = _instance_and_network(tmp_path, 7)
+    assert main(["oracle", "--instance", str(inst), "--tol", "-1"]) == 1
+    assert main(["run", "--algo", "dadmm", "--instance", str(inst), "--network", str(net),
+                 "--oracle-tol", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error: oracle tolerance must be positive") == 2
+
+
+def test_rank_deficient_instance_is_an_error(tmp_path, capsys):
+    inst, net = _instance_and_network(tmp_path, 8)
+    problem = load_instance(inst)
+    problem.A[5] = problem.A[4]  # node 1's block loses a rank
+    save_instance(inst, problem)
+    assert main(["oracle", "--instance", str(inst)]) == 1
+    # with a reference given, the node block is rejected instead
+    problem.x_ref = np.ones(problem.n)
+    save_instance(inst, problem)
+    assert main(["run", "--algo", "dadmm", "--instance", str(inst),
+                 "--network", str(net)]) == 1
+    assert capsys.readouterr().err.count("does not have full row rank") == 2
+
+
+def test_oracle_budget_exhaustion_is_an_error(tmp_path, capsys, monkeypatch):
+    inst, _ = _instance_and_network(tmp_path, 9)
+    monkeypatch.setattr(bench, "ORACLE_MAX_ITER", 3)
+    assert main(["oracle", "--instance", str(inst)]) == 1
+    assert "error: centralized solver missed" in capsys.readouterr().err
+
+
+def test_nan_targets_are_an_input_error(tmp_path, capsys):
+    inst, net = _instance_and_network(tmp_path, 10)
+    assert main(["run", "--algo", "dadmm", "--instance", str(inst), "--network", str(net),
+                 "--targets", "nan"]) == 1
+    assert "targets must be positive and finite" in capsys.readouterr().err
+
+
+def test_nan_delta_is_an_input_error(tmp_path, capsys):
+    inst, net = _instance_and_network(tmp_path, 11)
+    assert main(["run", "--algo", "dadmm", "--partition", "column", "--instance", str(inst),
+                 "--network", str(net), "--delta", "nan"]) == 1
+    assert "rho and delta must be finite" in capsys.readouterr().err
+
+
+def test_nan_rho_is_an_input_error(tmp_path, capsys):
+    inst, net = _instance_and_network(tmp_path, 12)
+    assert main(["run", "--algo", "dadmm", "--instance", str(inst), "--network", str(net),
+                 "--rho", "nan"]) == 1
+    assert "rho and delta must be finite" in capsys.readouterr().err

@@ -9,7 +9,11 @@ from netl1.linalg import (
     gram_factorization,
     partition,
 )
-from netl1.graphs import Graph, generate_network
+from netl1.bench import solve_bp_centralized
+from netl1.graphs import Graph, generate_network, greedy_coloring
+from netl1.nodeprob import RowSubproblem
+from netl1.problems import ProblemInstance
+from netl1.solvers import SolverConfig, make_stepper
 
 from oracles import jacobi_eigenvalues, kkt_projection, laplacian_oracle
 
@@ -97,6 +101,41 @@ class TestAffineProjection:
         A = np.array([[1.0, 2.0], [2.0, 4.0]])  # rank 1, zero trace jitter useless
         with pytest.raises(FactorizationError):
             gram_factorization(A * 0.0)
+
+
+def rank_deficient(case):
+    """A two-node row instance whose second block (rows m/2..m-1) lacks
+    full row rank, and that block."""
+    rng = np.random.default_rng(40)
+    if case == "more_rows_than_columns":
+        A = rng.normal(size=(12, 4))
+    else:
+        A = rng.normal(size=(8, 20))
+        A[6] = A[4] if case == "duplicated_row" else A[4] / 3.0
+    b = rng.normal(size=A.shape[0])  # inconsistent on the dependent rows
+    half = A.shape[0] // 2
+    return ProblemInstance(A=A, b=b).with_partition("row", 2), A[half:], b[half:]
+
+
+@pytest.mark.parametrize("case", ["duplicated_row", "scaled_row", "more_rows_than_columns"])
+class TestRowRank:
+    """A block without full row rank is rejected wherever it is factorized."""
+
+    def test_row_subproblem(self, case):
+        _, block, b = rank_deficient(case)
+        with pytest.raises(FactorizationError):
+            RowSubproblem(block, b)
+
+    def test_make_stepper(self, case):
+        problem, _, _ = rank_deficient(case)
+        graph = Graph.from_edges(2, [(0, 1)])
+        with pytest.raises(FactorizationError):
+            make_stepper(SolverConfig(kind="dadmm_row"), problem, graph, greedy_coloring(graph))
+
+    def test_oracle(self, case):
+        problem, _, _ = rank_deficient(case)
+        with pytest.raises(FactorizationError):
+            solve_bp_centralized(problem.A, problem.b)
 
 
 class TestGramFactorization:

@@ -244,8 +244,11 @@ class TestRowGroup:
         for width in (BATCH_MIN_WIDTH - 1, BATCH_MIN_WIDTH):
             blocks = [random_row_subproblem(rng, 2, 9) for _ in range(width)]
             group = RowGroup(blocks)
-            batched = width >= BATCH_MIN_WIDTH
-            assert len(group.batches) == batched and len(group.singles) == width * (not batched)
+            if width < BATCH_MIN_WIDTH:
+                assert group.stack is None
+            else:
+                A, b = group.stack
+                assert A.shape == (width, 2, 9) and b.shape == (width, 2)
             assert group.A.shape == (2 * width, 9)
             V, C = rng.normal(size=(width, 9)), rng.uniform(0.5, 2.0, size=width)
             assert_group_matches_per_node(blocks, V, C, cfg)
@@ -260,17 +263,25 @@ class TestRowGroup:
         np.testing.assert_array_equal(sol.x, [r.x for r in reference])
         assert sol.iterations == sum(r.iterations for r in reference)
 
-    def test_uneven_heights_batch_by_height(self):
+    def test_mixed_heights_run_node_by_node(self):
+        # however wide, a group whose blocks differ in height is the
+        # per-node loop
         rng = np.random.default_rng(32)
         heights = [2] * BATCH_MIN_WIDTH + [1] + [3] * BATCH_MIN_WIDTH + [1]
         blocks = [random_row_subproblem(rng, h, 11) for h in heights]
         group = RowGroup(blocks)
-        assert [len(pos) for pos, _, _ in group.batches] == [BATCH_MIN_WIDTH] * 2
-        assert [A.shape[1] for _, A, _ in group.batches] == [2, 3]
-        assert group.singles == [BATCH_MIN_WIDTH, 2 * BATCH_MIN_WIDTH + 1]
+        assert group.stack is None
         assert group.A.shape == (sum(heights), 11)
         V, C = rng.normal(size=(len(heights), 11)), rng.uniform(0.5, 2.0, size=len(heights))
-        assert_group_matches_per_node(blocks, V, C, BBConfig(grad_tol=1e-12, max_iter=20000))
+        cfg = BBConfig(grad_tol=1e-12, max_iter=20000)
+        reference = per_node_solutions(blocks, V, C, cfg)
+        sol = solve_row_node(group, V, C, cfg)
+        np.testing.assert_array_equal(sol.x, [r.x for r in reference])
+        assert sol.iterations == sum(r.iterations for r in reference)
+        assert sol.converged == all(r.converged for r in reference)
+        for sp, lam, r in zip(blocks, sol.lam, reference):
+            assert sp.warm_lambda is lam
+            np.testing.assert_array_equal(lam, r.lam)
 
     def test_divergence_restart_on_batched_path(self):
         # the safeguard test's setting, one batch of BATCH_MIN_WIDTH nodes

@@ -105,7 +105,7 @@ class TestDADMMRound:
 
         X, gamma = stepper.states.primal, stepper.states.gamma
         for k in range(1, 6):
-            X, gamma = reference_color_round(X, gamma, g.adjacency, coloring.colors,
+            X, gamma = reference_color_round(X, gamma, g.edges, coloring.colors,
                                              coloring.classes, 0.7, kernel)
             stepper.step(k)
             np.testing.assert_array_equal(stepper.states.primal, X)
