@@ -236,19 +236,38 @@ def rho_sweep(
 
     Best means: reaches the finest accuracy target in the fewest
     communication steps; runs reaching fewer targets rank behind, and exact
-    ties break toward the smaller weight. Once some weight has reached the
-    finest target in s steps, later candidates run with their budget capped
-    at s (they could not win beyond it); capped runs still appear in traces
-    as prefixes.
+    ties break toward the smaller weight. Every weight must be positive and
+    finite; a repeated weight runs once, and traces holds one run per
+    weight in grid order.
+
+    The weights run from the grid's median (the lower one for an even
+    count) outward, in ascending distance |log(rho) - log(median)|, equal
+    distances smaller weight first; on RHO_GRID the order is 0.1, 0.01, 1,
+    0.001, 10. Once some weight has reached the finest target in s steps,
+    later weights run with their budget capped at s, so a capped run
+    appears in traces as a prefix of its full-budget run.
+
+    The winner and its trace are those of full-budget runs of every weight:
+    a cap is never below the winner's steps, so the winner runs exactly as
+    it would alone, and a weight that reaches the finest target at the cap
+    is ranked against the current best by the same key. The order only sets
+    the cost. A tuned grid's winner usually sits near its middle, and the
+    slow extreme weights then stop at the winner's steps. In the worst case
+    the median never reaches the finest target and runs the whole budget,
+    as the first weight of an ascending sweep does.
     """
     grid = tuple(float(r) for r in grid)
     if not grid:
         raise InputError("rho grid must be nonempty")
+    if not all(0.0 < r < np.inf for r in grid):
+        raise InputError(f"rho grid values must be positive and finite, got {grid}")
     rule = rule or StopRule()
+    rhos = sorted(set(grid))
+    log_median = np.log(rhos[(len(rhos) - 1) // 2])
     result = SweepResult(best_rho=float("nan"), best_trace=None)
     best_key = None
     cap = rule.max_comm_steps
-    for rho in grid:
+    for rho in sorted(rhos, key=lambda r: (abs(np.log(r) - log_median), r)):
         trace = run(
             replace(config, rho=rho), problem, graph, coloring,
             StopRule(targets=rule.targets, max_comm_steps=cap), x_ref,
@@ -261,6 +280,7 @@ def rho_sweep(
             result.best_trace = trace
         if rule.finest in trace.steps_to_accuracy:
             cap = min(cap, trace.steps_to_accuracy[rule.finest])
+    result.traces = {rho: result.traces[rho] for rho in grid}
     return result
 
 

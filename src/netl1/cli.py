@@ -126,10 +126,14 @@ def cmd_sweep_rho(args) -> int:
     config = SolverConfig(kind=kind, delta=args.delta)  # the sweep sets rho
     rule = engine.StopRule(targets=_parse_targets(args.targets), max_comm_steps=args.max_steps)
     result = bench.rho_sweep(grid, config, problem, g, coloring, rule)
-    for rho in grid:
-        tr = result.traces[rho]
-        reached = tr.steps_to_accuracy.get(rule.finest, "not reached")
-        print(f"  rho={rho:g}: steps to {rule.finest:g} = {reached}")
+    for rho, tr in result.traces.items():
+        if rule.finest in tr.steps_to_accuracy:
+            outcome = f"steps to {rule.finest:g} = {tr.steps_to_accuracy[rule.finest]}"
+        elif tr.comm_steps < rule.max_comm_steps:
+            outcome = f"stopped at the sweep's cap of {tr.comm_steps} steps"
+        else:
+            outcome = f"steps to {rule.finest:g} = not reached"
+        print(f"  rho={rho:g}: {outcome}")
     print(f"best rho = {result.best_rho:g}")
     if args.trace_out:
         result.best_trace.to_csv(args.trace_out)

@@ -78,7 +78,6 @@ class GramFactorization:
     """Cholesky factor of A A^T for an m-by-n matrix A of full row rank:
     lower is lower triangular with lower @ lower.T == A @ A.T."""
 
-    shape: tuple[int, int]
     lower: np.ndarray
 
 
@@ -97,7 +96,7 @@ def gram_factorization(A) -> GramFactorization:
         lower = np.linalg.cholesky(A @ A.T)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"Gram matrix of a {m}x{n} block is singular") from exc
-    return GramFactorization(shape=A.shape, lower=lower)
+    return GramFactorization(lower=lower)
 
 
 def gram_solve(fact: GramFactorization, rhs: np.ndarray) -> np.ndarray:

@@ -3,13 +3,18 @@
 These deliberately avoid the library's own code paths: brute-force grid
 minimization, sign-pattern KKT enumeration, Jacobi eigenvalue sweeps,
 Floyd-Warshall reachability, central finite differences, graph matrices
-built edge by edge, and a color-scheduled round written as per-node
-neighbor loops.
+built edge by edge, a color-scheduled round written as per-node
+neighbor loops, and a rho sweep run in the caller's grid order.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
+
+import netl1 as nl
+from netl1.bench import SweepResult, _achieved
 
 
 def brute_force_scalar_min(u: float, c: float, half: float = 12.0) -> float:
@@ -196,3 +201,34 @@ def reference_color_round(X_old, gamma, edges, colors, classes, rho, kernel):
             S[p] += X_new[j]
     deg = np.array([len(ns) for ns in neighbors], dtype=float)[:, None]
     return X_new, gamma + rho * (deg * X_new - S)
+
+
+def ascending_rho_sweep(grid, config, problem, graph, coloring=None, rule=None):
+    """The capped rho sweep in the caller's grid order (ascending for
+    RHO_GRID), one run per grid entry, repeats included.
+
+    Each weight runs with its budget capped at the fewest steps to the
+    finest target seen so far and is ranked by the library's key
+    (unreached targets, steps, rho). traces keeps the last run of each
+    weight. Returns (result, communication steps executed by all runs).
+    """
+    rule = rule or nl.StopRule()
+    result = SweepResult(best_rho=float("nan"), best_trace=None)
+    best_key = None
+    cap = rule.max_comm_steps
+    executed = 0
+    for rho in (float(r) for r in grid):
+        trace = nl.run(
+            replace(config, rho=rho), problem, graph, coloring,
+            nl.StopRule(targets=rule.targets, max_comm_steps=cap),
+        )
+        executed += trace.comm_steps
+        result.traces[rho] = trace
+        key = _achieved(trace, rule.targets) + (rho,)
+        if best_key is None or key < best_key:
+            best_key = key
+            result.best_rho = rho
+            result.best_trace = trace
+        if rule.finest in trace.steps_to_accuracy:
+            cap = min(cap, trace.steps_to_accuracy[rule.finest])
+    return result, executed

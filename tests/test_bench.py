@@ -3,6 +3,7 @@ import pytest
 
 import netl1 as nl
 from netl1.bench import (
+    RHO_GRID,
     InstanceSpec,
     _achieved,
     connected_network,
@@ -15,6 +16,8 @@ from netl1.bench import (
 from netl1.engine import StopRule
 from netl1.linalg import InputError
 from netl1.solvers import SolverConfig
+
+from oracles import ascending_rho_sweep
 
 
 class TestGenInstance:
@@ -193,6 +196,41 @@ class TestRhoSweep:
         assert fast.best_rho == best_rho
         assert (fast.best_trace.steps_to_accuracy[1e-4]
                 == full[best_rho].steps_to_accuracy[1e-4])
+
+    @pytest.mark.parametrize("grid, budget", [
+        (RHO_GRID, 3000),
+        (RHO_GRID[::-1], 3000),
+        ((1.0,), 3000),
+        ((1e-1, 1.0), 3000),
+        ((1.0, 1e-1, 1.0, 1e-2), 3000),
+        (RHO_GRID, 14),  # the median, 0.1, needs 16 steps to 1e-4; 1.0 needs 12
+    ])
+    def test_same_winner_as_ascending_sweep(self, grid, budget):
+        prob, g = self._setup()
+        rule = StopRule(targets=(1e-2, 1e-4), max_comm_steps=budget)
+        config = SolverConfig(kind="dadmm_row")
+        new = rho_sweep(grid, config, prob, g, rule=rule)
+        ref, ref_executed = ascending_rho_sweep(grid, config, prob, g, rule=rule)
+        assert new.best_rho == ref.best_rho
+        assert new.best_trace == ref.best_trace  # every series bitwise equal
+        assert list(new.traces) == list(ref.traces)
+        for rho, trace in new.traces.items():
+            other = ref.traces[rho]
+            n = min(trace.comm_steps, other.comm_steps) + 1
+            for name in ("max_rel_err", "node0_rel_err", "consensus_residual",
+                         "objective", "inner_iterations"):
+                assert getattr(trace, name)[:n] == getattr(other, name)[:n]
+        assert sum(t.comm_steps for t in new.traces.values()) <= ref_executed
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, float("nan"), float("inf")])
+    def test_bad_grid_value_rejected_before_any_run(self, bad, monkeypatch):
+        # the subgradient accepts rho = 0 as a run's weight, the sweep does not
+        prob, g = self._setup()
+        runs = []
+        monkeypatch.setattr(nl.bench, "run", lambda *args: runs.append(args))
+        with pytest.raises(InputError, match="positive and finite"):
+            rho_sweep((1.0, bad), SolverConfig(kind="subgradient"), prob, g)
+        assert runs == []
 
 
 class TestScaleExperiment:

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from netl1 import bench
 from netl1.cli import main
@@ -70,6 +71,41 @@ def test_sweep_rho_cli(tmp_path, capsys):
                  "--targets", "1e-2,1e-4", "--max-steps", "2000"])
     assert code == 0
     assert "best rho" in capsys.readouterr().out
+
+
+def test_sweep_rho_cli_tells_capped_from_unreached(tmp_path, capsys):
+    inst = tmp_path / "inst.txt"
+    net = tmp_path / "net.txt"
+    main(["gen-instance", "--m", "16", "--n", "48", "--P", "4", "--k", "2",
+          "--seed", "4", "--out", str(inst)])
+    main(["gen-network", "--model", "lattice", "--P", "4", "--out", str(net)])
+    sweep = ["sweep-rho", "--algo", "dadmm", "--instance", str(inst), "--network", str(net),
+             "--targets", "1e-2,1e-4"]
+    capsys.readouterr()
+    assert main(sweep + ["--max-steps", "2000"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # rho=1 reaches 1e-4 in 14 steps; 0.1 ran before it with the full budget
+    assert lines == [
+        "  rho=0.001: stopped at the sweep's cap of 14 steps",
+        "  rho=0.01: stopped at the sweep's cap of 18 steps",
+        "  rho=0.1: steps to 0.0001 = 18",
+        "  rho=1: steps to 0.0001 = 14",
+        "  rho=10: stopped at the sweep's cap of 14 steps",
+        "best rho = 1",
+    ]
+    assert main(sweep + ["--max-steps", "3"]) == 2
+    out = capsys.readouterr().out
+    assert out.count("steps to 0.0001 = not reached") == 5 and "cap" not in out
+
+
+@pytest.mark.parametrize("grid", ["0,1", "-1,1", "nan,1", "inf,1"])
+def test_bad_rho_grid_value_is_an_input_error(tmp_path, capsys, grid):
+    # the subgradient accepts rho = 0 as a run's weight, the sweep does not
+    inst, net = _instance_and_network(tmp_path, 13)
+    capsys.readouterr()
+    assert main(["sweep-rho", "--algo", "subgradient", "--instance", str(inst),
+                 "--network", str(net), f"--grid={grid}"]) == 1
+    assert capsys.readouterr().err.startswith("error: rho grid values must be positive")
 
 
 def test_scale_cli(tmp_path, capsys):

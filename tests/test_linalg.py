@@ -98,7 +98,7 @@ class TestAffineProjection:
             )
 
     def test_rank_deficient_block_rejected(self):
-        A = np.array([[1.0, 2.0], [2.0, 4.0]])  # rank 1, zero trace jitter useless
+        A = np.array([[1.0, 2.0], [2.0, 4.0]])  # rank 1; scaled to zero it has rank 0
         with pytest.raises(FactorizationError):
             gram_factorization(A * 0.0)
 
