@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 
 class InputError(ValueError):
@@ -25,7 +25,7 @@ def as_matrix(A) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.size == 0:
         raise InputError(f"expected a nonempty 2-d matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise InputError("matrix entries must be finite")
     return A
 
@@ -34,7 +34,7 @@ def as_vector(v, length: int | None = None, name: str = "vector") -> np.ndarray:
     v = np.asarray(v, dtype=float).ravel()
     if length is not None and v.shape[0] != length:
         raise InputError(f"{name} must have length {length}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise InputError(f"{name} entries must be finite")
     return v
 
@@ -100,9 +100,22 @@ def gram_factorization(A) -> GramFactorization:
 
 
 def gram_solve(fact: GramFactorization, rhs: np.ndarray) -> np.ndarray:
-    """Solve (A A^T) z = rhs using the cached Cholesky factor."""
-    y = solve_triangular(fact.lower, rhs, lower=True)
-    return solve_triangular(fact.lower.T, y, lower=False)
+    """Solve (A A^T) z = rhs using the cached Cholesky factor.
+
+    With U = lower.T (upper triangular, Fortran-ordered), LAPACK's trtrs
+    solves U' y = rhs and then U z = y: the calls scipy's solve_triangular
+    makes, without its per-call validation and batching.
+    """
+    rhs = np.asarray(rhs, dtype=float)
+    if not np.isfinite(rhs).all():
+        raise InputError("right-hand side entries must be finite")
+    upper = fact.lower.T
+    y, info = dtrtrs(upper, rhs, lower=0, trans=1)
+    if info == 0:
+        y, info = dtrtrs(upper, y, lower=0, trans=0)
+    if info != 0:
+        raise FactorizationError(f"triangular solve with the Gram factor failed (info {info})")
+    return y
 
 
 def partition(A, b, spec: PartitionSpec):

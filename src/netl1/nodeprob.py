@@ -7,15 +7,16 @@ Row partition: each node repeatedly solves
 
 through its dual, whose objective is differentiable with gradient
 b - A x(lam), where x(lam) applies the scalar closed form x_of_u to
-u = v - A' lam componentwise. The dual ascent uses the Barzilai-Borwein
-(BB) spectral step method with warm starts across consecutive calls.
+u = v - A' lam componentwise. The dual is piecewise quadratic, and a
+semismooth Newton method maximizes it with warm starts across consecutive
+calls: per node, or in lockstep over the nodes of a wide group.
 
 Column partition: each node minimizes the unconstrained, differentiable
 
     psi_p(y) + lin' y + q ||y||^2
 
 where psi_p(y) = -inf_x ( ||x||_1 + (A_p' y)' x + (delta/2) ||x||^2 ),
-again by BB with warm starts.
+by the Barzilai-Borwein (BB) spectral step method with warm starts.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dposv
 
 from .linalg import (
     GramFactorization,
@@ -46,26 +48,31 @@ def x_of_u(u, c: float):
     return float(x) if x.ndim == 0 else x
 
 
-#: Bounds on every BB step length.
+#: Bounds on every BB step length; STEP_MIN also ends a Newton line search.
 STEP_MIN, STEP_MAX = 1e-10, 1e10
 
-#: The watchdog's memory (accepted objective values) and Armijo margin.
+#: The watchdog's memory (accepted objective values) and the Armijo margin
+#: of both line searches.
 MEMORY, ARMIJO = 10, 1e-4
 
 
 @dataclass
 class BBConfig:
-    """Barzilai-Borwein loop controls.
+    """Node kernel controls: the Newton loop of the row kernel and the
+    Barzilai-Borwein loop of the column kernel.
 
     grad_tol is the target infinity norm of the gradient (scaled by the
-    problem, see the solvers); the two spectral step lengths alternate and
-    are clamped to [STEP_MIN, STEP_MAX]. Raw BB steps are nonmonotone, so
-    each step must additionally pass a watchdog: the objective may not
-    exceed the worst of the last MEMORY accepted values minus an Armijo
-    margin, else the step is halved (the duals are piecewise quadratic with
-    flat stretches on which unguarded BB limit-cycles). A gradient blow-up
-    by divergence_factor over the best seen additionally restarts from the
-    best point with a steepest-descent step.
+    problem, see the solvers) and max_iter caps the evaluations after the
+    first, which are what a solution's iterations count. In the BB loop the
+    two spectral step lengths alternate and are clamped to [STEP_MIN,
+    STEP_MAX]. Raw BB steps are nonmonotone, so each step must additionally
+    pass a watchdog: the objective may not exceed the worst of the last
+    MEMORY accepted values minus an Armijo margin, else the step is halved
+    (the duals are piecewise quadratic with flat stretches on which
+    unguarded BB limit-cycles). A gradient blow-up by divergence_factor
+    over the best seen additionally restarts from the best point with a
+    steepest-descent step. The Newton loop uses neither the spectral steps
+    nor divergence_factor (see solve_row_node).
     """
 
     grad_tol: float = 1e-10
@@ -142,98 +149,6 @@ def bb_minimize(value_grad_fn, x0: np.ndarray, tol: float, cfg: BBConfig, on_saf
     return best_x, evals, False
 
 
-@np.errstate(divide="ignore", invalid="ignore")  # rows a mask discards may divide by 0
-def bb_lockstep(value_grad_fn, data, x0, tol, cfg: BBConfig, on_safeguard=None):
-    """Run bb_minimize on k independent problems at once.
-
-    Row i of x0 starts problem i, and row i of value_grad_fn(*data, X)
-    gives its value and gradient at row i of X; the arrays in data are
-    indexed by problem along their first axis. Every problem keeps its own
-    step, watchdog window, halving, divergence restart and tolerance tol[i],
-    so each takes the steps bb_minimize would take, up to rounding. One
-    call of value_grad_fn evaluates every problem still running, so all of
-    them have made the same number of evaluations; finished problems leave
-    the batch with their rows of data. Returns the arrays
-    (x, iterations, converged) over the k problems.
-    """
-    x, tol = np.array(x0, dtype=float), np.asarray(tol, dtype=float)
-    ids = np.arange(len(x))
-    out_x, out_iters = x.copy(), np.zeros(len(x), dtype=int)
-    out_conv = np.zeros(len(x), dtype=bool)
-    f, g = value_grad_fn(*data, x)
-    gnorm = np.abs(g).max(axis=1)
-    best_x, best_g, best_f, best_norm = x.copy(), g.copy(), f, gnorm
-    # the last MEMORY accepted values of each problem, as a ring
-    window = np.full((len(x), MEMORY), -np.inf)
-    window[:, 0] = f
-    filled = np.ones(len(x), dtype=int)
-    t = 1.0 / np.sqrt(_rowdot(g, g))  # each line search's trial step
-    use_first = np.ones(len(x), dtype=bool)
-    evals = 0
-    done = gnorm <= tol
-    while True:
-        capped = evals >= cfg.max_iter
-        if capped or done.any():
-            out_x[ids[done]], out_conv[ids[done]] = x[done], True
-            out_iters[ids] = evals
-            if capped or done.all():
-                out_x[ids[~done]] = best_x[~done]
-                return out_x, out_iters, out_conv
-            keep = ~done
-            (ids, x, g, best_x, best_g, best_f, best_norm, window, filled, t, use_first,
-             tol) = (a[keep] for a in (ids, x, g, best_x, best_g, best_f, best_norm,
-                                       window, filled, t, use_first, tol))
-            data = tuple(a[keep] for a in data)
-
-        gg = _rowdot(g, g)
-        trial = x - t[:, None] * g
-        f_new, g_new = value_grad_fn(*data, trial)
-        evals += 1
-        # a row whose line search ends takes its step; the others halve t
-        ends = (f_new <= window.max(axis=1) - ARMIJO * t * gg) | (t <= STEP_MIN)
-        if evals >= cfg.max_iter:
-            ends[:] = True
-        gnorm = np.abs(g_new).max(axis=1)
-        done = ends & (gnorm <= tol)
-        better = ends & (gnorm < best_norm)
-        if better.any():
-            best_x[better], best_g[better] = trial[better], g_new[better]
-            best_f[better], best_norm[better] = f_new[better], gnorm[better]
-        restart = gnorm > cfg.divergence_factor * best_norm
-        if restart.any():
-            restart &= ends & ~done
-
-        s, d = trial - x, g_new - g
-        sd, ss = _rowdot(s, d), _rowdot(s, s)
-        step = np.where(use_first, ss / sd, sd / _rowdot(d, d))
-        flat = ~np.isfinite(sd) | (sd <= 1e-12 * ss)
-        if flat.any():
-            step[flat] = 1.0 / np.sqrt(_rowdot(g_new[flat], g_new[flat]))
-        step = step.clip(STEP_MIN, STEP_MAX)
-        t = np.where(ends, step, 0.5 * t)
-        use_first ^= ends
-        x = np.where(ends[:, None], trial, x)
-        g = np.where(ends[:, None], g_new, g)
-        rows = np.flatnonzero(ends)
-        window[rows, filled[rows] % MEMORY] = f_new[rows]
-        filled += ends
-        if restart.any():
-            if on_safeguard is not None:
-                for i in np.flatnonzero(restart):
-                    on_safeguard(best_x[i].copy())
-            x[restart], g[restart] = best_x[restart], best_g[restart]
-            window[restart] = -np.inf
-            window[restart, 0] = best_f[restart]
-            filled[restart] = 1
-            t[restart] = 1.0 / np.sqrt(_rowdot(g[restart], g[restart]))
-            use_first[restart] = True
-
-
-def _rowdot(a, b):
-    """The dot products of matching rows."""
-    return np.einsum("ij,ij->i", a, b)
-
-
 @dataclass
 class RowSubproblem:
     """Node-local data for the row partition: block A (full row rank), slice b
@@ -255,7 +170,7 @@ class RowSubproblem:
 class RowSolution:
     """A row solve: one node's x and multipliers, or for a RowGroup the
     nodes' x as rows and a list of their multipliers; iterations are the
-    BB evaluations of all of them."""
+    dual evaluations of all of them, each solve's first one excepted."""
 
     x: np.ndarray
     lam: np.ndarray
@@ -268,10 +183,11 @@ class RowSolution:
 #: so it wins only when that replaces enough per-node evaluations.
 #: Replaying the recorded group solves of the benchmark's grid64_row (1x256
 #: blocks) and desk8_mixed dn (5x160 blocks) runs in slices of each width,
-#: per-node loop against lockstep batch, the batch ran at 0.31-0.40x the
-#: loop's speed for one node, 0.56-0.63x for two, 0.80-0.95x for three,
-#: 0.96-1.21x for four, 1.65-1.86x for eight and 3.8-4.3x for 32 (CPU time,
-#: 2-vCPU KVM Xeon, numpy 2.4.6).
+#: per-node Newton loop against lockstep Newton batch, the batch ran at
+#: 0.46-0.61x the loop's speed for one node, 0.69-0.89x for two, 0.96-1.51x
+#: for three, 1.01-1.48x for four, 2.0-2.3x for eight and 5.1-6.5x for 32
+#: (CPU time, 2-vCPU KVM Xeon, numpy 2.4.6). Three is break-even on the
+#: 5x160 blocks and no benchmark group has that width, so four stays.
 BATCH_MIN_WIDTH = 4
 
 
@@ -281,9 +197,9 @@ class RowGroup:
 
     A holds every block's rows in node order. A group of at least
     BATCH_MIN_WIDTH nodes of one block height is solved in lockstep, and
-    stack holds its blocks (width, height, n) and slices (width, height);
-    any other group is solved node by node, and stack is None. Warm starts
-    stay with the blocks.
+    stack holds its blocks (width, height, n), a view of A, and slices
+    (width, height); any other group is solved node by node, and stack is
+    None. Warm starts stay with the blocks.
     """
 
     blocks: list
@@ -293,82 +209,160 @@ class RowGroup:
     def __post_init__(self):
         self.A = np.vstack([sp.A for sp in self.blocks])
         self.stack = None
-        if len(self.blocks) >= BATCH_MIN_WIDTH and len({sp.A.shape[0] for sp in self.blocks}) == 1:
-            self.stack = (np.stack([sp.A for sp in self.blocks]),
+        heights = {sp.A.shape[0] for sp in self.blocks}
+        if len(self.blocks) >= BATCH_MIN_WIDTH and len(heights) == 1:
+            self.stack = (self.A.reshape(len(self.blocks), heights.pop(), -1),
                           np.stack([sp.b for sp in self.blocks]))
 
 
-def solve_row_node(sp, v, c, cfg: BBConfig, on_safeguard=None) -> RowSolution:
-    """Solve min ||x||_1 + v'x + c||x||^2 s.t. A x = b via BB dual ascent.
+#: The Newton damping's floor per column of the block (see solve_row_node).
+DAMPING_FLOOR = 1e-10
 
-    The dual gradient is b - A x(lam) with x(lam) = x_of_u(v - A' lam, c);
-    ascent runs until ||A x - b||_inf <= grad_tol * (1 + ||b||_inf). The
-    warm start sp.warm_lambda is updated in place for the next call.
+
+def solve_row_node(sp, v, c, cfg: BBConfig) -> RowSolution:
+    """Solve min ||x||_1 + v'x + c||x||^2 s.t. A x = b through its dual.
+
+    With u = v - A'lam, d = clip(u, -1, 1) - u and x = d / (2c), the
+    negated dual f(lam) = d'x / 2 - lam'b is piecewise quadratic with
+    gradient g = A x - b, and a semismooth Newton method minimizes it
+    from the warm start sp.warm_lambda until ||g||_inf <= grad_tol *
+    (1 + ||b||_inf) or cfg.max_iter evaluations after the first. Each
+    step solves (A_S A_S' / (2c) + mu I) s = -g on the active set S =
+    {i : |u_i| > 1}, damped by mu = ||A||_F^2 / (2c n) * (||g||_2 + n *
+    DAMPING_FLOOR) so that a step is defined even for an empty S, then
+    halves t from 1 until lam + t s passes the Armijo test on f, halves
+    ||g||_inf (near the solution the Armijo test fails at rounding level),
+    or t reaches STEP_MIN. When the cap cuts a line search short, the
+    solve ends at the last accepted point. sp.warm_lambda is updated in
+    place for the next call.
 
     sp may also be a RowGroup, with one row of v and one entry of c per
     node: every node's problem is solved, and the solution holds the rows
-    x, the nodes' multipliers, their total BB iterations and whether all
-    of them converged.
+    x, the nodes' multipliers, their total iterations and whether all of
+    them converged.
     """
     if np.any(np.asarray(c) <= 0):
         raise InputError("quadratic coefficient c must be positive")
     if isinstance(sp, RowGroup):
-        return _solve_row_group(sp, v, c, cfg, on_safeguard)
-    v = as_vector(v, sp.A.shape[1], "v")
+        return _solve_row_group(sp, v, c, cfg)
     A, b = sp.A, sp.b
+    v, c2, n = as_vector(v, A.shape[1], "v"), 2.0 * c, A.shape[1]
+    scale = np.einsum("ij,ij->", A, A) / (c2 * n)
 
-    def neg_dual(lam):
+    def evaluate(lam):
         u = v - A.T @ lam
-        x = x_of_u(u, c)
-        value = -(float(lam @ b) + np.abs(x).sum() + float(u @ x) + c * float(x @ x))
-        return value, A @ x - b
+        d = u.clip(-1.0, 1.0) - u
+        x = d / c2
+        g = A @ x - b
+        return 0.5 * float(d @ x) - float(lam @ b), g, x, float(np.abs(g).max())
 
     tol = cfg.grad_tol * (1.0 + float(np.abs(b).max(initial=0.0)))
-    lam, iters, converged = bb_minimize(
-        neg_dual, sp.warm_lambda, tol, cfg, on_safeguard=on_safeguard
-    )
+    lam = sp.warm_lambda
+    f, g, x, gnorm = evaluate(lam)
+    evals = 0
+    while gnorm > tol and evals < cfg.max_iter:
+        active = A[:, x != 0.0]
+        H = active @ active.T / c2
+        H.flat[:: len(g) + 1] += scale * (np.sqrt(g @ g) + n * DAMPING_FLOOR)
+        s = dposv(H, -g)[1]  # H is symmetric positive definite
+        slope, t = ARMIJO * float(g @ s), 1.0
+        while evals < cfg.max_iter:
+            trial = lam + t * s
+            f_new, g_new, x_new, gnorm_new = evaluate(trial)
+            evals += 1
+            if f_new <= f + t * slope or gnorm_new < 0.5 * gnorm or t <= STEP_MIN:
+                lam, f, g, x, gnorm = trial, f_new, g_new, x_new, gnorm_new
+                break
+            t *= 0.5
     sp.warm_lambda = lam
-    x = x_of_u(v - A.T @ lam, c)
-    return RowSolution(x=x, lam=lam, iterations=iters, converged=converged)
+    return RowSolution(x=x, lam=lam, iterations=evals, converged=gnorm <= tol)
 
 
-def _batch_points(A, V, C2, Lam):
-    """D = 2c x(lam) and x(lam) of every node of a batch at its rows Lam,
-    with C2 the column of the nodes' 2c."""
+def _rowdot(a, b):
+    """The dot products of matching rows."""
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _batch_evaluate(A, b, V, C2, Lam):
+    """The negated duals f of a batch at its rows Lam, their gradients and
+    the nodes' x, with C2 the column of the nodes' 2c (solve_row_node's
+    evaluate, one row per node)."""
     U = V - np.einsum("km,kmn->kn", Lam, A)
     D = U.clip(-1.0, 1.0) - U
-    return D, D / C2
+    X = D / C2
+    return 0.5 * _rowdot(D, X) - _rowdot(Lam, b), np.matmul(A, X[:, :, None])[:, :, 0] - b, X
 
 
-def _batch_neg_duals(A, b, V, C2, Lam):
-    """The negated duals of a batch and their gradients A x(lam) - b. At
-    x = x(lam), |x| + u x + c x^2 = -d^2 / (4c) for d = 2c x."""
-    D, X = _batch_points(A, V, C2, Lam)
-    values = 0.5 * _rowdot(D, X) - _rowdot(Lam, b)
-    return values, np.matmul(A, X[:, :, None])[:, :, 0] - b
+def _newton_directions(A, G, X, C2, scale):
+    """solve_row_node's damped Newton steps of a batch at gradients G and
+    points X, and the Armijo slopes along them."""
+    n = A.shape[2]
+    H = np.matmul(A * (X != 0.0)[:, None, :], A.transpose(0, 2, 1)) / C2[:, :, None]
+    diagonal = np.einsum("kii->ki", H)  # a writable view
+    diagonal += (scale * (np.sqrt(_rowdot(G, G)) + n * DAMPING_FLOOR))[:, None]
+    S = np.linalg.solve(H, -G[:, :, None])[:, :, 0]
+    return S, ARMIJO * _rowdot(G, S)
 
 
-def _solve_row_group(group: RowGroup, V, C, cfg: BBConfig, on_safeguard) -> RowSolution:
+def _newton_lockstep(A, b, V, C2, Lam, tol, max_iter):
+    """Run solve_row_node's Newton method on the k problems of a batch at
+    once, from the rows Lam. Every problem keeps its own step, trial step
+    length and line search, so each takes the steps the per-node loop
+    would take, up to rounding. One evaluation covers every problem still
+    running, so all of them have made the same number of evaluations;
+    finished problems leave the batch with their rows of data. Returns the
+    arrays (lam, x, iterations, converged) over the k problems."""
+    k = len(Lam)
+    scale = np.einsum("kmn,kmn->k", A, A) / (C2[:, 0] * A.shape[2])
+    F, G, X = _batch_evaluate(A, b, V, C2, Lam)
+    gnorm = np.abs(G).max(axis=1)
+    out = [Lam.copy(), X.copy(), np.zeros(k, dtype=int), np.zeros(k, dtype=bool)]
+    ids = np.arange(k)
+    S, slope, t = np.zeros_like(Lam), np.zeros(k), np.ones(k)
+    fresh = np.ones(k, dtype=bool)  # the problems that took a step and need a direction
+    evals = 0
+    while True:
+        done = gnorm <= tol
+        if evals >= max_iter or done.any():
+            out[0][ids], out[1][ids], out[2][ids], out[3][ids] = Lam, X, evals, done
+            if evals >= max_iter or done.all():
+                return out
+            keep = ~done
+            (ids, A, b, V, C2, Lam, F, G, X, gnorm, S, slope, t, fresh, tol, scale) = (
+                a[keep] for a in (ids, A, b, V, C2, Lam, F, G, X, gnorm, S, slope, t, fresh,
+                                  tol, scale))
+        if fresh.any():
+            S[fresh], slope[fresh] = _newton_directions(A[fresh], G[fresh], X[fresh], C2[fresh],
+                                                        scale[fresh])
+            t[fresh] = 1.0
+        trial = Lam + t[:, None] * S
+        F_new, G_new, X_new = _batch_evaluate(A, b, V, C2, trial)
+        evals += 1
+        gnorm_new = np.abs(G_new).max(axis=1)
+        fresh = (F_new <= F + t * slope) | (gnorm_new < 0.5 * gnorm) | (t <= STEP_MIN)
+        Lam, G, X = (np.where(fresh[:, None], new, old)
+                     for new, old in ((trial, Lam), (G_new, G), (X_new, X)))
+        F, gnorm = np.where(fresh, F_new, F), np.where(fresh, gnorm_new, gnorm)
+        t[~fresh] *= 0.5
+
+
+def _solve_row_group(group: RowGroup, V, C, cfg: BBConfig) -> RowSolution:
     V, C = np.asarray(V, dtype=float), np.asarray(C, dtype=float)
     if V.shape != (len(group.blocks), group.A.shape[1]) or C.shape != (len(group.blocks),):
         raise InputError("a group solve needs one row of v and one c per node")
     if group.stack is None:
-        solutions = [solve_row_node(sp, v, c, cfg, on_safeguard)
-                     for sp, v, c in zip(group.blocks, V, C)]
+        solutions = [solve_row_node(sp, v, c, cfg) for sp, v, c in zip(group.blocks, V, C)]
         X = np.array([solution.x for solution in solutions])
         iterations = sum(solution.iterations for solution in solutions)
         converged = all(solution.converged for solution in solutions)
     else:
         A, b = group.stack
-        C2 = 2.0 * C[:, None]
-        lam, iters, ok = bb_lockstep(
-            _batch_neg_duals, (A, b, V, C2),
-            np.stack([sp.warm_lambda for sp in group.blocks]),
-            cfg.grad_tol * (1.0 + np.abs(b).max(axis=1)), cfg, on_safeguard,
+        lam, X, iters, ok = _newton_lockstep(
+            A, b, V, 2.0 * C[:, None], np.stack([sp.warm_lambda for sp in group.blocks]),
+            cfg.grad_tol * (1.0 + np.abs(b).max(axis=1)), cfg.max_iter,
         )
         for sp, lam_i in zip(group.blocks, lam):
             sp.warm_lambda = lam_i
-        X = _batch_points(A, V, C2, lam)[1]
         iterations, converged = int(iters.sum()), bool(ok.all())
     lam = [sp.warm_lambda for sp in group.blocks]
     return RowSolution(x=X, lam=lam, iterations=iterations, converged=converged)

@@ -109,8 +109,9 @@ class NodeStates:
 
 @dataclass
 class RoundInfo:
-    """Per-communication-step bookkeeping: total inner BB iterations and the
-    number of solves that hit their iteration cap (a group solve counts
+    """Per-communication-step bookkeeping: total node kernel evaluations
+    (Newton for the row kinds, BB for the column kind) and the number of
+    solves that hit their iteration cap (a group solve counts
     once however many of its nodes hit it)."""
 
     bb_iterations: int = 0

@@ -65,7 +65,6 @@ SURFACE = {
     "scale_experiment(target)",
     "solve_bp_centralized(tol)",
     "solve_regularized_bp(tol)",
-    "solve_row_node(on_safeguard)",
 }
 
 

@@ -4,9 +4,11 @@ import pytest
 from netl1.linalg import (
     FactorizationError,
     InputError,
+    GramFactorization,
     PartitionSpec,
     affine_projection,
     gram_factorization,
+    gram_solve,
     partition,
 )
 from netl1.bench import solve_bp_centralized
@@ -146,6 +148,18 @@ class TestGramFactorization:
         gram = A @ A.T
         err = np.linalg.norm(fact.lower @ fact.lower.T - gram) / np.linalg.norm(gram)
         assert err <= 1e-10
+
+    def test_solve_matches_dense_and_checks_its_inputs(self):
+        rng = np.random.default_rng(6)
+        A = rng.normal(size=(4, 11))
+        fact = gram_factorization(A)
+        rhs = rng.normal(size=4)
+        np.testing.assert_allclose(gram_solve(fact, rhs), np.linalg.solve(A @ A.T, rhs),
+                                   rtol=1e-12)
+        with pytest.raises(InputError):
+            gram_solve(fact, np.array([1.0, np.nan, 0.0, 0.0]))
+        with pytest.raises(FactorizationError):  # a zero on the factor's diagonal
+            gram_solve(GramFactorization(lower=np.diag([1.0, 0.0])), np.ones(2))
 
 
 def lambda_max(g):

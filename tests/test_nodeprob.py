@@ -9,7 +9,7 @@ from netl1.nodeprob import (
     ColSubproblem,
     RowGroup,
     RowSubproblem,
-    bb_lockstep,
+    _newton_lockstep,
     bb_minimize,
     psi_p,
     row_dual_value,
@@ -167,8 +167,9 @@ class TestRowSolver:
             solve_row_node(sp, np.zeros(2), 0.0, BBConfig())
 
     def test_dual_nondecreasing_at_safeguard_restarts(self):
-        # a small divergence factor makes the nonmonotone BB steps trip the
-        # safeguard; the dual value at the restart points must not decrease
+        # a small divergence factor makes the nonmonotone BB steps on the
+        # row dual trip the safeguard; the dual value at the restart points
+        # must not decrease
         rng = np.random.default_rng(8)
         fired = 0
         for trial in range(20):
@@ -177,15 +178,103 @@ class TestRowSolver:
             c = 0.5
             values = []
 
+            def neg_dual(lam):
+                x = x_of_u(v - sp.A.T @ lam, c)
+                return -row_dual_value(sp, v, c, lam), sp.A @ x - sp.b
+
             def on_safeguard(lam_best):
                 values.append(row_dual_value(sp, v, c, lam_best))
 
             cfg = BBConfig(grad_tol=1e-9, max_iter=800, divergence_factor=3.0)
-            sol = solve_row_node(sp, v, c, cfg, on_safeguard=on_safeguard)
-            assert np.all(np.isfinite(sol.x))
+            lam, _, _ = bb_minimize(neg_dual, np.zeros(4), 1e-9, cfg, on_safeguard=on_safeguard)
+            assert np.all(np.isfinite(lam))
             fired += len(values)
             assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
         assert fired > 0  # the safeguard actually triggered somewhere
+
+
+def assert_kkt(sp, v, c, sol, tol):
+    """The node problem's optimality conditions at (sol.x, sol.lam):
+    A x = b within tol, 0 in sign(x_i) + u_i + 2c x_i where x_i != 0 and
+    |u_i| <= 1 where x_i = 0, for u = v - A' lam."""
+    assert np.abs(sp.A @ sol.x - sp.b).max() <= tol
+    u = v - sp.A.T @ sol.lam
+    on = sol.x != 0.0
+    np.testing.assert_allclose(np.sign(sol.x[on]) + u[on] + 2.0 * c * sol.x[on], 0.0,
+                               atol=1e-9 * (1.0 + np.abs(u[on]).max(initial=0.0)))
+    assert np.all(np.abs(u[~on]) <= 1.0 + 1e-12)
+
+
+class TestRowNewton:
+    """The semismooth Newton row kernel, per node and in lockstep."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        m=st.integers(1, 8),
+        extra=st.integers(1, 24),
+        log_c=st.floats(-2.0, 3.0),
+        seed=st.integers(0, 2**16),
+        cold=st.booleans(),
+    )
+    def test_kkt_property(self, m, extra, log_c, seed, cold):
+        rng = np.random.default_rng(seed)
+        sp = random_row_subproblem(rng, m, m + extra)
+        c = 10.0**log_c
+        v = np.zeros(m + extra) if cold else rng.normal(size=m + extra) * rng.uniform(0.1, 5.0)
+        if not cold:
+            sp.warm_lambda = rng.normal(size=m)
+        cfg = BBConfig(grad_tol=1e-10, max_iter=20000)
+        sol = solve_row_node(sp, v, c, cfg)
+        assert sol.converged
+        np.testing.assert_array_equal(sol.x, x_of_u(v - sp.A.T @ sol.lam, c))
+        assert_kkt(sp, v, c, sol, cfg.grad_tol * (1 + np.abs(sp.b).max()))
+
+    def test_cold_start_converges_in_ten_evaluations(self):
+        # a desk-scale block (5x160, an 8-sparse planted signal) from
+        # lam = 0 and v = 0, where the active set starts empty
+        rng = np.random.default_rng(12)
+        for c in (1.0, 10.0, 100.0, 1000.0):
+            A = rng.normal(size=(5, 160))
+            x0 = np.zeros(160)
+            x0[rng.choice(160, 8, replace=False)] = rng.choice([-1.0, 1.0], 8)
+            sp = RowSubproblem(A, A @ x0)
+            sol = solve_row_node(sp, np.zeros(160), c, BBConfig(grad_tol=1e-10))
+            assert sol.converged and sol.iterations <= 10
+
+    def test_lockstep_matches_per_node_solves(self):
+        # random groups, cold and warm, with caps that stop some problems
+        rng = np.random.default_rng(13)
+        for trial in range(30):
+            width, m = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+            n = m + int(rng.integers(1, 30))
+            blocks = [random_row_subproblem(rng, m, n) for _ in range(width)]
+            V = rng.normal(size=(width, n)) * rng.uniform(0.0, 5.0)
+            C = 10.0 ** rng.uniform(-1.0, 3.0, size=width)
+            if trial % 2:
+                for sp in blocks:
+                    sp.warm_lambda = rng.normal(size=m)
+            cfg = BBConfig(grad_tol=1e-12, max_iter=int(rng.choice([3, 8, 20000])))
+            A, b = np.stack([sp.A for sp in blocks]), np.stack([sp.b for sp in blocks])
+            tol = cfg.grad_tol * (1 + np.abs(b).max(axis=1))
+            lam, X, iterations, converged = _newton_lockstep(
+                A, b, V, 2.0 * C[:, None], np.stack([sp.warm_lambda for sp in blocks]), tol,
+                cfg.max_iter)
+            for i, r in enumerate(per_node_solutions(blocks, V, C, cfg)):
+                np.testing.assert_allclose(X[i], r.x, atol=1e-10, rtol=0)
+                assert (iterations[i], converged[i]) == (r.iterations, r.converged)
+                np.testing.assert_allclose(lam[i], r.lam, atol=1e-10, rtol=0)
+
+    @pytest.mark.parametrize("width", [1, BATCH_MIN_WIDTH])
+    def test_cap_of_one_evaluation(self, width):
+        # both paths stop after one evaluation past the first and flag it
+        rng = np.random.default_rng(14)
+        blocks = [random_row_subproblem(rng, 4, 12) for _ in range(width)]
+        V, C = rng.normal(size=(width, 12)), np.full(width, 1.0)
+        group = RowGroup(blocks)
+        assert (group.stack is not None) == (width >= BATCH_MIN_WIDTH)
+        sol = solve_row_node(group, V, C, BBConfig(max_iter=1))
+        assert not sol.converged and sol.iterations == width
+        assert np.all(np.isfinite(sol.x))
 
 
 def per_node_solutions(blocks, V, C, cfg):
@@ -202,18 +291,12 @@ def per_node_solutions(blocks, V, C, cfg):
 def assert_group_matches_per_node(blocks, V, C, cfg):
     reference = per_node_solutions(blocks, V, C, cfg)
     sol = solve_row_node(RowGroup(blocks), V, C, cfg)
-    np.testing.assert_allclose(sol.x, [r.x for r in reference], atol=1e-9, rtol=0)
+    np.testing.assert_allclose(sol.x, [r.x for r in reference], atol=1e-10, rtol=0)
     assert sol.converged == all(r.converged for r in reference)
     for sp, x, lam in zip(blocks, sol.x, sol.lam):
         assert sp.warm_lambda is lam
         if sol.converged:
             assert np.abs(sp.A @ x - sp.b).max() <= cfg.grad_tol * (1 + np.abs(sp.b).max())
-
-
-def _row_value(fg, H, target, z):
-    """One row of a batched value-gradient function, for bb_minimize."""
-    value, grad = fg(H[None], target[None], z[None])
-    return float(value[0]), grad[0]
 
 
 class TestRowGroup:
@@ -249,6 +332,7 @@ class TestRowGroup:
             else:
                 A, b = group.stack
                 assert A.shape == (width, 2, 9) and b.shape == (width, 2)
+                assert np.shares_memory(A, group.A)  # a view, not a second copy
             assert group.A.shape == (2 * width, 9)
             V, C = rng.normal(size=(width, 9)), rng.uniform(0.5, 2.0, size=width)
             assert_group_matches_per_node(blocks, V, C, cfg)
@@ -282,52 +366,6 @@ class TestRowGroup:
         for sp, lam, r in zip(blocks, sol.lam, reference):
             assert sp.warm_lambda is lam
             np.testing.assert_array_equal(lam, r.lam)
-
-    def test_divergence_restart_on_batched_path(self):
-        # the safeguard test's setting, one batch of BATCH_MIN_WIDTH nodes
-        rng = np.random.default_rng(8)
-        fired = 0
-        for trial in range(5):
-            blocks = [random_row_subproblem(rng, 4, 10) for _ in range(BATCH_MIN_WIDTH)]
-            V = rng.normal(size=(BATCH_MIN_WIDTH, 10)) * 5
-            C = np.full(BATCH_MIN_WIDTH, 0.5)
-            restarts = []
-            cfg = BBConfig(grad_tol=1e-9, max_iter=800, divergence_factor=3.0)
-            sol = solve_row_node(RowGroup(blocks), V, C, cfg, on_safeguard=restarts.append)
-            assert np.all(np.isfinite(sol.x))
-            assert all(np.all(np.isfinite(lam)) for lam in restarts)
-            fired += len(restarts)
-        assert fired > 0
-
-    @pytest.mark.parametrize("divergence_factor", [1e6, 10.0])
-    def test_lockstep_counts_and_flags_match_bb_minimize(self, divergence_factor):
-        # independent quadratics: one starts at its minimizer, three finish
-        # at different evaluations and one is ill-conditioned enough to hit
-        # the cap (and, at factor 10, to trip the divergence restart)
-        rng = np.random.default_rng(33)
-        H = np.stack([np.diag(rng.uniform(1.0, 10.0, size=6)) for _ in range(5)])
-        H[4] = np.diag(np.logspace(0.0, 8.0, 6))
-        target = rng.normal(size=(5, 6))
-        x0 = np.zeros((5, 6))
-        x0[0] = target[0]
-
-        def fg(H, target, X):
-            D = X - target
-            HD = np.einsum("kij,kj->ki", H, D)
-            return 0.5 * np.einsum("ki,ki->k", D, HD), HD
-
-        cfg = BBConfig(max_iter=25, divergence_factor=divergence_factor)
-        tol = np.array([1e-10, 1e-2, 1e-5, 1e-8, 1e-10])  # rows finish at different evaluations
-        restarts, alone = [], []
-        x, iterations, converged = bb_lockstep(fg, (H, target), x0, tol, cfg,
-                                               on_safeguard=restarts.append)
-        for i in range(5):
-            xi, its, ok = bb_minimize(lambda z: _row_value(fg, H[i], target[i], z),
-                                      x0[i], tol[i], cfg, on_safeguard=alone.append)
-            assert (iterations[i], converged[i]) == (its, ok)
-            np.testing.assert_allclose(x[i], xi, atol=1e-9, rtol=0)
-        assert len(set(iterations)) == 5 and list(converged) == [True] * 4 + [False]
-        assert len(restarts) == len(alone) and (len(alone) > 0) == (divergence_factor < 1e6)
 
 
 class TestBBCore:
