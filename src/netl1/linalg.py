@@ -142,13 +142,30 @@ def partition(A, b, spec: PartitionSpec):
     return [A[:, offsets[p] : offsets[p + 1]].copy() for p in range(spec.n_nodes)]
 
 
-def affine_projection(A, b, fact: GramFactorization, point) -> np.ndarray:
+def projector_stack(A, facts) -> np.ndarray:
+    """The stacked A_p^T (A_p A_p^T)^{-1} of k blocks A (k, m, n) of full row
+    rank, from their Gram factorizations: one (k, n, m) array, the fact
+    that affine_projection takes for a stack of blocks."""
+    return np.stack([gram_solve(fact, A_p).T for A_p, fact in zip(A, facts)])
+
+
+def affine_projection(A, b, fact, point) -> np.ndarray:
     """Project a point onto the affine set {x : A x = b}.
 
     Computes x = p - A^T (A A^T)^{-1} (A p - b), i.e. the Euclidean
     projection. A must have full row rank and fact must be its cached
     Gram factorization.
+
+    For a stack of k blocks of one height, A is (k, m, n), b (k, m), point
+    (k, n) and fact the blocks' projector_stack; row p of the result is
+    point p projected onto block p's set, by two stacked products.
     """
+    if isinstance(fact, np.ndarray):
+        points = np.asarray(point, dtype=float)
+        if not np.isfinite(points).all():
+            raise InputError("point entries must be finite")
+        residual = np.matmul(A, points[:, :, None]) - b[:, :, None]
+        return points - np.matmul(fact, residual)[:, :, 0]
     A = as_matrix(A)
     p = as_vector(point, A.shape[1], "point")
     bv = as_vector(b, A.shape[0], "b")

@@ -80,8 +80,10 @@ class BBConfig:
     divergence_factor: float = 1e6
 
     def __post_init__(self):
-        if self.grad_tol <= 0:
-            raise InputError("grad_tol must be positive")
+        if not (np.isfinite(self.grad_tol) and self.grad_tol > 0):
+            raise InputError("grad_tol must be positive and finite")
+        if self.max_iter < 1:
+            raise InputError("max_iter must be at least 1")
 
 
 def bb_minimize(value_grad_fn, x0: np.ndarray, tol: float, cfg: BBConfig, on_safeguard=None):
@@ -152,17 +154,26 @@ def bb_minimize(value_grad_fn, x0: np.ndarray, tol: float, cfg: BBConfig, on_saf
 @dataclass
 class RowSubproblem:
     """Node-local data for the row partition: block A (full row rank), slice b
-    and the dual warm start carried across calls."""
+    and the dual warm start carried across calls.
+
+    The block's constants are computed once: its Gram factorization gram,
+    frobenius_sq = ||A||_F^2 (the Newton damping's scale) and b_scale =
+    1 + ||b||_inf (the gradient tolerance's scale).
+    """
 
     A: np.ndarray
     b: np.ndarray
     gram: GramFactorization = field(init=False)
+    frobenius_sq: float = field(init=False)
+    b_scale: float = field(init=False)
     warm_lambda: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.A = as_matrix(self.A)
         self.b = as_vector(self.b, self.A.shape[0], "b")
         self.gram = gram_factorization(self.A)  # rejects a block without full row rank
+        self.frobenius_sq = np.einsum("ij,ij->", self.A, self.A)
+        self.b_scale = 1.0 + float(np.abs(self.b).max(initial=0.0))
         self.warm_lambda = np.zeros(self.A.shape[0])
 
 
@@ -199,12 +210,16 @@ class RowGroup:
     BATCH_MIN_WIDTH nodes of one block height is solved in lockstep, and
     stack holds its blocks (width, height, n), a view of A, and slices
     (width, height); any other group is solved node by node, and stack is
-    None. Warm starts stay with the blocks.
+    None. Warm starts stay with the blocks. The subgradient projects a
+    stacked group's nodes in one stacked product with projector, the
+    blocks' A_p'(A_p A_p')^-1 (linalg.projector_stack), which its stepper
+    sets; a group without a stack projects node by node.
     """
 
     blocks: list
     A: np.ndarray = field(init=False)
     stack: tuple | None = field(init=False)
+    projector: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
         self.A = np.vstack([sp.A for sp in self.blocks])
@@ -239,15 +254,21 @@ def solve_row_node(sp, v, c, cfg: BBConfig) -> RowSolution:
     sp may also be a RowGroup, with one row of v and one entry of c per
     node: every node's problem is solved, and the solution holds the rows
     x, the nodes' multipliers, their total iterations and whether all of
-    them converged.
+    them converged. The group's v and c are checked once, for all of its
+    nodes.
     """
-    if np.any(np.asarray(c) <= 0):
-        raise InputError("quadratic coefficient c must be positive")
     if isinstance(sp, RowGroup):
         return _solve_row_group(sp, v, c, cfg)
+    if not c > 0:
+        raise InputError("quadratic coefficient c must be positive")
+    return _newton_node(sp, as_vector(v, sp.A.shape[1], "v"), c, cfg)
+
+
+def _newton_node(sp: RowSubproblem, v: np.ndarray, c, cfg: BBConfig) -> RowSolution:
+    """solve_row_node's Newton method on one node, for checked v and c."""
     A, b = sp.A, sp.b
-    v, c2, n = as_vector(v, A.shape[1], "v"), 2.0 * c, A.shape[1]
-    scale = np.einsum("ij,ij->", A, A) / (c2 * n)
+    c2, n = 2.0 * c, A.shape[1]
+    scale = sp.frobenius_sq / (c2 * n)
 
     def evaluate(lam):
         u = v - A.T @ lam
@@ -256,7 +277,7 @@ def solve_row_node(sp, v, c, cfg: BBConfig) -> RowSolution:
         g = A @ x - b
         return 0.5 * float(d @ x) - float(lam @ b), g, x, float(np.abs(g).max())
 
-    tol = cfg.grad_tol * (1.0 + float(np.abs(b).max(initial=0.0)))
+    tol = cfg.grad_tol * sp.b_scale
     lam = sp.warm_lambda
     f, g, x, gnorm = evaluate(lam)
     evals = 0
@@ -350,8 +371,12 @@ def _solve_row_group(group: RowGroup, V, C, cfg: BBConfig) -> RowSolution:
     V, C = np.asarray(V, dtype=float), np.asarray(C, dtype=float)
     if V.shape != (len(group.blocks), group.A.shape[1]) or C.shape != (len(group.blocks),):
         raise InputError("a group solve needs one row of v and one c per node")
+    if not np.isfinite(V).all():
+        raise InputError("v entries must be finite")
+    if not (C > 0).all():
+        raise InputError("quadratic coefficient c must be positive")
     if group.stack is None:
-        solutions = [solve_row_node(sp, v, c, cfg) for sp, v, c in zip(group.blocks, V, C)]
+        solutions = [_newton_node(sp, v, c, cfg) for sp, v, c in zip(group.blocks, V, C)]
         X = np.array([solution.x for solution in solutions])
         iterations = sum(solution.iterations for solution in solutions)
         converged = all(solution.converged for solution in solutions)

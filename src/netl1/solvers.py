@@ -10,10 +10,11 @@ approximation inner loop and the FISTA inner loop of the double Nesterov
 scheme). Each group reads its neighbors' latest values through one product
 with the graph's adjacency matrix; each of its nodes then forms its terms
 (v, c), and the group's node problems are solved in one call (the row
-kernel solves a wide group's nodes in lockstep). A per-kind update follows
-the sweep: the dual aggregates of the ADMM variants, damping or momentum
-for the inner loops, and the outer dual updates of the double-looped
-methods.
+kernel solves a wide group's nodes in lockstep, and the subgradient
+projects a stacked group's nodes in one stacked product). A per-kind
+update follows the sweep: the dual aggregates of the ADMM variants,
+damping or momentum for the inner loops, and the outer dual updates of
+the double-looped methods.
 Single-looped algorithms consume one step per outer iteration;
 double-looped ones consume one step per inner iteration and none for
 their outer dual updates.
@@ -44,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from .graphs import Coloring, Graph, is_proper
-from .linalg import InputError, affine_projection
+from .linalg import InputError, affine_projection, projector_stack
 from .nodeprob import (
     BBConfig,
     ColSubproblem,
@@ -88,6 +89,8 @@ class SolverConfig:
             raise InputError("rho must be positive")
         if self.kind == "dadmm_col" and self.delta <= 0:
             raise InputError("delta must be positive")
+        if not (np.isfinite(self.inner_tol_rel) and self.inner_tol_rel >= 0):
+            raise InputError("inner_tol_rel must be finite and nonnegative")
         if self.inner_cap < 1:
             raise InputError("inner_cap must be at least 1")
 
@@ -199,6 +202,10 @@ def _column_group(st: "Stepper", blocks, V, Q):
 
 
 def _projection_group(st: "Stepper", rows: RowGroup, points, _):
+    """A stacked group's nodes are projected in one call, any other group's
+    node by node."""
+    if rows.projector is not None:
+        return affine_projection(*rows.stack, rows.projector, points), ()
     return [affine_projection(sp.A, sp.b, sp.gram, point)
             for sp, point in zip(rows.blocks, points)], ()
 
@@ -280,6 +287,14 @@ def nesterov_outer_update(
     lam_sums[:] = stepped
 
 
+def _projection_setup(st: "Stepper"):
+    """The subgradient's stacked groups get their projectors, built once per
+    stepper from the blocks' Gram factors."""
+    for rows in st.group_blocks:
+        if rows.stack is not None:
+            rows.projector = projector_stack(rows.stack[0], [sp.gram for sp in rows.blocks])
+
+
 def _dn_setup(st: "Stepper"):
     """The FISTA step size is 1/(rho * lambda_max(L)) for the graph
     Laplacian L = D - Adj; the node sums of the multipliers and of their
@@ -327,7 +342,8 @@ KINDS = {
     "dadmm_row": KindSpec(_color_classes, _consensus_terms, _row_group, _admm_update),
     "dadmm_col": KindSpec(_color_classes, _column_terms, _column_group, _admm_update),
     "dlasso": KindSpec(_all_nodes, _dlasso_terms, _row_group, _admm_update),
-    "subgradient": KindSpec(_all_nodes, _subgradient_terms, _projection_group, _replace_primal),
+    "subgradient": KindSpec(_all_nodes, _subgradient_terms, _projection_group, _replace_primal,
+                            setup=_projection_setup),
     "mm_ngs": KindSpec(_single_nodes, _consensus_terms, _row_group, _multiplier_update),
     "mm_dqa": KindSpec(_all_nodes, _consensus_terms, _row_group, _dqa_update),
     "dn": KindSpec(_all_nodes, _fista_terms, _row_group, _dn_update, source="fista_y",

@@ -10,6 +10,7 @@ from netl1.linalg import (
     gram_factorization,
     gram_solve,
     partition,
+    projector_stack,
 )
 from netl1.bench import solve_bp_centralized
 from netl1.graphs import Graph, generate_network, greedy_coloring
@@ -98,6 +99,27 @@ class TestAffineProjection:
             np.testing.assert_allclose(
                 affine_projection(A, b, fact, p), kkt_projection(A, b, p), atol=1e-8
             )
+
+    def test_stack_matches_per_block_projections(self):
+        rng = np.random.default_rng(5)
+        A = rng.normal(size=(6, 3, 10)) * rng.uniform(0.1, 10.0, size=(6, 1, 1))
+        b = rng.normal(size=(6, 3))
+        facts = [gram_factorization(A_p) for A_p in A]
+        points = rng.normal(size=(6, 10)) * 10
+        X = affine_projection(A, b, projector_stack(A, facts), points)
+        for A_p, b_p, fact, p, x in zip(A, b, facts, points, X):
+            np.testing.assert_allclose(x, affine_projection(A_p, b_p, fact, p), rtol=0, atol=1e-12)
+            assert np.abs(A_p @ x - b_p).max() <= 1e-10
+
+    def test_stack_rejects_a_non_finite_point(self):
+        rng = np.random.default_rng(6)
+        A, b = rng.normal(size=(4, 2, 5)), rng.normal(size=(4, 2))
+        projector = projector_stack(A, [gram_factorization(A_p) for A_p in A])
+        for bad in (np.nan, np.inf):
+            points = rng.normal(size=(4, 5))
+            points[2, 3] = bad
+            with pytest.raises(InputError):
+                affine_projection(A, b, projector, points)
 
     def test_rank_deficient_block_rejected(self):
         A = np.array([[1.0, 2.0], [2.0, 4.0]])  # rank 1; scaled to zero it has rank 0

@@ -166,6 +166,18 @@ class TestRowSolver:
         with pytest.raises(InputError):
             solve_row_node(sp, np.zeros(2), 0.0, BBConfig())
 
+    def test_rejects_non_finite_v(self):
+        sp = RowSubproblem(np.array([[1.0, 0.0]]), np.array([1.0]))
+        with pytest.raises(InputError):
+            solve_row_node(sp, np.array([0.0, np.nan]), 1.0, BBConfig())
+
+    @pytest.mark.parametrize("bad", [{"grad_tol": np.nan}, {"grad_tol": 0.0}, {"grad_tol": -1e-8},
+                                     {"grad_tol": np.inf}, {"max_iter": 0}, {"max_iter": -5}])
+    def test_config_rejects_bad_controls(self, bad):
+        with pytest.raises(InputError):
+            BBConfig(**bad)
+        assert BBConfig(max_iter=1).max_iter == 1
+
     def test_dual_nondecreasing_at_safeguard_restarts(self):
         # a small divergence factor makes the nonmonotone BB steps on the
         # row dual trip the safeguard; the dual value at the restart points
@@ -346,6 +358,21 @@ class TestRowGroup:
         sol = solve_row_node(RowGroup(blocks), V, C, BBConfig())
         np.testing.assert_array_equal(sol.x, [r.x for r in reference])
         assert sol.iterations == sum(r.iterations for r in reference)
+
+    @pytest.mark.parametrize("width", [1, BATCH_MIN_WIDTH])
+    @pytest.mark.parametrize("bad", ["nan_v", "inf_v", "zero_c", "negative_c", "nan_c"])
+    def test_group_checks_v_and_c(self, width, bad):
+        # the checks run once per group: on a one-node group (the shape the
+        # Gauss-Seidel sweep solves) and on a batched one
+        rng = np.random.default_rng(33)
+        group = RowGroup([random_row_subproblem(rng, 2, 7) for _ in range(width)])
+        V, C = rng.normal(size=(width, 7)), rng.uniform(0.5, 2.0, size=width)
+        if bad.endswith("_v"):
+            V[-1, 3] = np.nan if bad == "nan_v" else np.inf
+        else:
+            C[-1] = {"zero_c": 0.0, "negative_c": -1.0, "nan_c": np.nan}[bad]
+        with pytest.raises(InputError):
+            solve_row_node(group, V, C, BBConfig())
 
     def test_mixed_heights_run_node_by_node(self):
         # however wide, a group whose blocks differ in height is the

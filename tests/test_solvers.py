@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import netl1 as nl
 from netl1.graphs import Coloring, Graph, greedy_coloring
-from netl1.linalg import InputError, partition
+from netl1.linalg import InputError, affine_projection, partition
 from netl1.nodeprob import BBConfig, RowSubproblem, solve_row_node
 from netl1.solvers import (
     NodeStates,
@@ -71,6 +71,14 @@ def test_kind_counts_pinned(kind):
                 nl.StopRule(targets=targets, max_comm_steps=3000))
     assert (tr.comm_steps, tr.steps_to_accuracy, sum(tr.inner_iterations)) == (
         steps, reached, bb_evals)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf])
+def test_config_rejects_bad_inner_tolerance(bad):
+    # a NaN tolerance would run every inner loop to inner_cap; 0 is legal
+    with pytest.raises(InputError):
+        SolverConfig(kind="mm_ngs", inner_tol_rel=bad)
+    assert SolverConfig(kind="mm_ngs", inner_tol_rel=0.0).inner_tol_rel == 0.0
 
 
 class TestDADMMRound:
@@ -246,25 +254,53 @@ class TestDLasso:
         np.testing.assert_allclose(states2.primal, states.primal[inv], atol=1e-12)
 
 
+def subgradient_layout(layout):
+    """The subgradient's three ways to project its one group: P=2 node by
+    node, 6 equal-height blocks in one stacked product, and 6 blocks of
+    heights 3 and 1 node by node."""
+    if layout == "two_nodes":
+        return desk_problem(m=8, n=24, P=2, k=1, seed=16), nl.generate_network("lattice", 2)
+    prob = desk_problem(m=12, n=40, P=6, k=2, seed=18)
+    if layout == "mixed_heights":
+        prob = nl.ProblemInstance(A=prob.A, b=prob.b, x_ref=prob.x_ref,
+                                  partition=nl.PartitionSpec("row", (3, 1, 3, 1, 3, 1)))
+    return prob, Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 3)])
+
+
+def assert_one_step_matches_formula(prob, g, stacked):
+    """Node p averages itself with its neighbors using weights 1/(D_p + 1):
+    one step equals the direct formula with per-node projections, and each
+    node's point lies on its own affine set."""
+    stepper = stepper_for("subgradient", prob, g)
+    blocks, states = stepper.blocks, stepper.states
+    assert (stepper.group_blocks[0].projector is not None) == stacked
+    rng = np.random.default_rng(0)
+    states.primal = rng.normal(size=states.primal.shape)
+    X = states.primal.copy()
+    stepper.step(3)
+    for p, sp in enumerate(blocks):
+        w = (X[p] + X[g.adjacency_matrix[p].indices].sum(axis=0)) / (g.degrees[p] + 1.0)
+        expected = affine_projection(sp.A, sp.b, sp.gram, w - np.sign(w) / 4.0)
+        np.testing.assert_allclose(states.primal[p], expected, rtol=0, atol=1e-12)
+        assert np.abs(sp.A @ states.primal[p] - sp.b).max() <= 1e-10
+
+
 class TestSubgradient:
     def test_two_node_path_weights(self):
-        # P=2 path: both weights 1/2; one step equals the direct formula
-        prob = desk_problem(m=8, n=24, P=2, k=1, seed=16)
-        g = nl.generate_network("lattice", 2)
-        stepper = stepper_for("subgradient", prob, g)
-        blocks, states = stepper.blocks, stepper.states
-        rng = np.random.default_rng(0)
-        states.primal = rng.normal(size=states.primal.shape)
-        X = states.primal.copy()
-        stepper.step(3)
-        from netl1.linalg import affine_projection
+        # P=2 path: both weights 1/2, projected node by node
+        assert_one_step_matches_formula(*subgradient_layout("two_nodes"), stacked=False)
 
-        for p in range(2):
-            w = 0.5 * (X[p] + X[1 - p])
-            expected = affine_projection(
-                blocks[p].A, blocks[p].b, blocks[p].gram, w - np.sign(w) / 4.0
-            )
-            np.testing.assert_allclose(states.primal[p], expected, atol=1e-12)
+    @pytest.mark.parametrize("layout", ["stacked", "mixed_heights"])
+    def test_wide_group_one_step(self, layout):
+        assert_one_step_matches_formula(*subgradient_layout(layout), stacked=layout == "stacked")
+
+    @pytest.mark.parametrize("layout", ["two_nodes", "stacked", "mixed_heights"])
+    def test_non_finite_point_rejected(self, layout):
+        prob, g = subgradient_layout(layout)
+        stepper = stepper_for("subgradient", prob, g)
+        stepper.states.primal[1, 0] = np.nan
+        with pytest.raises(InputError):
+            stepper.step(1)
 
     def test_zero_state_zero_rhs_is_fixed_point(self):
         # all-zero consensus point has zero subgradient and stays feasible
