@@ -28,7 +28,7 @@ from .solvers import SolverConfig, make_stepper
 @dataclass
 class StopRule:
     """Relative-error targets (positive, finite, decreasing) and the step
-    budget."""
+    budget (an integer)."""
 
     targets: tuple[float, ...] = (1e-2, 1e-5)
     max_comm_steps: int = 10_000
@@ -39,8 +39,8 @@ class StopRule:
             raise InputError("targets must be positive and finite")
         if any(a <= b for a, b in zip(targets, targets[1:])):
             raise InputError("targets must be strictly decreasing")
-        if self.max_comm_steps < 1:
-            raise InputError("max_comm_steps must be at least 1")
+        if not isinstance(self.max_comm_steps, (int, np.integer)) or self.max_comm_steps < 1:
+            raise InputError("max_comm_steps must be an integer of at least 1")
         object.__setattr__(self, "targets", targets)
 
     @property

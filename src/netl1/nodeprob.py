@@ -15,8 +15,9 @@ Column partition: each node minimizes the unconstrained, differentiable
 
     psi_p(y) + lin' y + q ||y||^2
 
-where psi_p(y) = -inf_x ( ||x||_1 + (A_p' y)' x + (delta/2) ||x||^2 ),
-by the Barzilai-Borwein (BB) spectral step method with warm starts.
+where psi_p(y) = -inf_x ( ||x||_1 + (A_p' y)' x + (delta/2) ||x||^2 ).
+It is piecewise quadratic too, and the row kernel's Newton loop minimizes
+it from warm starts.
 """
 
 from __future__ import annotations
@@ -58,21 +59,21 @@ MEMORY, ARMIJO = 10, 1e-4
 
 @dataclass
 class BBConfig:
-    """Node kernel controls: the Newton loop of the row kernel and the
-    Barzilai-Borwein loop of the column kernel.
+    """Node kernel controls: the Newton loop of the row and column kernels.
 
     grad_tol is the target infinity norm of the gradient (scaled by the
     problem, see the solvers) and max_iter caps the evaluations after the
-    first, which are what a solution's iterations count. In the BB loop the
-    two spectral step lengths alternate and are clamped to [STEP_MIN,
-    STEP_MAX]. Raw BB steps are nonmonotone, so each step must additionally
-    pass a watchdog: the objective may not exceed the worst of the last
+    first, which are what a solution's iterations count.
+
+    divergence_factor serves only bb_minimize, a Barzilai-Borwein (BB) loop
+    that no kernel calls. Its two spectral step lengths alternate and are
+    clamped to [STEP_MIN, STEP_MAX]. Raw BB steps are nonmonotone, so each
+    step must additionally pass a watchdog: the objective may not exceed the worst of the last
     MEMORY accepted values minus an Armijo margin, else the step is halved
     (the duals are piecewise quadratic with flat stretches on which
     unguarded BB limit-cycles). A gradient blow-up by divergence_factor
     over the best seen additionally restarts from the best point with a
-    steepest-descent step. The Newton loop uses neither the spectral steps
-    nor divergence_factor (see solve_row_node).
+    steepest-descent step.
     """
 
     grad_tol: float = 1e-10
@@ -244,12 +245,9 @@ def solve_row_node(sp, v, c, cfg: BBConfig) -> RowSolution:
     (1 + ||b||_inf) or cfg.max_iter evaluations after the first. Each
     step solves (A_S A_S' / (2c) + mu I) s = -g on the active set S =
     {i : |u_i| > 1}, damped by mu = ||A||_F^2 / (2c n) * (||g||_2 + n *
-    DAMPING_FLOOR) so that a step is defined even for an empty S, then
-    halves t from 1 until lam + t s passes the Armijo test on f, halves
-    ||g||_inf (near the solution the Armijo test fails at rounding level),
-    or t reaches STEP_MIN. When the cap cuts a line search short, the
-    solve ends at the last accepted point. sp.warm_lambda is updated in
-    place for the next call.
+    DAMPING_FLOOR) so that a step is defined even for an empty S, and a
+    halving line search follows (see _newton). sp.warm_lambda is updated
+    in place for the next call.
 
     sp may also be a RowGroup, with one row of v and one entry of c per
     node: every node's problem is solved, and the solution holds the rows
@@ -267,8 +265,7 @@ def solve_row_node(sp, v, c, cfg: BBConfig) -> RowSolution:
 def _newton_node(sp: RowSubproblem, v: np.ndarray, c, cfg: BBConfig) -> RowSolution:
     """solve_row_node's Newton method on one node, for checked v and c."""
     A, b = sp.A, sp.b
-    c2, n = 2.0 * c, A.shape[1]
-    scale = sp.frobenius_sq / (c2 * n)
+    c2 = 2.0 * c
 
     def evaluate(lam):
         u = v - A.T @ lam
@@ -277,26 +274,43 @@ def _newton_node(sp: RowSubproblem, v: np.ndarray, c, cfg: BBConfig) -> RowSolut
         g = A @ x - b
         return 0.5 * float(d @ x) - float(lam @ b), g, x, float(np.abs(g).max())
 
-    tol = cfg.grad_tol * sp.b_scale
-    lam = sp.warm_lambda
-    f, g, x, gnorm = evaluate(lam)
+    lam, x, evals, converged = _newton(evaluate, A, c2, 0.0, sp.frobenius_sq / (c2 * A.shape[1]),
+                                       sp.warm_lambda, cfg.grad_tol * sp.b_scale, cfg.max_iter)
+    sp.warm_lambda = lam
+    return RowSolution(x=x, lam=lam, iterations=evals, converged=converged)
+
+
+def _newton(evaluate, A, curvature, shift, damping, z, tol, max_iter):
+    """The damped semismooth Newton loop of both node kernels.
+
+    evaluate(z) returns the objective f, its gradient g, the node's x
+    (nonzero exactly on the active set S) and ||g||_inf. Each step solves
+    (A_S A_S' / curvature + (shift + damping * (||g||_2 + n *
+    DAMPING_FLOOR)) I) s = -g and halves t from 1 until z + t s passes the
+    Armijo test on f, halves ||g||_inf (near the solution the Armijo test
+    fails at rounding level), or t reaches STEP_MIN. Runs from z until
+    ||g||_inf <= tol or max_iter evaluations after the first; when the cap
+    cuts a line search short, the loop ends at the last accepted point.
+    Returns (z, x, evaluations after the first, converged).
+    """
+    n = A.shape[1]
+    f, g, x, gnorm = evaluate(z)
     evals = 0
-    while gnorm > tol and evals < cfg.max_iter:
+    while gnorm > tol and evals < max_iter:
         active = A[:, x != 0.0]
-        H = active @ active.T / c2
-        H.flat[:: len(g) + 1] += scale * (np.sqrt(g @ g) + n * DAMPING_FLOOR)
+        H = active @ active.T / curvature
+        H.flat[:: len(g) + 1] += shift + damping * (np.sqrt(g @ g) + n * DAMPING_FLOOR)
         s = dposv(H, -g)[1]  # H is symmetric positive definite
         slope, t = ARMIJO * float(g @ s), 1.0
-        while evals < cfg.max_iter:
-            trial = lam + t * s
+        while evals < max_iter:
+            trial = z + t * s
             f_new, g_new, x_new, gnorm_new = evaluate(trial)
             evals += 1
             if f_new <= f + t * slope or gnorm_new < 0.5 * gnorm or t <= STEP_MIN:
-                lam, f, g, x, gnorm = trial, f_new, g_new, x_new, gnorm_new
+                z, f, g, x, gnorm = trial, f_new, g_new, x_new, gnorm_new
                 break
             t *= 0.5
-    sp.warm_lambda = lam
-    return RowSolution(x=x, lam=lam, iterations=evals, converged=gnorm <= tol)
+    return z, x, evals, gnorm <= tol
 
 
 def _rowdot(a, b):
@@ -393,13 +407,6 @@ def _solve_row_group(group: RowGroup, V, C, cfg: BBConfig) -> RowSolution:
     return RowSolution(x=X, lam=lam, iterations=iterations, converged=converged)
 
 
-def row_dual_value(sp: RowSubproblem, v, c: float, lam) -> float:
-    """Dual objective lam'b + sum_i inf_x(|x| + u_i x + c x^2) at u = v - A'lam."""
-    u = as_vector(v, sp.A.shape[1], "v") - sp.A.T @ as_vector(lam, sp.A.shape[0], "lam")
-    x = x_of_u(u, c)
-    return float(lam @ sp.b + np.abs(x).sum() + u @ x + c * (x @ x))
-
-
 @dataclass
 class ColSubproblem:
     """Node-local data for the column partition: column block A_p, the
@@ -439,25 +446,31 @@ class ColSolution:
 
 
 def solve_col_node(sp: ColSubproblem, v, b, n_nodes: int, q: float, cfg: BBConfig) -> ColSolution:
-    """Minimize psi_p(y) + (v + b/P)'y + q||y||^2 by BB.
+    """Minimize psi_p(y) + (v + b/P)'y + q||y||^2 by semismooth Newton.
 
-    q must be positive (it is D_p * rho / 2 in the distributed solver). Runs
-    until the gradient -A_p x_p(y) + v + b/P + 2q y has infinity norm at most
-    grad_tol; sp.warm_y is updated in place.
+    q must be positive (it is D_p * rho / 2 in the distributed solver).
+    With u = A'y, d = clip(u, -1, 1) - u, x = d / delta and lin = v + b/P,
+    the objective is f(y) = d'x/2 + lin'y + q y'y with gradient g = lin +
+    2q y - A x. The row kernel's Newton loop minimizes it from the warm
+    start sp.warm_y until ||g||_inf <= grad_tol or cfg.max_iter evaluations
+    after the first, undamped: the generalized Hessian A_S A_S'/delta + 2q I
+    is positive definite. sp.warm_y is updated in place.
     """
     if q <= 0:
         raise InputError("quadratic coefficient q must be positive")
     m = sp.A.shape[0]
     lin = as_vector(v, m, "v") + as_vector(b, m, "b") / float(n_nodes)
-    A, half_delta = sp.A, 0.5 * sp.delta
+    A, delta = sp.A, sp.delta
 
-    def objective(y):
+    def evaluate(y):
         u = A.T @ y
-        x = x_of_u(u, half_delta)
-        psi = -(np.abs(x).sum() + float(u @ x) + half_delta * float(x @ x))
-        value = psi + float(lin @ y) + q * float(y @ y)
-        return value, -(A @ x) + lin + 2.0 * q * y
+        d = u.clip(-1.0, 1.0) - u
+        x = d / delta
+        g = lin + 2.0 * q * y - A @ x
+        f = 0.5 * float(d @ x) + float(lin @ y) + q * float(y @ y)
+        return f, g, x, float(np.abs(g).max())
 
-    y, iters, converged = bb_minimize(objective, sp.warm_y, cfg.grad_tol, cfg)
+    y, _, evals, converged = _newton(evaluate, A, delta, 2.0 * q, 0.0, sp.warm_y, cfg.grad_tol,
+                                     cfg.max_iter)
     sp.warm_y = y
-    return ColSolution(y=y, iterations=iters, converged=converged)
+    return ColSolution(y=y, iterations=evals, converged=converged)

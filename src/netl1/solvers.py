@@ -112,10 +112,9 @@ class NodeStates:
 
 @dataclass
 class RoundInfo:
-    """Per-communication-step bookkeeping: total node kernel evaluations
-    (Newton for the row kinds, BB for the column kind) and the number of
-    solves that hit their iteration cap (a group solve counts
-    once however many of its nodes hit it)."""
+    """Per-communication-step bookkeeping: total Newton kernel evaluations
+    and the number of solves that hit their iteration cap (a group solve
+    counts once however many of its nodes hit it)."""
 
     bb_iterations: int = 0
     flagged: int = 0

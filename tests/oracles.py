@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's own code paths: brute-force grid
 minimization, sign-pattern KKT enumeration, Jacobi eigenvalue sweeps,
-Floyd-Warshall reachability, central finite differences, graph matrices
-built edge by edge, a color-scheduled round written as per-node
-neighbor loops, and a rho sweep run in the caller's grid order.
+Floyd-Warshall reachability, central finite differences, the row dual in
+closed form, graph matrices built edge by edge, a color-scheduled round
+written as per-node neighbor loops, and a rho sweep run in the caller's
+grid order.
 """
 
 from __future__ import annotations
@@ -132,6 +133,13 @@ def central_difference_gradient(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarra
         e[i] = h
         g[i] = (fn(x + e) - fn(x - e)) / (2.0 * h)
     return g
+
+
+def row_dual_value(sp, v, c: float, lam) -> float:
+    """Dual objective lam'b + sum_i inf_x(|x| + u_i x + c x^2) of a row node
+    at u = v - A'lam, with each infimum -(|u_i| - 1)_+^2 / (4c)."""
+    u = np.asarray(v, dtype=float) - sp.A.T @ lam
+    return float(lam @ sp.b - (np.maximum(np.abs(u) - 1.0, 0.0) ** 2).sum() / (4.0 * c))
 
 
 def kkt_projection(A: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:

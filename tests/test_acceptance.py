@@ -40,7 +40,7 @@ from oracles import (
 #: exponent inside the required band.
 RHO_SCALE = 0.03
 
-#: The communication steps of criteria 3-6, pinned at the values the
+#: The communication steps of criteria 3-7, pinned at the values the
 #: library reached when they were recorded. A change that moves one names
 #: the old and new values and the reason.
 PINNED = json.loads((Path(__file__).parent / "paper_table.json").read_text())
@@ -191,25 +191,28 @@ def test_criterion_7_column_partition_recovery():
     graph = nl.generate_network("lattice", 8)
     coloring = greedy_coloring(graph)
     rule = nl.StopRule(targets=(1e-2, 1e-5), max_comm_steps=6000)
-    estimates = {}
+    estimates, steps = {}, {}
     for delta in (1e-3, 5e-4):
         config = SolverConfig(kind="dadmm_col", rho=1.0, delta=delta)
         stepper = make_stepper(config, prob, graph, coloring)
         err = np.inf
         for k in range(1, rule.max_comm_steps + 1):
-            stepper.step(k)
+            assert stepper.step(k).flagged == 0, f"delta={delta}: a node solve hit its cap"
             fragments = np.concatenate(
                 [psi_p(sp, y)[1] for sp, y in zip(stepper.col_blocks, stepper.states.primal)]
             )
             err = nl.relative_error(fragments, prob.x_ref)
             if err <= rule.finest:
+                steps[str(delta)] = k
                 break
         estimates[delta] = fragments
         assert err <= 1e-4, f"delta={delta} stalled at relative error {err:.2e}"
     drift = float(np.linalg.norm(estimates[1e-3] - estimates[5e-4])
                   / np.linalg.norm(prob.x_ref))
     assert drift <= 1e-4, f"halving delta moved the solution by {drift:.2e}"
-    _report(7, "column-partition recovery and delta stability", f"(drift {drift:.1e})")
+    assert {"dadmm_col": steps} == PINNED["criterion_7"]
+    _report(7, "column-partition recovery and delta stability",
+            f"(steps {steps}, drift {drift:.1e})")
 
 
 def test_criterion_8_exact_invariants(desk8):

@@ -42,6 +42,13 @@ class TestStopRule:
         with pytest.raises(InputError):
             StopRule(targets=())
 
+    @pytest.mark.parametrize("bad", [2.5, 3.0, 0, "10"])
+    def test_budget_must_be_a_positive_integer(self, bad):
+        # a float budget would otherwise fail in run, inside range()
+        with pytest.raises(InputError):
+            StopRule(max_comm_steps=bad)
+        assert StopRule(max_comm_steps=np.int64(3)).max_comm_steps == 3
+
 
 class TestGlobalEstimate:
     def test_row_identical_copies(self):

@@ -12,7 +12,6 @@ from netl1.nodeprob import (
     _newton_lockstep,
     bb_minimize,
     psi_p,
-    row_dual_value,
     solve_col_node,
     solve_row_node,
     x_of_u,
@@ -23,6 +22,7 @@ from oracles import (
     brute_force_scalar_min_many,
     central_difference_gradient,
     kkt_enumeration,
+    row_dual_value,
 )
 
 
@@ -454,22 +454,31 @@ class TestColumnSide:
         np.testing.assert_allclose(sol.y, 0.0, atol=1e-12)
 
     def test_random_instance_first_order_optimal(self):
+        # the second input is criterion 7's stiff regime: 40-row blocks and a
+        # curvature of order 1/delta
         rng = np.random.default_rng(11)
-        sp = ColSubproblem(rng.normal(size=(3, 2)), delta=0.5)
-        v = rng.normal(size=3)
-        b = rng.normal(size=3)
-        q = 1.3
         cfg = BBConfig(grad_tol=1e-9, max_iter=5000)
-        sol = solve_col_node(sp, v, b, 4, q, cfg)
-        assert sol.converged
+        for m, n, delta, q in [(3, 2, 0.5, 1.3), (40, 20, 1e-3, 1.0)]:
+            sp = ColSubproblem(rng.normal(size=(m, n)), delta=delta)
+            v = rng.normal(size=m)
+            b = rng.normal(size=m)
+            sol = solve_col_node(sp, v, b, 4, q, cfg)
+            assert sol.converged
 
-        def objective(y):
-            value, _, _ = psi_p(sp, y)
-            return value + (v + b / 4) @ y + q * (y @ y)
+            def value_grad(y):
+                value, _, grad = psi_p(sp, y)
+                return value + (v + b / 4) @ y + q * (y @ y), grad + v + b / 4 + 2.0 * q * y
 
-        base = objective(sol.y)
-        for _ in range(1000):
-            assert objective(sol.y + rng.normal(size=3) * 0.05) >= base - 1e-10
+            base = value_grad(sol.y)[0]
+            for _ in range(1000):
+                assert value_grad(sol.y + rng.normal(size=m) * 0.05)[0] >= base - 1e-10
+
+            # Barzilai-Borwein from the same cold start is the reference; on
+            # the stiff input it needs ~8500 evaluations, hence its larger cap
+            y_bb, _, ok = bb_minimize(value_grad, np.zeros(m), cfg.grad_tol,
+                                      BBConfig(max_iter=20_000))
+            assert ok
+            np.testing.assert_allclose(sol.y, y_bb, rtol=0, atol=1e-7)
 
     def test_rejects_bad_delta_and_q(self):
         with pytest.raises(InputError):
