@@ -37,13 +37,13 @@ from .linalg import (
 
 
 def x_of_u(u, c: float):
-    """Unique minimizer of |x| + u*x + c*x^2 for c > 0, elementwise in u.
+    """Unique minimizer of |x| + u*x + c*x^2 for finite c > 0, elementwise in u.
 
     Returns 0 on the dead zone |u| <= 1, -(u+1)/(2c) for u < -1 and
     -(u-1)/(2c) for u > 1. Accepts scalars or arrays.
     """
-    if c <= 0:
-        raise InputError("quadratic coefficient c must be positive")
+    if not (np.isfinite(c) and c > 0):
+        raise InputError("quadratic coefficient c must be positive and finite")
     u = np.asarray(u, dtype=float)
     x = (np.clip(u, -1.0, 1.0) - u) / (2.0 * c)
     return float(x) if x.ndim == 0 else x
@@ -83,8 +83,10 @@ class BBConfig:
     def __post_init__(self):
         if not (np.isfinite(self.grad_tol) and self.grad_tol > 0):
             raise InputError("grad_tol must be positive and finite")
-        if self.max_iter < 1:
-            raise InputError("max_iter must be at least 1")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise InputError("max_iter must be an integer of at least 1")
+        if not (np.isfinite(self.divergence_factor) and self.divergence_factor >= 1):
+            raise InputError("divergence_factor must be finite and at least 1")
 
 
 def bb_minimize(value_grad_fn, x0: np.ndarray, tol: float, cfg: BBConfig, on_safeguard=None):
@@ -190,16 +192,17 @@ class RowSolution:
     converged: bool
 
 
-#: Narrowest group that solve_row_node batches. A lockstep batch pays ~50
+#: Narrowest group that solve_row_node batches. A lockstep batch pays ~40
 #: small array operations of bookkeeping per evaluation of all its nodes,
 #: so it wins only when that replaces enough per-node evaluations.
 #: Replaying the recorded group solves of the benchmark's grid64_row (1x256
 #: blocks) and desk8_mixed dn (5x160 blocks) runs in slices of each width,
-#: per-node Newton loop against lockstep Newton batch, the batch ran at
-#: 0.46-0.61x the loop's speed for one node, 0.69-0.89x for two, 0.96-1.51x
-#: for three, 1.01-1.48x for four, 2.0-2.3x for eight and 5.1-6.5x for 32
-#: (CPU time, 2-vCPU KVM Xeon, numpy 2.4.6). Three is break-even on the
-#: 5x160 blocks and no benchmark group has that width, so four stays.
+#: each slice one solve_row_node call by the per-node Newton loop and one
+#: by the lockstep Newton batch, the batch ran at 0.50-0.58x the loop's
+#: speed for one node, 0.70-0.80x for two, 0.86-0.92x (5x160) and
+#: 1.04-1.08x (1x256) for three, 1.06-1.33x for four, 1.6-2.1x for eight
+#: and 4.8-4.9x for 32 (CPU time, 2-vCPU KVM Xeon, numpy 2.4.6). Three
+#: loses on the 5x160 blocks, so four stays.
 BATCH_MIN_WIDTH = 4
 
 
@@ -214,16 +217,21 @@ class RowGroup:
     None. Warm starts stay with the blocks. The subgradient projects a
     stacked group's nodes in one stacked product with projector, the
     blocks' A_p'(A_p A_p')^-1 (linalg.projector_stack), which its stepper
-    sets; a group without a stack projects node by node.
+    sets; a group without a stack projects node by node. frobenius_sq and
+    b_scale hold the blocks' constants of the same names, one per node.
     """
 
     blocks: list
     A: np.ndarray = field(init=False)
     stack: tuple | None = field(init=False)
+    frobenius_sq: np.ndarray = field(init=False)
+    b_scale: np.ndarray = field(init=False)
     projector: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
         self.A = np.vstack([sp.A for sp in self.blocks])
+        self.frobenius_sq = np.array([sp.frobenius_sq for sp in self.blocks])
+        self.b_scale = np.array([sp.b_scale for sp in self.blocks])
         self.stack = None
         heights = {sp.A.shape[0] for sp in self.blocks}
         if len(self.blocks) >= BATCH_MIN_WIDTH and len(heights) == 1:
@@ -257,8 +265,8 @@ def solve_row_node(sp, v, c, cfg: BBConfig) -> RowSolution:
     """
     if isinstance(sp, RowGroup):
         return _solve_row_group(sp, v, c, cfg)
-    if not c > 0:
-        raise InputError("quadratic coefficient c must be positive")
+    if not (np.isfinite(c) and c > 0):
+        raise InputError("quadratic coefficient c must be positive and finite")
     return _newton_node(sp, as_vector(v, sp.A.shape[1], "v"), c, cfg)
 
 
@@ -322,9 +330,11 @@ def _batch_evaluate(A, b, V, C2, Lam):
     """The negated duals f of a batch at its rows Lam, their gradients and
     the nodes' x, with C2 the column of the nodes' 2c (solve_row_node's
     evaluate, one row per node)."""
-    U = V - np.einsum("km,kmn->kn", Lam, A)
-    D = U.clip(-1.0, 1.0) - U
-    X = D / C2
+    U = np.einsum("km,kmn->kn", Lam, A)
+    np.subtract(V, U, out=U)  # the batch's rows are large: reuse their buffers
+    D = U.clip(-1.0, 1.0)
+    D -= U
+    X = np.divide(D, C2, out=U)
     return 0.5 * _rowdot(D, X) - _rowdot(Lam, b), np.matmul(A, X[:, :, None])[:, :, 0] - b, X
 
 
@@ -335,23 +345,28 @@ def _newton_directions(A, G, X, C2, scale):
     H = np.matmul(A * (X != 0.0)[:, None, :], A.transpose(0, 2, 1)) / C2[:, :, None]
     diagonal = np.einsum("kii->ki", H)  # a writable view
     diagonal += (scale * (np.sqrt(_rowdot(G, G)) + n * DAMPING_FLOOR))[:, None]
-    S = np.linalg.solve(H, -G[:, :, None])[:, :, 0]
+    if A.shape[1] == 1:  # one-row blocks: LAPACK's 1x1 solve is this division
+        S = -G / H[:, :, 0]
+    else:
+        S = np.linalg.solve(H, -G[:, :, None])[:, :, 0]
     return S, ARMIJO * _rowdot(G, S)
 
 
-def _newton_lockstep(A, b, V, C2, Lam, tol, max_iter):
+def _newton_lockstep(A, b, V, C2, Lam, scale, tol, max_iter):
     """Run solve_row_node's Newton method on the k problems of a batch at
-    once, from the rows Lam. Every problem keeps its own step, trial step
-    length and line search, so each takes the steps the per-node loop
-    would take, up to rounding. One evaluation covers every problem still
-    running, so all of them have made the same number of evaluations;
-    finished problems leave the batch with their rows of data. Returns the
-    arrays (lam, x, iterations, converged) over the k problems."""
+    once, from the rows Lam, with damping scales scale and tolerances tol.
+    Every problem keeps its own step, trial step length and line search, so
+    each takes the steps the per-node loop would take, up to rounding. One
+    evaluation covers every problem still running, so all of them have
+    made the same number of evaluations; finished problems leave the batch
+    with their rows of data. When every problem accepted its trial (the
+    common case), the trials are taken whole and every direction is
+    computed without indexing. Returns the arrays (lam, x, iterations,
+    converged) over the k problems."""
     k = len(Lam)
-    scale = np.einsum("kmn,kmn->k", A, A) / (C2[:, 0] * A.shape[2])
     F, G, X = _batch_evaluate(A, b, V, C2, Lam)
     gnorm = np.abs(G).max(axis=1)
-    out = [Lam.copy(), X.copy(), np.zeros(k, dtype=int), np.zeros(k, dtype=bool)]
+    out = [np.empty_like(Lam), np.empty_like(X), np.empty(k, dtype=int), np.empty(k, dtype=bool)]
     ids = np.arange(k)
     S, slope, t = np.zeros_like(Lam), np.zeros(k), np.ones(k)
     fresh = np.ones(k, dtype=bool)  # the problems that took a step and need a direction
@@ -366,7 +381,9 @@ def _newton_lockstep(A, b, V, C2, Lam, tol, max_iter):
             (ids, A, b, V, C2, Lam, F, G, X, gnorm, S, slope, t, fresh, tol, scale) = (
                 a[keep] for a in (ids, A, b, V, C2, Lam, F, G, X, gnorm, S, slope, t, fresh,
                                   tol, scale))
-        if fresh.any():
+        if fresh.all():
+            (S, slope), t = _newton_directions(A, G, X, C2, scale), np.ones(len(Lam))
+        elif fresh.any():
             S[fresh], slope[fresh] = _newton_directions(A[fresh], G[fresh], X[fresh], C2[fresh],
                                                         scale[fresh])
             t[fresh] = 1.0
@@ -375,10 +392,13 @@ def _newton_lockstep(A, b, V, C2, Lam, tol, max_iter):
         evals += 1
         gnorm_new = np.abs(G_new).max(axis=1)
         fresh = (F_new <= F + t * slope) | (gnorm_new < 0.5 * gnorm) | (t <= STEP_MIN)
-        Lam, G, X = (np.where(fresh[:, None], new, old)
-                     for new, old in ((trial, Lam), (G_new, G), (X_new, X)))
-        F, gnorm = np.where(fresh, F_new, F), np.where(fresh, gnorm_new, gnorm)
-        t[~fresh] *= 0.5
+        if fresh.all():
+            Lam, F, G, X, gnorm = trial, F_new, G_new, X_new, gnorm_new
+        else:
+            Lam, G, X = (np.where(fresh[:, None], new, old)
+                         for new, old in ((trial, Lam), (G_new, G), (X_new, X)))
+            F, gnorm = np.where(fresh, F_new, F), np.where(fresh, gnorm_new, gnorm)
+            t[~fresh] *= 0.5
 
 
 def _solve_row_group(group: RowGroup, V, C, cfg: BBConfig) -> RowSolution:
@@ -387,8 +407,8 @@ def _solve_row_group(group: RowGroup, V, C, cfg: BBConfig) -> RowSolution:
         raise InputError("a group solve needs one row of v and one c per node")
     if not np.isfinite(V).all():
         raise InputError("v entries must be finite")
-    if not (C > 0).all():
-        raise InputError("quadratic coefficient c must be positive")
+    if not (np.isfinite(C) & (C > 0)).all():
+        raise InputError("quadratic coefficient c must be positive and finite")
     if group.stack is None:
         solutions = [_newton_node(sp, v, c, cfg) for sp, v, c in zip(group.blocks, V, C)]
         X = np.array([solution.x for solution in solutions])
@@ -396,9 +416,11 @@ def _solve_row_group(group: RowGroup, V, C, cfg: BBConfig) -> RowSolution:
         converged = all(solution.converged for solution in solutions)
     else:
         A, b = group.stack
+        C2 = 2.0 * C[:, None]
         lam, X, iters, ok = _newton_lockstep(
-            A, b, V, 2.0 * C[:, None], np.stack([sp.warm_lambda for sp in group.blocks]),
-            cfg.grad_tol * (1.0 + np.abs(b).max(axis=1)), cfg.max_iter,
+            A, b, V, C2, np.array([sp.warm_lambda for sp in group.blocks]),
+            group.frobenius_sq / (C2[:, 0] * A.shape[2]), cfg.grad_tol * group.b_scale,
+            cfg.max_iter,
         )
         for sp, lam_i in zip(group.blocks, lam):
             sp.warm_lambda = lam_i
@@ -418,8 +440,8 @@ class ColSubproblem:
 
     def __post_init__(self):
         self.A = as_matrix(self.A)
-        if self.delta <= 0:
-            raise InputError("delta must be positive")
+        if not (np.isfinite(self.delta) and self.delta > 0):
+            raise InputError("delta must be positive and finite")
         self.warm_y = np.zeros(self.A.shape[0])
 
 
@@ -448,7 +470,8 @@ class ColSolution:
 def solve_col_node(sp: ColSubproblem, v, b, n_nodes: int, q: float, cfg: BBConfig) -> ColSolution:
     """Minimize psi_p(y) + (v + b/P)'y + q||y||^2 by semismooth Newton.
 
-    q must be positive (it is D_p * rho / 2 in the distributed solver).
+    q must be positive and finite (it is D_p * rho / 2 in the distributed
+    solver).
     With u = A'y, d = clip(u, -1, 1) - u, x = d / delta and lin = v + b/P,
     the objective is f(y) = d'x/2 + lin'y + q y'y with gradient g = lin +
     2q y - A x. The row kernel's Newton loop minimizes it from the warm
@@ -456,8 +479,8 @@ def solve_col_node(sp: ColSubproblem, v, b, n_nodes: int, q: float, cfg: BBConfi
     after the first, undamped: the generalized Hessian A_S A_S'/delta + 2q I
     is positive definite. sp.warm_y is updated in place.
     """
-    if q <= 0:
-        raise InputError("quadratic coefficient q must be positive")
+    if not (np.isfinite(q) and q > 0):
+        raise InputError("quadratic coefficient q must be positive and finite")
     m = sp.A.shape[0]
     lin = as_vector(v, m, "v") + as_vector(b, m, "b") / float(n_nodes)
     A, delta = sp.A, sp.delta

@@ -117,7 +117,9 @@ def test_criterion_3_bipartite_grid_convergence():
                    nl.StopRule(targets=(1e-2, 1e-5), max_comm_steps=10_000))
     steps = trace.steps_to_accuracy.get(1e-5)
     assert steps is not None and steps < 10_000
-    assert {"dadmm_row": steps} == PINNED["criterion_3"]
+    # the evaluation total gates the lockstep kernel on one-row blocks
+    evaluations = sum(trace.inner_iterations)
+    assert {"dadmm_row": {"steps": steps, "evaluations": evaluations}} == PINNED["criterion_3"]
     _report(3, "color-scheduled ADMM reaches 1e-5 on the 8x8 grid",
             f"(m=64, n=256, k=8, rho=1: {steps} steps)")
 

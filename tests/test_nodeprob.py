@@ -59,8 +59,9 @@ class TestScalarKernel:
         np.testing.assert_allclose(x_of_u(u, 1.0), [1.0, 0.0, 0.0, 0.0, -1.0])
 
     def test_rejects_nonpositive_c(self):
-        with pytest.raises(InputError):
-            x_of_u(1.0, 0.0)
+        for c in (0.0, -1.0, np.nan, np.inf):  # a NaN c used to give a NaN x
+            with pytest.raises(InputError):
+                x_of_u(1.0, c)
 
 
 class TestShrink:
@@ -163,8 +164,9 @@ class TestRowSolver:
 
     def test_rejects_nonpositive_c(self):
         sp = RowSubproblem(np.array([[1.0, 0.0]]), np.array([1.0]))
-        with pytest.raises(InputError):
-            solve_row_node(sp, np.zeros(2), 0.0, BBConfig())
+        for c in (0.0, -1.0, np.nan, np.inf):  # an infinite c used to spend the whole cap
+            with pytest.raises(InputError):
+                solve_row_node(sp, np.zeros(2), c, BBConfig())
 
     def test_rejects_non_finite_v(self):
         sp = RowSubproblem(np.array([[1.0, 0.0]]), np.array([1.0]))
@@ -172,11 +174,14 @@ class TestRowSolver:
             solve_row_node(sp, np.array([0.0, np.nan]), 1.0, BBConfig())
 
     @pytest.mark.parametrize("bad", [{"grad_tol": np.nan}, {"grad_tol": 0.0}, {"grad_tol": -1e-8},
-                                     {"grad_tol": np.inf}, {"max_iter": 0}, {"max_iter": -5}])
+                                     {"grad_tol": np.inf}, {"max_iter": 0}, {"max_iter": -5},
+                                     {"max_iter": 2.5}, {"max_iter": 3.0},
+                                     {"divergence_factor": np.nan}, {"divergence_factor": np.inf},
+                                     {"divergence_factor": -1.0}, {"divergence_factor": 0.5}])
     def test_config_rejects_bad_controls(self, bad):
         with pytest.raises(InputError):
             BBConfig(**bad)
-        assert BBConfig(max_iter=1).max_iter == 1
+        assert BBConfig(max_iter=np.int64(1), divergence_factor=1.0).max_iter == 1
 
     def test_dual_nondecreasing_at_safeguard_restarts(self):
         # a small divergence factor makes the nonmonotone BB steps on the
@@ -266,11 +271,11 @@ class TestRowNewton:
                 for sp in blocks:
                     sp.warm_lambda = rng.normal(size=m)
             cfg = BBConfig(grad_tol=1e-12, max_iter=int(rng.choice([3, 8, 20000])))
-            A, b = np.stack([sp.A for sp in blocks]), np.stack([sp.b for sp in blocks])
-            tol = cfg.grad_tol * (1 + np.abs(b).max(axis=1))
+            group = RowGroup(blocks)
+            A, b = group.A.reshape(width, m, n), np.stack([sp.b for sp in blocks])
             lam, X, iterations, converged = _newton_lockstep(
-                A, b, V, 2.0 * C[:, None], np.stack([sp.warm_lambda for sp in blocks]), tol,
-                cfg.max_iter)
+                A, b, V, 2.0 * C[:, None], np.stack([sp.warm_lambda for sp in blocks]),
+                group.frobenius_sq / (2.0 * C * n), cfg.grad_tol * group.b_scale, cfg.max_iter)
             for i, r in enumerate(per_node_solutions(blocks, V, C, cfg)):
                 np.testing.assert_allclose(X[i], r.x, atol=1e-10, rtol=0)
                 assert (iterations[i], converged[i]) == (r.iterations, r.converged)
@@ -360,7 +365,7 @@ class TestRowGroup:
         assert sol.iterations == sum(r.iterations for r in reference)
 
     @pytest.mark.parametrize("width", [1, BATCH_MIN_WIDTH])
-    @pytest.mark.parametrize("bad", ["nan_v", "inf_v", "zero_c", "negative_c", "nan_c"])
+    @pytest.mark.parametrize("bad", ["nan_v", "inf_v", "zero_c", "negative_c", "nan_c", "inf_c"])
     def test_group_checks_v_and_c(self, width, bad):
         # the checks run once per group: on a one-node group (the shape the
         # Gauss-Seidel sweep solves) and on a batched one
@@ -370,7 +375,7 @@ class TestRowGroup:
         if bad.endswith("_v"):
             V[-1, 3] = np.nan if bad == "nan_v" else np.inf
         else:
-            C[-1] = {"zero_c": 0.0, "negative_c": -1.0, "nan_c": np.nan}[bad]
+            C[-1] = {"zero_c": 0.0, "negative_c": -1.0, "nan_c": np.nan, "inf_c": np.inf}[bad]
         with pytest.raises(InputError):
             solve_row_node(group, V, C, BBConfig())
 
@@ -481,8 +486,10 @@ class TestColumnSide:
             np.testing.assert_allclose(sol.y, y_bb, rtol=0, atol=1e-7)
 
     def test_rejects_bad_delta_and_q(self):
-        with pytest.raises(InputError):
-            ColSubproblem(np.ones((2, 2)), delta=0.0)
+        # a NaN delta or q used to return y = 0, unconverged, after 0 iterations
         sp = ColSubproblem(np.ones((2, 2)), delta=1.0)
-        with pytest.raises(InputError):
-            solve_col_node(sp, np.zeros(2), np.zeros(2), 2, q=0.0, cfg=BBConfig())
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(InputError):
+                ColSubproblem(np.ones((2, 2)), delta=bad)
+            with pytest.raises(InputError):
+                solve_col_node(sp, np.zeros(2), np.zeros(2), 2, q=bad, cfg=BBConfig())
