@@ -357,12 +357,11 @@ def _newton_lockstep(A, b, V, C2, Lam, scale, tol, max_iter):
     once, from the rows Lam, with damping scales scale and tolerances tol.
     Every problem keeps its own step, trial step length and line search, so
     each takes the steps the per-node loop would take, up to rounding. One
-    evaluation covers every problem still running, so all of them have
-    made the same number of evaluations; finished problems leave the batch
-    with their rows of data. When every problem accepted its trial (the
-    common case), the trials are taken whole and every direction is
-    computed without indexing. Returns the arrays (lam, x, iterations,
-    converged) over the k problems."""
+    evaluation covers every problem still running, so all have made the
+    same number; finished problems leave the batch with their rows of data,
+    and when every problem accepts its trial (most steps) the trials are
+    taken whole. Returns the arrays (lam, x, iterations, converged) over
+    the k problems."""
     k = len(Lam)
     F, G, X = _batch_evaluate(A, b, V, C2, Lam)
     gnorm = np.abs(G).max(axis=1)
@@ -416,10 +415,9 @@ def _solve_row_group(group: RowGroup, V, C, cfg: BBConfig) -> RowSolution:
         converged = all(solution.converged for solution in solutions)
     else:
         A, b = group.stack
-        C2 = 2.0 * C[:, None]
         lam, X, iters, ok = _newton_lockstep(
-            A, b, V, C2, np.array([sp.warm_lambda for sp in group.blocks]),
-            group.frobenius_sq / (C2[:, 0] * A.shape[2]), cfg.grad_tol * group.b_scale,
+            A, b, V, 2.0 * C[:, None], np.array([sp.warm_lambda for sp in group.blocks]),
+            group.frobenius_sq / (2.0 * C * A.shape[2]), cfg.grad_tol * group.b_scale,
             cfg.max_iter,
         )
         for sp, lam_i in zip(group.blocks, lam):
