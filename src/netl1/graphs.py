@@ -306,8 +306,8 @@ def load_network(path) -> tuple[Graph, Coloring | None]:
     coloring = None
     if len(tokens) > 1 + E:
         tail = tokens[1 + E]
-        if tail[0] != "colors" or len(tail) != 1 + P:
-            raise InputError("trailing line must be 'colors c_0 ... c_{P-1}'")
+        if tail[0] != "colors" or len(tail) != 1 + P or len(tokens) > 2 + E:
+            raise InputError("the one line after the edges must be 'colors c_0 ... c_{P-1}'")
         coloring = Coloring(tail[1:])
         if not is_proper(g, coloring):
             raise InputError("network file carries an improper coloring")

@@ -53,7 +53,8 @@ class PartitionSpec:
     def __post_init__(self):
         if self.kind not in ("row", "column"):
             raise InputError(f"partition kind must be 'row' or 'column', got {self.kind!r}")
-        if len(self.sizes) == 0 or any(int(s) <= 0 for s in self.sizes):
+        if len(self.sizes) == 0 or not all(isinstance(s, (int, np.integer)) and s > 0
+                                           for s in self.sizes):
             raise InputError("partition sizes must be positive integers")
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
 

@@ -357,35 +357,32 @@ def _newton_lockstep(A, b, V, C2, Lam, scale, tol, max_iter):
     once, from the rows Lam, with damping scales scale and tolerances tol.
     Every problem keeps its own step, trial step length and line search, so
     each takes the steps the per-node loop would take, up to rounding. One
-    evaluation covers every problem still running, so all have made the
-    same number; finished problems leave the batch with their rows of data,
-    and when every problem accepts its trial (most steps) the trials are
-    taken whole. Returns the arrays (lam, x, iterations, converged) over
-    the k problems."""
+    evaluation covers the whole batch. A finished problem stays in it with
+    a step of -0.0, which leaves every float as it is, so its trial is its
+    own point bit for bit: it accepts the trial and never moves, and its
+    iterations are the evaluations made when it first finished. When every
+    problem accepts its trial (most steps) the trials are taken whole.
+    Returns the arrays (lam, x, iterations, converged) over the k
+    problems."""
     k = len(Lam)
     F, G, X = _batch_evaluate(A, b, V, C2, Lam)
     gnorm = np.abs(G).max(axis=1)
-    out = [np.empty_like(Lam), np.empty_like(X), np.empty(k, dtype=int), np.empty(k, dtype=bool)]
-    ids = np.arange(k)
     S, slope, t = np.zeros_like(Lam), np.zeros(k), np.ones(k)
     fresh = np.ones(k, dtype=bool)  # the problems that took a step and need a direction
+    iterations = np.full(k, max_iter)
     evals = 0
     while True:
         done = gnorm <= tol
-        if evals >= max_iter or done.any():
-            out[0][ids], out[1][ids], out[2][ids], out[3][ids] = Lam, X, evals, done
-            if evals >= max_iter or done.all():
-                return out
-            keep = ~done
-            (ids, A, b, V, C2, Lam, F, G, X, gnorm, S, slope, t, fresh, tol, scale) = (
-                a[keep] for a in (ids, A, b, V, C2, Lam, F, G, X, gnorm, S, slope, t, fresh,
-                                  tol, scale))
+        np.minimum(iterations, evals, out=iterations, where=done)
+        if evals >= max_iter or done.all():
+            return Lam, X, iterations, done
         if fresh.all():
-            (S, slope), t = _newton_directions(A, G, X, C2, scale), np.ones(len(Lam))
+            (S, slope), t = _newton_directions(A, G, X, C2, scale), np.ones(k)
         elif fresh.any():
             S[fresh], slope[fresh] = _newton_directions(A[fresh], G[fresh], X[fresh], C2[fresh],
                                                         scale[fresh])
             t[fresh] = 1.0
+        S[done], slope[done] = -0.0, 0.0
         trial = Lam + t[:, None] * S
         F_new, G_new, X_new = _batch_evaluate(A, b, V, C2, trial)
         evals += 1

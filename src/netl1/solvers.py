@@ -91,8 +91,8 @@ class SolverConfig:
             raise InputError("delta must be positive")
         if not (np.isfinite(self.inner_tol_rel) and self.inner_tol_rel >= 0):
             raise InputError("inner_tol_rel must be finite and nonnegative")
-        if self.inner_cap < 1:
-            raise InputError("inner_cap must be at least 1")
+        if not isinstance(self.inner_cap, (int, np.integer)) or self.inner_cap < 1:
+            raise InputError("inner_cap must be an integer of at least 1")
 
 
 @dataclass

@@ -214,6 +214,13 @@ class TestNetworkFile:
         _, coloring = load_network(path)
         assert coloring.classes == ((0,), (1,))
 
+    def test_line_after_colors_rejected(self, tmp_path):
+        # an edge line after the colors line used to be dropped silently
+        path = tmp_path / "net.txt"
+        path.write_text("3 2\n0 1\n1 2\ncolors 0 1 0\n0 2\n")
+        with pytest.raises(InputError):
+            load_network(path)
+
     @pytest.mark.parametrize("line", ["0", "0 1 2", "0 x"])
     def test_malformed_edge_line_rejected(self, tmp_path, line):
         path = tmp_path / "net.txt"

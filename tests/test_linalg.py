@@ -61,6 +61,13 @@ class TestPartition:
         with pytest.raises(InputError):
             PartitionSpec.even("row", 5, 2)
 
+    @pytest.mark.parametrize("sizes", [(2.5, 1.9), (2.0, 2), (2, np.nan)],
+                             ids=["fractions", "float", "nan"])
+    def test_non_integer_sizes_rejected(self, sizes):
+        with pytest.raises(InputError):
+            PartitionSpec("row", sizes)
+        assert PartitionSpec("row", (np.int64(2), 1)).sizes == (2, 1)
+
 
 class TestAffineProjection:
     def test_coordinate_constraint(self):

@@ -271,15 +271,39 @@ class TestRowNewton:
                 for sp in blocks:
                     sp.warm_lambda = rng.normal(size=m)
             cfg = BBConfig(grad_tol=1e-12, max_iter=int(rng.choice([3, 8, 20000])))
-            group = RowGroup(blocks)
-            A, b = group.A.reshape(width, m, n), np.stack([sp.b for sp in blocks])
-            lam, X, iterations, converged = _newton_lockstep(
-                A, b, V, 2.0 * C[:, None], np.stack([sp.warm_lambda for sp in blocks]),
-                group.frobenius_sq / (2.0 * C * n), cfg.grad_tol * group.b_scale, cfg.max_iter)
+            lam, X, iterations, converged = lockstep(
+                blocks, V, C, np.stack([sp.warm_lambda for sp in blocks]), cfg)
             for i, r in enumerate(per_node_solutions(blocks, V, C, cfg)):
                 np.testing.assert_allclose(X[i], r.x, atol=1e-10, rtol=0)
                 assert (iterations[i], converged[i]) == (r.iterations, r.converged)
                 np.testing.assert_allclose(lam[i], r.lam, atol=1e-10, rtol=0)
+
+    def test_finished_rows_stay_put(self):
+        # one batch that mixes problems finished at their warm starts (a zero
+        # b with a -0.0 start, and a start already solved), one that the cap
+        # stops and ordinary ones that finish early and ride along: each row
+        # is bitwise that of the problem run alone
+        rng = np.random.default_rng(15)
+        m, n, width = 3, 20, 7
+        cfg = BBConfig(grad_tol=1e-12, max_iter=12)
+        blocks = [random_row_subproblem(rng, m, n) for _ in range(width)]
+        blocks[0] = RowSubproblem(blocks[0].A, np.zeros(m))
+        V = rng.normal(size=(width, n))
+        V[0] = V[2] = 0.0
+        C = np.array([1.0, 1.0, 0.01, 1.0, 10.0, 100.0, 3.0])
+        Lam = rng.normal(size=(width, m))
+        Lam[0], Lam[2] = -0.0, 0.0
+        Lam[1] = lockstep(blocks[1:2], V[1:2], C[1:2], Lam[1:2], BBConfig(grad_tol=1e-12))[0][0]
+        lam, X, iterations, converged = lockstep(blocks, V, C, Lam.copy(), cfg)
+        for i in range(width):
+            alone = lockstep(blocks[i : i + 1], V[i : i + 1], C[i : i + 1], Lam[i : i + 1].copy(),
+                             cfg)
+            assert lam[i].tobytes() == alone[0][0].tobytes()
+            assert X[i].tobytes() == alone[1][0].tobytes()
+            assert (iterations[i], converged[i]) == (alone[2][0], alone[3][0])
+        assert lam[:2].tobytes() == Lam[:2].tobytes() and list(iterations[:2]) == [0, 0]
+        assert not converged[2] and iterations[2] == cfg.max_iter
+        assert converged[3:].all() and iterations[3:].max() < cfg.max_iter
 
     @pytest.mark.parametrize("width", [1, BATCH_MIN_WIDTH])
     def test_cap_of_one_evaluation(self, width):
@@ -292,6 +316,16 @@ class TestRowNewton:
         sol = solve_row_node(group, V, C, BBConfig(max_iter=1))
         assert not sol.converged and sol.iterations == width
         assert np.all(np.isfinite(sol.x))
+
+
+def lockstep(blocks, V, C, Lam, cfg):
+    """_newton_lockstep on the stacked blocks of one height, from the rows
+    Lam, with the damping scales and tolerances of their RowGroup."""
+    group = RowGroup(blocks)
+    (width, m), n = Lam.shape, V.shape[1]
+    return _newton_lockstep(group.A.reshape(width, m, n), np.stack([sp.b for sp in blocks]), V,
+                            2.0 * C[:, None], Lam, group.frobenius_sq / (2.0 * C * n),
+                            cfg.grad_tol * group.b_scale, cfg.max_iter)
 
 
 def per_node_solutions(blocks, V, C, cfg):

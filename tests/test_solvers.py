@@ -75,10 +75,15 @@ def test_kind_counts_pinned(kind):
 
 @pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf])
 def test_config_rejects_bad_inner_tolerance(bad):
-    # a NaN tolerance would run every inner loop to inner_cap; 0 is legal
+    # a NaN tolerance would run every inner loop to inner_cap, and a NaN cap
+    # would never stop one; a tolerance of 0 is legal, a cap must be an integer
     with pytest.raises(InputError):
         SolverConfig(kind="mm_ngs", inner_tol_rel=bad)
+    for cap in (bad, 2.5):
+        with pytest.raises(InputError):
+            SolverConfig(kind="mm_ngs", inner_cap=cap)
     assert SolverConfig(kind="mm_ngs", inner_tol_rel=0.0).inner_tol_rel == 0.0
+    assert SolverConfig(kind="mm_ngs", inner_cap=np.int64(1)).inner_cap == 1
 
 
 class TestDADMMRound:
