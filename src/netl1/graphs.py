@@ -31,6 +31,10 @@ def _rng(seed: int, model: str, stage: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), _MODEL_IDS[model], stage])
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer))
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on nodes 0..n_nodes-1 with sorted edges (i < j)."""
@@ -40,17 +44,21 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n_nodes: int, edges) -> "Graph":
-        if n_nodes < 1:
-            raise InputError("graph needs at least one node")
+        """The graph of an edge list; the node count and the endpoints must
+        be integers (numpy integers too)."""
+        if not _is_integer(n_nodes) or n_nodes < 1:
+            raise InputError("graph needs an integer count of at least one node")
         cleaned = set()
         for i, j in edges:
+            if not (_is_integer(i) and _is_integer(j)):
+                raise InputError(f"edge ({i},{j}) needs integer endpoints")
             i, j = int(i), int(j)
             if i == j:
                 continue  # drop self-loops
             if not (0 <= i < n_nodes and 0 <= j < n_nodes):
                 raise InputError(f"edge ({i},{j}) out of range for {n_nodes} nodes")
             cleaned.add((min(i, j), max(i, j)))
-        return cls(n_nodes=n_nodes, edges=tuple(sorted(cleaned)))
+        return cls(n_nodes=int(n_nodes), edges=tuple(sorted(cleaned)))
 
     @property
     def n_edges(self) -> int:
@@ -81,13 +89,16 @@ class Graph:
 
 @dataclass(frozen=True)
 class Coloring:
-    """Node coloring given by each node's color. The color classes list the
-    nodes of each distinct color in index order, by ascending color, so
-    they always partition the nodes and agree with colors."""
+    """Node coloring given by each node's color, an integer (numpy integers
+    too). The color classes list the nodes of each distinct color in index
+    order, by ascending color, so they always partition the nodes and agree
+    with colors."""
 
     colors: tuple[int, ...]
 
     def __post_init__(self):
+        if not all(_is_integer(c) for c in self.colors):
+            raise InputError("colors must be integers")
         object.__setattr__(self, "colors", tuple(int(c) for c in self.colors))
 
     @cached_property
@@ -290,25 +301,36 @@ def save_network(path, g: Graph, coloring: Coloring | None = None) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _integers(line: list[str], count: int, form: str, skip: int = 0) -> list[int]:
+    """The tokens of one line of a network file, after the first skip, as
+    count integers, or an InputError that names the line and the form it
+    must have."""
+    try:
+        values = [int(token) for token in line[skip:]]
+    except ValueError:
+        values = []
+    if len(values) != count:
+        raise InputError(f"line {' '.join(line)!r} must be {form}")
+    return values
+
+
 def load_network(path) -> tuple[Graph, Coloring | None]:
+    """Read the text format of save_network."""
     with open(path) as fh:
         tokens = [line.split() for line in fh if line.strip()]
-    if not tokens or len(tokens[0]) != 2:
+    if not tokens:
         raise InputError("network file must start with a 'P E' line")
-    P, E = int(tokens[0][0]), int(tokens[0][1])
+    P, E = _integers(tokens[0], 2, "a 'P E' header of two integers")
     if len(tokens) < 1 + E:
         raise InputError(f"network file declares {E} edges but has fewer lines")
-    try:
-        edges = [(int(i), int(j)) for i, j in tokens[1 : 1 + E]]
-    except ValueError:
-        raise InputError("edge lines must hold two integers 'i j'") from None
+    edges = [_integers(line, 2, "an edge 'i j' of two integers") for line in tokens[1 : 1 + E]]
     g = Graph.from_edges(P, edges)
     coloring = None
     if len(tokens) > 1 + E:
         tail = tokens[1 + E]
-        if tail[0] != "colors" or len(tail) != 1 + P or len(tokens) > 2 + E:
+        if tail[0] != "colors" or len(tokens) > 2 + E:
             raise InputError("the one line after the edges must be 'colors c_0 ... c_{P-1}'")
-        coloring = Coloring(tail[1:])
+        coloring = Coloring(_integers(tail, P, f"'colors' and {P} integer colors", skip=1))
         if not is_proper(g, coloring):
             raise InputError("network file carries an improper coloring")
     return g, coloring

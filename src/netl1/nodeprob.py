@@ -406,10 +406,12 @@ def _solve_row_group(group: RowGroup, V, C, cfg: BBConfig) -> RowSolution:
     if not (np.isfinite(C) & (C > 0)).all():
         raise InputError("quadratic coefficient c must be positive and finite")
     if group.stack is None:
-        solutions = [_newton_node(sp, v, c, cfg) for sp, v, c in zip(group.blocks, V, C)]
-        X = np.array([solution.x for solution in solutions])
-        iterations = sum(solution.iterations for solution in solutions)
-        converged = all(solution.converged for solution in solutions)
+        X, iterations, converged = np.empty(V.shape), 0, True
+        for p, (sp, v, c) in enumerate(zip(group.blocks, V, C)):
+            solution = _newton_node(sp, v, c, cfg)
+            X[p] = solution.x
+            iterations += solution.iterations
+            converged = converged and solution.converged
     else:
         A, b = group.stack
         lam, X, iters, ok = _newton_lockstep(

@@ -8,8 +8,9 @@ method, and one group of all nodes for the synchronous methods (the
 edge-variable ADMM baseline, consensus subgradient, the diagonal quadratic
 approximation inner loop and the FISTA inner loop of the double Nesterov
 scheme). Each group reads its neighbors' latest values through one product
-with the graph's adjacency matrix; each of its nodes then forms its terms
-(v, c), and the group's node problems are solved in one call (the row
+with the graph's adjacency matrix; each of its nodes then forms its linear
+term v (its coefficient c is fixed, and taken once per stepper), and the
+group's node problems are solved in one call (the row
 kernel solves a wide group's nodes in lockstep, and the subgradient
 projects a stacked group's nodes in one stacked product). A per-kind
 update follows the sweep: the dual aggregates of the ADMM variants,
@@ -126,35 +127,49 @@ class RoundInfo:
 
 
 # ---------------------------------------------------------------------------
+# node coefficients: (stepper, group) -> one c per node of the group, fixed
+# by the graph, rho, P and (for dn) alpha, so they are taken once per stepper;
 # node terms: (stepper, step index, group, neighbor sums of the group, swept
-# array) -> the group's linear terms V and coefficients c, one per node
+# array, the group's coefficients) -> the group's linear terms V, one row per
+# node. A group is an index array (a color class) or a slice (single nodes,
+# all nodes).
 
 
-def _consensus_terms(st: "Stepper", k, group, S, X):
+def _consensus_terms(st: "Stepper", k, group, S, X, C):
     """Color-scheduled ADMM and both multiplier-method inner loops: node p
     solves min (1/P)||x||_1 + v_p'x + (D_p rho / 2)||x||^2 s.t. A_p x = b_p
     with v_p = gamma_p - rho * sum_j x_j over its neighbors' latest values."""
-    P, rho = st.graph.n_nodes, st.config.rho
-    return P * (st.states.gamma[group] - rho * S), P * st.graph.degrees[group] * rho / 2.0
+    return st.graph.n_nodes * (st.states.gamma[group] - st.config.rho * S)
 
 
-def _column_terms(st: "Stepper", k, group, S, Y):
+def _consensus_coefficients(st: "Stepper", group):
+    return st.graph.n_nodes * st.graph.degrees[group] * st.config.rho / 2.0
+
+
+def _column_terms(st: "Stepper", k, group, S, Y, C):
     """Column variant: the same v_p recursion over the length-m dual
     estimates y_p; the column kernel takes v_p and D_p rho / 2 unscaled."""
-    rho = st.config.rho
-    return st.states.gamma[group] - rho * S, st.graph.degrees[group] * rho / 2.0
+    return st.states.gamma[group] - st.config.rho * S
 
 
-def _dlasso_terms(st: "Stepper", k, group, S, X):
+def _column_coefficients(st: "Stepper", group):
+    return st.graph.degrees[group] * st.config.rho / 2.0
+
+
+def _dlasso_terms(st: "Stepper", k, group, S, X, C):
     """Edge-variable ADMM baseline, all nodes at once from the previous
     iterates. Eliminating the per-edge averages z_ij = (x_i + x_j)/2 leaves
     v_p = gamma_p - rho * (D_p x_p + sum_j x_j) and the quadratic
     coefficient rho * D_p, twice the color-scheduled variant's."""
     P, rho, D = st.graph.n_nodes, st.config.rho, st.graph.degrees[group]
-    return P * (st.states.gamma[group] - rho * (S + D[:, None] * X[group])), P * rho * D
+    return P * (st.states.gamma[group] - rho * (S + D[:, None] * X[group]))
 
 
-def _subgradient_terms(st: "Stepper", k, group, S, X):
+def _dlasso_coefficients(st: "Stepper", group):
+    return st.graph.n_nodes * st.config.rho * st.graph.degrees[group]
+
+
+def _subgradient_terms(st: "Stepper", k, group, S, X, C):
     """Consensus subgradient with diminishing step 1/(k+1): each node
     averages itself with its neighbors using weights 1/(D_p + 1) and takes
     an l1 subgradient step there (zero entries contribute zero); the node
@@ -164,11 +179,17 @@ def _subgradient_terms(st: "Stepper", k, group, S, X):
     order of magnitude slower at these scales."""
     if k < 1:
         raise InputError("subgradient iteration index starts at 1")
-    W = (X[group] + S) / (st.graph.degrees[group, None] + 1.0)
-    return W - (1.0 / (k + 1.0)) * np.sign(W), np.zeros(len(group))
+    W = (X[group] + S) / C
+    return W - (1.0 / (k + 1.0)) * np.sign(W)
 
 
-def _fista_terms(st: "Stepper", k, group, S, Y):
+def _subgradient_coefficients(st: "Stepper", group):
+    """The projection has no quadratic term, so the subgradient's
+    coefficients are its averaging divisors D_p + 1, as a column."""
+    return st.graph.degrees[group, None] + 1.0
+
+
+def _fista_terms(st: "Stepper", k, group, S, Y, C):
     """One FISTA iteration of dn at the momentum points Y: the smooth part
     has per-node gradient gamma_p + rho D_p y_p - rho sum_j y_j, and the
     proximal step solves the shared kernel with v = -u_p/alpha and
@@ -176,7 +197,11 @@ def _fista_terms(st: "Stepper", k, group, S, Y):
     P, rho, alpha = st.graph.n_nodes, st.config.rho, st.alpha
     grad = st.states.gamma[group] + rho * st.graph.degrees[group, None] * Y[group] - rho * S
     U = Y[group] - alpha * grad
-    return P * (-U / alpha), np.full(len(group), P / (2.0 * alpha))
+    return P * (-U / alpha)
+
+
+def _fista_coefficients(st: "Stepper", group):
+    return np.full(st.graph.degrees[group].shape, st.graph.n_nodes / (2.0 * st.alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +337,14 @@ def _dn_setup(st: "Stepper"):
 @dataclass(frozen=True)
 class KindSpec:
     """How a solver kind takes one communication step: the node groups it
-    sweeps in order, how a group's node terms (v, c) are formed, how the
+    sweeps in order, each group's node coefficients c (taken once, after
+    setup) and how its linear terms v are formed at every step, how the
     group's node problems are solved, and the update after the sweep. The
     sweep starts from the NodeStates field named by source; setup adds the
     kind's own state to a new stepper."""
 
     groups: Callable[[Graph, Coloring], tuple]
+    coefficients: Callable
     terms: Callable
     solve: Callable
     update: Callable
@@ -326,37 +353,44 @@ class KindSpec:
 
 
 def _color_classes(graph, coloring):
-    return coloring.classes
+    return tuple(np.array(group) for group in coloring.classes)
 
 
 def _single_nodes(graph, coloring):
-    return tuple((p,) for p in range(graph.n_nodes))
+    return tuple(slice(p, p + 1) for p in range(graph.n_nodes))
 
 
 def _all_nodes(graph, coloring):
-    return (tuple(range(graph.n_nodes)),)
+    return (slice(0, graph.n_nodes),)
 
 
 KINDS = {
-    "dadmm_row": KindSpec(_color_classes, _consensus_terms, _row_group, _admm_update),
-    "dadmm_col": KindSpec(_color_classes, _column_terms, _column_group, _admm_update),
-    "dlasso": KindSpec(_all_nodes, _dlasso_terms, _row_group, _admm_update),
-    "subgradient": KindSpec(_all_nodes, _subgradient_terms, _projection_group, _replace_primal,
-                            setup=_projection_setup),
-    "mm_ngs": KindSpec(_single_nodes, _consensus_terms, _row_group, _multiplier_update),
-    "mm_dqa": KindSpec(_all_nodes, _consensus_terms, _row_group, _dqa_update),
-    "dn": KindSpec(_all_nodes, _fista_terms, _row_group, _dn_update, source="fista_y",
-                   setup=_dn_setup),
+    "dadmm_row": KindSpec(_color_classes, _consensus_coefficients, _consensus_terms, _row_group,
+                          _admm_update),
+    "dadmm_col": KindSpec(_color_classes, _column_coefficients, _column_terms, _column_group,
+                          _admm_update),
+    "dlasso": KindSpec(_all_nodes, _dlasso_coefficients, _dlasso_terms, _row_group, _admm_update),
+    "subgradient": KindSpec(_all_nodes, _subgradient_coefficients, _subgradient_terms,
+                            _projection_group, _replace_primal, setup=_projection_setup),
+    "mm_ngs": KindSpec(_single_nodes, _consensus_coefficients, _consensus_terms, _row_group,
+                       _multiplier_update),
+    "mm_dqa": KindSpec(_all_nodes, _consensus_coefficients, _consensus_terms, _row_group,
+                       _dqa_update),
+    "dn": KindSpec(_all_nodes, _fista_coefficients, _fista_terms, _row_group, _dn_update,
+                   source="fista_y", setup=_dn_setup),
 }
 
 
 class Stepper:
     """One run of one solver kind; step(k) advances one communication step.
 
-    blocks holds the node problems (col_blocks too for the column variant,
-    None otherwise) and group_blocks each group's, as a RowGroup for the
-    row kinds; dn adds its multiplier sums lam_sums, the FISTA step
-    size alpha and the outer counter k_outer.
+    groups holds each group's nodes (an index array, or a slice for single
+    nodes and all nodes) with its rows of the adjacency matrix, and
+    coefficients the group's node coefficients. blocks holds the node
+    problems (col_blocks too for the column variant, None otherwise) and
+    group_blocks each group's, as a RowGroup for the row kinds; dn adds
+    its multiplier sums lam_sums, the FISTA step size alpha and the outer
+    counter k_outer.
     """
 
     def __init__(self, config, problem, graph, coloring, blocks):
@@ -368,15 +402,17 @@ class Stepper:
         self.col_blocks = blocks if config.kind in COLUMN_KINDS else None
         length = problem.m if self.col_blocks is not None else problem.n
         self.states = NodeStates.zeros(graph.n_nodes, length)
-        # each group's node indices with its rows of the adjacency matrix,
-        # and its node problems (row blocks stacked once)
-        groups = self.spec.groups(graph, coloring)
-        self.groups = [(np.array(group), graph.adjacency_matrix[list(group)]) for group in groups]
+        # each group's nodes with its rows of the adjacency matrix, and its
+        # node problems (row blocks stacked once)
+        self.groups = [(group, graph.adjacency_matrix[group])
+                       for group in self.spec.groups(graph, coloring)]
         pack = list if self.col_blocks is not None else RowGroup
-        self.group_blocks = [pack([blocks[p] for p in group]) for group in groups]
+        nodes = np.arange(graph.n_nodes)
+        self.group_blocks = [pack([blocks[p] for p in nodes[group]]) for group, _ in self.groups]
         self.inner_tol = config.inner_tol_rel * (1.0 + float(np.abs(problem.b).max()))
         self.t_inner = 0
         self.spec.setup(self)
+        self.coefficients = [self.spec.coefficients(self, group) for group, _ in self.groups]
 
     def inner_finished(self, X_prev: np.ndarray) -> bool:
         """Whether the inner loop of a double-looped kind has finished: the
@@ -392,8 +428,8 @@ class Stepper:
         spec, info = self.spec, RoundInfo()
         self.t_inner += 1
         X = getattr(self.states, spec.source).copy()
-        for (group, adjacency), blocks in zip(self.groups, self.group_blocks):
-            V, C = spec.terms(self, k, group, adjacency @ X, X)
+        for (group, adjacency), C, blocks in zip(self.groups, self.coefficients, self.group_blocks):
+            V = spec.terms(self, k, group, adjacency @ X, X, C)
             X[group], solutions = spec.solve(self, blocks, V, C)
             for solution in solutions:
                 info.absorb(solution)

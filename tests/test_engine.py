@@ -5,7 +5,7 @@ import netl1 as nl
 from netl1.engine import StopRule, global_estimate, relative_error, run
 from netl1.linalg import InputError, PartitionSpec
 from netl1.nodeprob import ColSubproblem
-from netl1.solvers import NodeStates, SolverConfig
+from netl1.solvers import NodeStates, SolverConfig, make_stepper
 
 
 def small_problem(P=4, kind="row", seed=30):
@@ -190,3 +190,45 @@ class TestRun:
                  rule=StopRule(targets=(1e-1,), max_comm_steps=500))
         assert tr.max_rel_err[0] == pytest.approx(1.0)
         assert tr.node0_rel_err == tr.max_rel_err
+
+
+def replayed_series(config, prob, g, coloring, steps):
+    """The trace's four series at steps 0..steps, taken by replaying the run
+    through make_stepper and the public helpers, and for row partitions the
+    worst node at each step."""
+    stepper = make_stepper(config, prob, g, coloring)
+    i, j = g.endpoints
+    series, worst = [], []
+    for k in range(steps + 1):
+        if k:
+            stepper.step(k)
+        X = stepper.states.primal
+        estimate = global_estimate(stepper.states, prob.partition, prob.x_ref, stepper.col_blocks)
+        max_err = node0 = relative_error(estimate, prob.x_ref)
+        if stepper.col_blocks is None:
+            node0 = relative_error(X[0], prob.x_ref)
+            worst.append(int(np.argmax(np.linalg.norm(X - prob.x_ref, axis=1))))
+        series.append((max_err, node0, float(np.linalg.norm(X[i] - X[j], axis=1).max()),
+                       float(np.abs(estimate).sum())))
+    return series, worst
+
+
+@pytest.mark.parametrize("kind, rho, partition", [
+    ("dadmm_row", 1.0, "row"),
+    ("subgradient", 1.0, "row"),
+    ("dadmm_col", 0.5, "column"),
+])
+def test_recorded_series_match_public_helpers(kind, rho, partition):
+    # run records every step in one pass over the copies; each recorded
+    # float must be bitwise what the public helpers give for that step
+    prob = small_problem(P=4, kind=partition, seed=35)
+    g = nl.Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
+    coloring = nl.greedy_coloring(g)
+    config = SolverConfig(kind=kind, rho=rho)
+    tr = run(config, prob, g, coloring, StopRule(targets=(1e-1, 1e-4), max_comm_steps=60))
+    series, worst = replayed_series(config, prob, g, coloring, tr.comm_steps)
+    recorded = list(zip(tr.max_rel_err, tr.node0_rel_err, tr.consensus_residual, tr.objective))
+    assert recorded == series
+    if partition == "row":
+        assert any(p != 0 for p in worst)  # the worst copy is not always node 0's
+    assert len(recorded) > 10

@@ -90,6 +90,20 @@ class TestGenerators:
         with pytest.raises(InputError):
             generate_network("unknown", 5, 0)
 
+    @pytest.mark.parametrize("n_nodes, edges", [
+        (3, [(0.5, 1.9), (1, 2)]),  # used to give the edges ((0, 1), (1, 2))
+        (2.5, [(0, 1)]),  # used to give n_nodes=2.5
+        (3, [("0", 1)]),
+    ])
+    def test_non_integer_nodes_rejected(self, n_nodes, edges):
+        with pytest.raises(InputError):
+            Graph.from_edges(n_nodes, edges)
+
+    def test_numpy_integers_accepted(self):
+        g = Graph.from_edges(np.int64(3), [(np.int32(0), np.int64(1)), (1, 2)])
+        assert g.n_nodes == 3 and type(g.n_nodes) is int
+        assert g.edges == ((0, 1), (1, 2))
+
     def test_self_loops_and_duplicates_dropped(self):
         g = Graph.from_edges(4, [(0, 1), (1, 0), (2, 2), (1, 3)])
         assert g.edges == ((0, 1), (1, 3))
@@ -144,9 +158,15 @@ class TestColoring:
             Coloring(colors=(0, 1, 0, 1), classes=((0, 1), (2, 3)))
 
     def test_gaps_in_colors_leave_no_empty_class(self):
-        coloring = Coloring(colors=("0", "2"))
-        assert coloring.colors == (0, 2)
+        coloring = Coloring(colors=(np.int64(0), 2))
+        assert coloring.colors == (0, 2) and type(coloring.colors[0]) is int
         assert coloring.classes == ((0,), (1,)) and coloring.n_colors == 2
+
+    @pytest.mark.parametrize("colors", [(0.5, 1.7, 0.2), (0, 1.0, 0), ("0", "1", "0")])
+    def test_non_integer_colors_rejected(self, colors):
+        # these used to be truncated or parsed silently: (0.5, 1.7, 0.2) -> (0, 1, 0)
+        with pytest.raises(InputError):
+            Coloring(colors)
 
 
 def laplacian(g):
@@ -226,4 +246,16 @@ class TestNetworkFile:
         path = tmp_path / "net.txt"
         path.write_text(f"2 1\n{line}\n")
         with pytest.raises(InputError):
+            load_network(path)
+
+    @pytest.mark.parametrize("text, bad", [
+        ("3 x\n0 1\n1 2\n", "3 x"),
+        ("3 2\n0 1\n1 2\ncolors 0 x 0\n", "colors 0 x 0"),
+        ("3 2\n0 1\n1 2\ncolors 0 1.5 0\n", "colors 0 1.5 0"),
+    ])
+    def test_malformed_header_and_colors_named(self, tmp_path, text, bad):
+        # these raised a bare "invalid literal for int()" ValueError
+        path = tmp_path / "net.txt"
+        path.write_text(text)
+        with pytest.raises(InputError, match=f"line '{bad}'"):
             load_network(path)

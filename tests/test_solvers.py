@@ -73,6 +73,43 @@ def test_kind_counts_pinned(kind):
         steps, reached, bb_evals)
 
 
+def documented_coefficients(kind, st, D):
+    """Each kind's node coefficients from its documented formula, for nodes
+    of degrees D."""
+    P, rho = st.graph.n_nodes, st.config.rho
+    return {
+        "dadmm_row": lambda: P * D * rho / 2.0,
+        "mm_ngs": lambda: P * D * rho / 2.0,
+        "mm_dqa": lambda: P * D * rho / 2.0,
+        "dadmm_col": lambda: D * rho / 2.0,
+        "dlasso": lambda: P * rho * D,
+        "subgradient": lambda: D[:, None] + 1.0,  # its averaging divisors
+        "dn": lambda: np.full(len(D), P / (2.0 * st.alpha)),
+    }[kind]()
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_COUNTS))
+def test_coefficients_taken_once_by_formula(kind):
+    # the coefficients are taken once per stepper, group by group; the
+    # groups are the color classes, the single nodes or all nodes in order.
+    # P = 6 and rho = 0.7 make the order of the products show in the bits.
+    prob = desk_problem(m=18, P=6, kind="column" if kind == "dadmm_col" else "row")
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 2)])
+    coloring = greedy_coloring(g)
+    assert (0, 3, 5) in coloring.classes  # a class that is not a run of nodes
+    st = stepper_for(kind, prob, g, coloring, rho=0.7)
+    expected_groups = {"dadmm_row": coloring.classes, "dadmm_col": coloring.classes,
+                       "mm_ngs": tuple((p,) for p in range(6))}.get(kind, (tuple(range(6)),))
+    nodes = [tuple(int(p) for p in np.arange(6)[group]) for group, _ in st.groups]
+    assert nodes == list(expected_groups)
+    assert len(st.coefficients) == len(st.groups)
+    for (group, adjacency), C, members in zip(st.groups, st.coefficients, expected_groups):
+        np.testing.assert_array_equal(adjacency.toarray(), g.adjacency_matrix.toarray()[list(members)])
+        expected = documented_coefficients(kind, st, g.degrees[list(members)])
+        assert C.shape == expected.shape and C.dtype == expected.dtype
+        np.testing.assert_array_equal(C, expected)
+
+
 @pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf])
 def test_config_rejects_bad_inner_tolerance(bad):
     # a NaN tolerance would run every inner loop to inner_cap, and a NaN cap
