@@ -244,17 +244,21 @@ def rho_sweep(
     count) outward, in ascending distance |log(rho) - log(median)|, equal
     distances smaller weight first; on RHO_GRID the order is 0.1, 0.01, 1,
     0.001, 10. Once some weight has reached the finest target in s steps,
-    later weights run with their budget capped at s, so a capped run
-    appears in traces as a prefix of its full-budget run.
+    later weights run with their budget capped at s below the current best
+    weight and at s - 1 above it, since ties break toward the smaller
+    weight and a larger one wins only in fewer than s steps (a budget is at
+    least 1 step). A capped run appears in traces as a prefix of its
+    full-budget run.
 
     The winner and its trace are those of full-budget runs of every weight:
-    a cap is never below the winner's steps, so the winner runs exactly as
-    it would alone, and a weight that reaches the finest target at the cap
-    is ranked against the current best by the same key. The order only sets
-    the cost. A tuned grid's winner usually sits near its middle, and the
-    slow extreme weights then stop at the winner's steps. In the worst case
-    the median never reaches the finest target and runs the whole budget,
-    as the first weight of an ascending sweep does.
+    a cap never cuts a weight before the steps it would need to win, so
+    the winner runs exactly as it would alone, and a weight that reaches
+    the finest target within its cap is ranked against the current best by
+    the same key. The order only sets the cost. A tuned grid's winner
+    usually sits near its middle, and the slow extreme weights then stop
+    at or just below the winner's steps. In the worst case the median never
+    reaches the finest target and runs the whole budget, as the first
+    weight of an ascending sweep does.
     """
     grid = tuple(float(r) for r in grid)
     if not grid:
@@ -266,11 +270,12 @@ def rho_sweep(
     log_median = np.log(rhos[(len(rhos) - 1) // 2])
     result = SweepResult(best_rho=float("nan"), best_trace=None)
     best_key = None
-    cap = rule.max_comm_steps
+    cap, reached = rule.max_comm_steps, False
     for rho in sorted(rhos, key=lambda r: (abs(np.log(r) - log_median), r)):
+        budget = max(1, cap - 1 if reached and rho > result.best_rho else cap)
         trace = run(
             replace(config, rho=rho), problem, graph, coloring,
-            StopRule(targets=rule.targets, max_comm_steps=cap), x_ref,
+            StopRule(targets=rule.targets, max_comm_steps=budget), x_ref,
         )
         result.traces[rho] = trace
         key = _achieved(trace, rule.targets) + (rho,)
@@ -279,6 +284,7 @@ def rho_sweep(
             result.best_rho = rho
             result.best_trace = trace
         if rule.finest in trace.steps_to_accuracy:
+            reached = True
             cap = min(cap, trace.steps_to_accuracy[rule.finest])
     result.traces = {rho: result.traces[rho] for rho in grid}
     return result

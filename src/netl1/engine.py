@@ -15,6 +15,7 @@ byte-identical traces.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +55,10 @@ class RunTrace:
     """Per-communication-step series and the steps-to-accuracy summary.
 
     The series include the step-0 baseline, so each holds comm_steps + 1
-    values. steps_to_accuracy maps each requested target to the first step
+    values. They are typed arrays, 8 bytes a value: array('d') for the four
+    float series and array('q') for inner_iterations. They index, slice,
+    sum and compare with each other as lists do; call .tolist() for JSON.
+    steps_to_accuracy maps each requested target to the first step
     whose max relative error reached it (targets never reached are absent).
     """
 
@@ -62,11 +66,11 @@ class RunTrace:
     rho: float
     delta: float | None
     comm_steps: int = 0
-    max_rel_err: list[float] = field(default_factory=list)
-    node0_rel_err: list[float] = field(default_factory=list)
-    consensus_residual: list[float] = field(default_factory=list)
-    objective: list[float] = field(default_factory=list)
-    inner_iterations: list[int] = field(default_factory=list)
+    max_rel_err: array = field(default_factory=lambda: array("d"))
+    node0_rel_err: array = field(default_factory=lambda: array("d"))
+    consensus_residual: array = field(default_factory=lambda: array("d"))
+    objective: array = field(default_factory=lambda: array("d"))
+    inner_iterations: array = field(default_factory=lambda: array("q"))
     steps_to_accuracy: dict[float, int] = field(default_factory=dict)
     converged: bool = False
     flagged_rounds: int = 0

@@ -222,6 +222,32 @@ class TestRhoSweep:
                 assert getattr(trace, name)[:n] == getattr(other, name)[:n]
         assert sum(t.comm_steps for t in new.traces.values()) <= ref_executed
 
+    def test_weights_above_a_first_winner_run_one_step_less(self):
+        # the median 0.1 runs first on RHO_GRID and wins here in s steps: a
+        # larger weight wins only in fewer (ties go to the smaller weight),
+        # so 1 and 10 run at most s - 1, and 0.01 and 0.001 at most s
+        prob = gen_instance(InstanceSpec(m=16, n=48, P=4, k=2, seed=0))
+        prob.x_ref = solve_bp_centralized(prob.A, prob.b, tol=1e-10)
+        g = nl.generate_network("lattice", 4)
+        rule = StopRule(targets=(1e-2, 1e-4), max_comm_steps=3000)
+        config = SolverConfig(kind="dadmm_row")
+        result = rho_sweep(RHO_GRID, config, prob, g, rule=rule)
+        assert result.best_rho == 0.1
+        s = result.best_trace.steps_to_accuracy[1e-4]
+        for rho, trace in result.traces.items():
+            assert trace.comm_steps <= (s - 1 if rho > 0.1 else s)
+        ref, _ = ascending_rho_sweep(RHO_GRID, config, prob, g, rule=rule)
+        assert (result.best_rho, result.best_trace) == (ref.best_rho, ref.best_trace)
+
+    def test_target_met_at_step_zero(self):
+        # every weight meets 2.0 at the zero start (error 1): the cap is 0
+        # steps, and each later weight still runs its one-step minimum
+        prob, g = self._setup()
+        rule = StopRule(targets=(2.0,), max_comm_steps=10)
+        result = rho_sweep(RHO_GRID, SolverConfig(kind="dadmm_row"), prob, g, rule=rule)
+        assert result.best_rho == min(RHO_GRID)
+        assert all(t.steps_to_accuracy == {2.0: 0} for t in result.traces.values())
+
     @pytest.mark.parametrize("bad", [0.0, -0.1, float("nan"), float("inf")])
     def test_bad_grid_value_rejected_before_any_run(self, bad, monkeypatch):
         # the subgradient accepts rho = 0 as a run's weight, the sweep does not

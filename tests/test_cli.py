@@ -84,13 +84,14 @@ def test_sweep_rho_cli_tells_capped_from_unreached(tmp_path, capsys):
     capsys.readouterr()
     assert main(sweep + ["--max-steps", "2000"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    # rho=1 reaches 1e-4 in 14 steps; 0.1 ran before it with the full budget
+    # rho=1 reaches 1e-4 in 14 steps; 0.1 ran before it with the full budget,
+    # and 10, above the best weight, needs one step fewer to win
     assert lines == [
         "  rho=0.001: stopped at the sweep's cap of 14 steps",
         "  rho=0.01: stopped at the sweep's cap of 18 steps",
         "  rho=0.1: steps to 0.0001 = 18",
         "  rho=1: steps to 0.0001 = 14",
-        "  rho=10: stopped at the sweep's cap of 14 steps",
+        "  rho=10: stopped at the sweep's cap of 13 steps",
         "best rho = 1",
     ]
     assert main(sweep + ["--max-steps", "3"]) == 2

@@ -1,11 +1,18 @@
+import tracemalloc
+from array import array
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import netl1 as nl
-from netl1.engine import StopRule, global_estimate, relative_error, run
+from netl1 import engine
+from netl1.engine import RunTrace, StopRule, global_estimate, relative_error, run
 from netl1.linalg import InputError, PartitionSpec
 from netl1.nodeprob import ColSubproblem
 from netl1.solvers import NodeStates, SolverConfig, make_stepper
+
+from test_solvers import KIND_COUNTS, desk_problem
 
 
 def small_problem(P=4, kind="row", seed=30):
@@ -190,6 +197,67 @@ class TestRun:
                  rule=StopRule(targets=(1e-1,), max_comm_steps=500))
         assert tr.max_rel_err[0] == pytest.approx(1.0)
         assert tr.node0_rel_err == tr.max_rel_err
+
+
+SERIES = ("max_rel_err", "node0_rel_err", "consensus_residual", "objective", "inner_iterations")
+
+
+def subgradient_run():
+    """The KIND_COUNTS subgradient run (310 steps) and the inputs it ran on."""
+    rho, steps, reached, _ = KIND_COUNTS["subgradient"]
+    prob = desk_problem()
+    g = nl.Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
+    coloring = nl.greedy_coloring(g)
+    rule = StopRule(targets=tuple(reached), max_comm_steps=3000)
+    return (SolverConfig(kind="subgradient", rho=rho), prob, g, coloring, rule), steps
+
+
+class TestCompactSeries:
+    def test_series_are_typed_arrays(self):
+        tr = run(*subgradient_run()[0])
+        for name in SERIES:
+            series = getattr(tr, name)
+            assert isinstance(series, array)
+            assert series.typecode == ("q" if name == "inner_iterations" else "d")
+            assert len(series) == tr.comm_steps + 1
+
+    def test_recorded_run_holds_at_most_64_bytes_per_step(self):
+        args, steps = subgradient_run()
+        _, _, g, coloring, _ = args
+        g.degrees, g.endpoints, g.adjacency_matrix, coloring.classes  # cached first
+        tracemalloc.start()
+        try:
+            tr = run(*args)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        held = snapshot.filter_traces([tracemalloc.Filter(True, engine.__file__)])
+        size = sum(stat.size for stat in held.statistics("filename"))
+        assert tr.comm_steps == steps >= 300
+        assert size / (steps + 1) <= 64, f"{size / (steps + 1):.1f} bytes per recorded step"
+
+    def test_identical_runs_compare_equal(self):
+        args, _ = subgradient_run()
+        assert run(*args) == run(*args)  # every field, each series included
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(rows=st.lists(st.tuples(*[st.floats(allow_nan=False)] * 4), min_size=1, max_size=20))
+    def test_csv_roundtrip_is_exact(self, tmp_path_factory, rows):
+        # 17 significant digits name every double, signed zeros and
+        # infinities included
+        tr = RunTrace(solver="dadmm_row", rho=1.0, delta=None)
+        for row in rows:
+            for name, value in zip(SERIES, row):
+                getattr(tr, name).append(value)
+        path = tmp_path_factory.mktemp("csv") / "trace.csv"
+        tr.to_csv(path)
+        lines = path.read_text().splitlines()
+        assert len(lines) == len(rows) + 1
+        columns = list(zip(*(line.split(",") for line in lines[1:])))
+        assert [int(s) for s in columns[0]] == list(range(len(rows)))
+        for name, column in zip(SERIES, columns[1:]):
+            parsed = array("d", map(float, column))
+            assert parsed.tobytes() == array("d", getattr(tr, name)).tobytes()
 
 
 def replayed_series(config, prob, g, coloring, steps):

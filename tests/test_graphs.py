@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netl1.graphs import (
     Coloring,
@@ -221,6 +222,23 @@ class TestNetworkFile:
         save_network(path, g)
         g2, coloring2 = load_network(path)
         assert g2.edges == g.edges and coloring2 is None
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), P=st.integers(1, 12), colored=st.booleans())
+    def test_roundtrip_property(self, tmp_path_factory, data, P, colored):
+        # any graph, and any proper coloring of it, reads back as written
+        nodes = st.integers(0, P - 1)
+        edges = data.draw(st.lists(st.tuples(nodes, nodes), max_size=3 * P))
+        coloring = None
+        if colored:
+            coloring = Coloring(data.draw(st.lists(st.integers(-5, 50), min_size=P, max_size=P)))
+            edges = [(i, j) for i, j in edges if coloring.colors[i] != coloring.colors[j]]
+        g = Graph.from_edges(P, edges)
+        path = tmp_path_factory.mktemp("net") / "net.txt"
+        save_network(path, g, coloring)
+        g2, coloring2 = load_network(path)
+        assert (g2.n_nodes, g2.edges) == (g.n_nodes, g.edges)
+        assert coloring2 == coloring
 
     def test_improper_coloring_rejected(self, tmp_path):
         path = tmp_path / "net.txt"
