@@ -1,8 +1,8 @@
 """netl1: minimum-l1 recovery solved over simulated multi-agent networks.
 
 The package provides the color-scheduled consensus ADMM solver (row and
-column data partitions), five baseline distributed algorithms, certified
-centralized reference solvers, and a benchmarking engine that counts
+column data partitions), five baseline distributed algorithms, a certified
+centralized reference solver, and a benchmarking engine that counts
 communication steps to target accuracies.
 """
 
@@ -15,7 +15,6 @@ from .bench import (
     rho_sweep,
     scale_experiment,
     solve_bp_centralized,
-    solve_regularized_bp,
 )
 from .engine import RunTrace, StopRule, global_estimate, relative_error, run
 from .graphs import (

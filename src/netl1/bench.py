@@ -1,5 +1,5 @@
-"""Synthetic instances, certified centralized reference solvers, and the
-experiment drivers (penalty-weight sweeps and the network-size scaling
+"""Synthetic instances, the certified centralized reference solver, and
+the experiment drivers (penalty-weight sweeps and the network-size scaling
 study).
 
 Instances use i.i.d. Gaussian matrices with zero mean and variance
@@ -74,53 +74,39 @@ def gen_instance(spec: InstanceSpec, kind: str = "row") -> ProblemInstance:
     return problem.with_partition(kind, spec.P)
 
 
-def _soft_threshold(w: np.ndarray, t: float) -> np.ndarray:
-    return np.sign(w) * np.maximum(np.abs(w) - t, 0.0)
-
-
-#: The oracles' iteration budget.
+#: The oracle's iteration budget.
 ORACLE_MAX_ITER = 100_000
-
-
-def _splitting(A, b, fact, prox, tol: float):
-    """The oracles' two-block splitting iteration with unit penalty weight:
-    x is the projection of z - u onto {Ax = b}, z the prox of x + u, and u
-    accumulates x - z. Yields (iteration, x, u) whenever the split variables
-    agree and z has settled, both to 0.1 tol scaled by 1 + ||b||_inf; a tol
-    that is not positive raises InputError as the iteration starts."""
-    if not tol > 0:
-        raise InputError(f"oracle tolerance must be positive, got {tol}")
-    n = A.shape[1]
-    z = np.zeros(n)
-    u = np.zeros(n)
-    scale = 1.0 + float(np.abs(b).max(initial=0.0))
-    for it in range(1, ORACLE_MAX_ITER + 1):
-        w = z - u
-        x = w - A.T @ gram_solve(fact, A @ w - b)
-        z_new = prox(x + u)
-        u += x - z_new
-        primal = float(np.abs(x - z_new).max())
-        dual = float(np.abs(z_new - z).max())
-        z = z_new
-        if max(primal, dual) <= 0.1 * tol * scale:
-            yield it, x, u
 
 
 def solve_bp_centralized(A, b, tol: float = 1e-9):
     """Certified minimum-l1 solution of A x = b (A full row rank).
 
-    Alternates projection onto the affine set with shrinkage until the
-    split variables agree, then checks the dual certificate: lam solving
-    A'lam ~ u must satisfy ||A'lam||_inf <= 1 + 10 tol and
-    b'lam >= ||x||_1 - 10 tol. Raises ToleranceError with the best gap if
-    the budget of ORACLE_MAX_ITER iterations runs out.
+    A splitting iteration with unit penalty weight: x is the projection of
+    z - u onto {Ax = b}, z the shrinkage of x + u, and u accumulates x - z.
+    Whenever the split variables agree and z has settled, both to 0.1 tol
+    scaled by 1 + ||b||_inf, the dual certificate is checked (at the first
+    9 iterations and every 10th): lam solving A'lam ~ u must satisfy
+    ||A'lam||_inf <= 1 + 10 tol and b'lam >= ||x||_1 - 10 tol. A tol that
+    is not positive raises InputError, and a budget of ORACLE_MAX_ITER
+    iterations run out raises ToleranceError with the best gap.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
     fact = gram_factorization(A)
+    if not tol > 0:
+        raise InputError(f"oracle tolerance must be positive, got {tol}")
+    z, u = np.zeros(A.shape[1]), np.zeros(A.shape[1])
+    scale = 1.0 + float(np.abs(b).max(initial=0.0))
     best_gap = np.inf
-    for it, x, u in _splitting(A, b, fact, lambda w: _soft_threshold(w, 1.0), tol):
-        if it % 10 == 0 or it < 10:
+    for it in range(1, ORACLE_MAX_ITER + 1):
+        w = z - u
+        x = w - A.T @ gram_solve(fact, A @ w - b)
+        w = x + u
+        z_new = np.sign(w) * np.maximum(np.abs(w) - 1.0, 0.0)
+        u += x - z_new
+        primal = float(np.abs(x - z_new).max())
+        dual = float(np.abs(z_new - z).max())
+        z = z_new
+        if max(primal, dual) <= 0.1 * tol * scale and (it % 10 == 0 or it < 10):
             lam = gram_solve(fact, A @ u)
             corr = float(np.abs(A.T @ lam).max()) - 1.0
             gap = float(np.abs(x).sum() - b @ lam)
@@ -130,27 +116,6 @@ def solve_bp_centralized(A, b, tol: float = 1e-9):
     raise ToleranceError(
         f"centralized solver missed tol={tol} after {ORACLE_MAX_ITER} iterations", best_gap
     )
-
-
-def solve_regularized_bp(A, b, delta: float, tol: float = 1e-9):
-    """Minimizer of ||x||_1 + (delta/2)||x||^2 subject to A x = b.
-
-    Same splitting as solve_bp_centralized with the shrinkage replaced by
-    the closed-form prox of the elastic objective. For small delta this
-    selects the least-2-norm minimum-l1 solution.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if delta <= 0:
-        raise InputError("delta must be positive")
-    fact = gram_factorization(A)
-
-    def elastic(w):
-        return _soft_threshold(w, 1.0) / (delta + 1.0)
-
-    for _, x, _ in _splitting(A, b, fact, elastic, tol):
-        return x  # the first agreement is the solution
-    raise ToleranceError(f"regularized solver missed tol={tol}", float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +158,7 @@ def connected_network(model: str, P: int, seed: int = 0, **params) -> Graph:
     Watts-Strogatz neighbor counts are clamped to P-1 so small networks
     remain constructible.
     """
-    if model == "watts_strogatz":
+    if model == "watts_strogatz" and "n" in params:
         params = dict(params)
         params["n"] = min(params["n"], P - 1)
         if params["n"] % 2 == 1 and P % 2 == 1:
@@ -229,7 +194,6 @@ def rho_sweep(
     graph: Graph,
     coloring: Coloring | None = None,
     rule: StopRule | None = None,
-    x_ref=None,
 ) -> SweepResult:
     """Run one algorithm for every penalty weight in the grid and keep the
     best.
@@ -275,7 +239,7 @@ def rho_sweep(
         budget = max(1, cap - 1 if reached and rho > result.best_rho else cap)
         trace = run(
             replace(config, rho=rho), problem, graph, coloring,
-            StopRule(targets=rule.targets, max_comm_steps=budget), x_ref,
+            StopRule(targets=rule.targets, max_comm_steps=budget),
         )
         result.traces[rho] = trace
         key = _achieved(trace, rule.targets) + (rho,)

@@ -12,39 +12,35 @@ import sys
 
 from . import bench, engine, graphs, problems
 from .linalg import FactorizationError, InputError
-from .solvers import ALL_KINDS, SolverConfig
+from .solvers import ROW_KINDS, SolverConfig
 
-_ALGO_ALIASES = {
-    "dadmm": None,  # resolved against --partition
-    "dlasso": "dlasso",
-    "subgradient": "subgradient",
-    "mm-ngs": "mm_ngs",
-    "mm-dqa": "mm_dqa",
-    "dn": "dn",
-}
+#: --algo names: the row kinds with dashes, and dadmm for both ADMM
+#: variants (resolved against --partition).
+ALGOS = ("dadmm",) + tuple(k.replace("_", "-") for k in ROW_KINDS if k != "dadmm_row")
 
 
-def _resolve_kind(algo: str, partition: str) -> str:
-    if algo == "dadmm":
-        return "dadmm_col" if partition == "column" else "dadmm_row"
-    kind = _ALGO_ALIASES.get(algo, algo)
-    if kind not in ALL_KINDS:
-        raise InputError(f"unknown algorithm {algo!r}")
-    if partition == "column":
-        raise InputError(f"{algo} supports only the row partition")
-    return kind
-
-
-def _load_problem(args, partition_kind: str, n_nodes: int) -> problems.ProblemInstance:
-    problem = problems.load_instance(args.instance)
-    problem = problem.with_partition(partition_kind, n_nodes)
+def _load_run(args):
+    """The run's kind, network, coloring (the file's, else greedy),
+    partitioned problem (its reference solved if the file has none) and
+    stop rule."""
+    if args.algo == "dadmm":
+        kind = "dadmm_col" if args.partition == "column" else "dadmm_row"
+    elif args.partition == "column":
+        raise InputError(f"{args.algo} supports only the row partition")
+    else:
+        kind = args.algo.replace("-", "_")
+    g, coloring = graphs.load_network(args.network)
+    problem = problems.load_instance(args.instance).with_partition(args.partition, g.n_nodes)
     if problem.x_ref is None:
         problem.x_ref = bench.solve_bp_centralized(problem.A, problem.b, tol=args.oracle_tol)
-    return problem
+    if coloring is None:
+        coloring = graphs.greedy_coloring(g)
+    rule = engine.StopRule(targets=_parse_targets(args.targets), max_comm_steps=args.max_steps)
+    return kind, g, coloring, problem, rule
 
 
 def _add_run_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--algo", required=True, choices=sorted(_ALGO_ALIASES))
+    p.add_argument("--algo", required=True, choices=sorted(ALGOS))
     p.add_argument("--partition", default="row", choices=("row", "column"))
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--delta", type=float, default=1e-3)
@@ -97,14 +93,9 @@ def _parse_targets(text: str) -> tuple[float, ...]:
 
 
 def cmd_run(args) -> int:
-    kind = _resolve_kind(args.algo, args.partition)
-    g, coloring = graphs.load_network(args.network)
-    if coloring is None:
-        coloring = graphs.greedy_coloring(g)
-    problem = _load_problem(args, args.partition, g.n_nodes)
+    kind, g, coloring, problem, rule = _load_run(args)
     rho = args.rho if args.rho is not None else bench.FIXED_RHO[kind]
     config = SolverConfig(kind=kind, rho=rho, delta=args.delta)
-    rule = engine.StopRule(targets=_parse_targets(args.targets), max_comm_steps=args.max_steps)
     trace = engine.run(config, problem, g, coloring, rule)
     if args.trace_out:
         trace.to_csv(args.trace_out)
@@ -117,14 +108,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep_rho(args) -> int:
-    kind = _resolve_kind(args.algo, args.partition)
-    g, coloring = graphs.load_network(args.network)
-    if coloring is None:
-        coloring = graphs.greedy_coloring(g)
-    problem = _load_problem(args, args.partition, g.n_nodes)
+    kind, g, coloring, problem, rule = _load_run(args)
     grid = _parse_targets(args.grid)
     config = SolverConfig(kind=kind, delta=args.delta)  # the sweep sets rho
-    rule = engine.StopRule(targets=_parse_targets(args.targets), max_comm_steps=args.max_steps)
     result = bench.rho_sweep(grid, config, problem, g, coloring, rule)
     for rho, tr in result.traces.items():
         if rule.finest in tr.steps_to_accuracy:

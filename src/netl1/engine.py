@@ -123,24 +123,22 @@ def run(
     graph: Graph,
     coloring: Coloring | None = None,
     rule: StopRule | None = None,
-    x_ref=None,
 ) -> RunTrace:
     """Execute one algorithm until the finest accuracy target or the budget.
 
-    The graph must be connected. x_ref defaults to problem.x_ref and must be
-    a nonzero reference solution; errors are measured against it at every
-    step: the error of the global estimate (the worst node's copy for row
+    The graph must be connected, and problem.x_ref must hold a nonzero
+    reference solution; errors are measured against it at every step: the
+    error of the global estimate (the worst node's copy for row
     partitions), node 0's error, the largest disagreement ||x_i - x_j||
-    over the edges, and the l1 norm of the estimate.
+    over the edges, and the l1 norm of the estimate. A start that already
+    meets the finest target takes no step.
     """
     rule = rule or StopRule()
     if not is_connected(graph):
         raise InputError("the network must be connected")
-    if x_ref is None:
-        x_ref = problem.x_ref
-    if x_ref is None:
+    if problem.x_ref is None:
         raise InputError("a reference solution is required to trace errors")
-    x_ref = np.asarray(x_ref, dtype=float)
+    x_ref = np.asarray(problem.x_ref, dtype=float)
     ref_norm = float(np.linalg.norm(x_ref))
     if ref_norm == 0.0:
         raise InputError("reference solution must be nonzero")
@@ -186,13 +184,12 @@ def run(
                 trace.steps_to_accuracy[target] = step
         return max_err
 
-    record(0, 0)
-    for k in range(1, rule.max_comm_steps + 1):
-        info = stepper.step(k)
-        trace.comm_steps = k
+    err = record(0, 0)
+    while err > rule.finest and trace.comm_steps < rule.max_comm_steps:
+        trace.comm_steps += 1
+        info = stepper.step(trace.comm_steps)
         if info.flagged:
             trace.flagged_rounds += 1
-        if record(k, info.bb_iterations) <= rule.finest:
-            trace.converged = True
-            break
+        err = record(trace.comm_steps, info.bb_iterations)
+    trace.converged = err <= rule.finest
     return trace

@@ -233,25 +233,39 @@ def lattice(P: int) -> Graph:
     return Graph.from_edges(P, edges)
 
 
+#: Each model's parameters, by name.
+_MODEL_PARAMS = {
+    "erdos_renyi": ("p",),
+    "watts_strogatz": ("n", "p"),
+    "barabasi_albert": (),
+    "geometric": ("d",),
+    "lattice": (),
+}
+
+
 def generate_network(model: str, P: int, seed: int = 0, **params) -> Graph:
     """Build a network from a named model.
 
     model is one of "erdos_renyi" (param p), "watts_strogatz" (params n, p),
-    "barabasi_albert", "geometric" (param d) or "lattice". The result may be
-    disconnected; callers that need connectivity should check and retry with
-    a different seed.
+    "barabasi_albert", "geometric" (param d) or "lattice", and params must
+    name exactly the model's parameters. The result may be disconnected;
+    callers that need connectivity should check and retry with a different
+    seed.
     """
+    if model not in _MODEL_PARAMS:
+        raise InputError(f"unknown network model {model!r}")
+    if set(params) != set(_MODEL_PARAMS[model]):
+        raise InputError(f"{model} takes the parameters ({', '.join(_MODEL_PARAMS[model])}), "
+                         f"got ({', '.join(sorted(params))})")
     if model == "erdos_renyi":
-        return erdos_renyi(P, params.pop("p"), seed)
+        return erdos_renyi(P, params["p"], seed)
     if model == "watts_strogatz":
-        return watts_strogatz(P, params.pop("n"), params.pop("p"), seed)
+        return watts_strogatz(P, params["n"], params["p"], seed)
     if model == "barabasi_albert":
         return barabasi_albert(P, seed)
     if model == "geometric":
-        return geometric(P, params.pop("d"), seed)
-    if model == "lattice":
-        return lattice(P)
-    raise InputError(f"unknown network model {model!r}")
+        return geometric(P, params["d"], seed)
+    return lattice(P)
 
 
 def is_connected(g: Graph) -> bool:

@@ -464,22 +464,21 @@ class ColSolution:
     converged: bool
 
 
-def solve_col_node(sp: ColSubproblem, v, b, n_nodes: int, q: float, cfg: BBConfig) -> ColSolution:
-    """Minimize psi_p(y) + (v + b/P)'y + q||y||^2 by semismooth Newton.
+def solve_col_node(sp: ColSubproblem, lin, q: float, cfg: BBConfig) -> ColSolution:
+    """Minimize psi_p(y) + lin'y + q||y||^2 by semismooth Newton.
 
-    q must be positive and finite (it is D_p * rho / 2 in the distributed
-    solver).
-    With u = A'y, d = clip(u, -1, 1) - u, x = d / delta and lin = v + b/P,
-    the objective is f(y) = d'x/2 + lin'y + q y'y with gradient g = lin +
-    2q y - A x. The row kernel's Newton loop minimizes it from the warm
-    start sp.warm_y until ||g||_inf <= grad_tol or cfg.max_iter evaluations
-    after the first, undamped: the generalized Hessian A_S A_S'/delta + 2q I
-    is positive definite. sp.warm_y is updated in place.
+    q must be positive and finite (the distributed solver passes D_p rho / 2
+    and lin = v_p + b/P). With u = A'y, d = clip(u, -1, 1) - u and
+    x = d / delta, the objective is f(y) = d'x/2 + lin'y + q y'y with
+    gradient g = lin + 2q y - A x. The row kernel's Newton loop minimizes it
+    from the warm start sp.warm_y until ||g||_inf <= grad_tol or
+    cfg.max_iter evaluations after the first, undamped: the generalized
+    Hessian A_S A_S'/delta + 2q I is positive definite. sp.warm_y is
+    updated in place.
     """
     if not (np.isfinite(q) and q > 0):
         raise InputError("quadratic coefficient q must be positive and finite")
-    m = sp.A.shape[0]
-    lin = as_vector(v, m, "v") + as_vector(b, m, "b") / float(n_nodes)
+    lin = as_vector(lin, sp.A.shape[0], "lin")
     A, delta = sp.A, sp.delta
 
     def evaluate(y):

@@ -104,7 +104,7 @@ class NodeStates:
 
     primal: np.ndarray
     gamma: np.ndarray
-    fista_y: np.ndarray | None = None
+    fista_y: np.ndarray | None = field(init=False, default=None)
 
     @classmethod
     def zeros(cls, n_nodes: int, length: int) -> "NodeStates":
@@ -148,8 +148,9 @@ def _consensus_coefficients(st: "Stepper", group):
 
 def _column_terms(st: "Stepper", k, group, S, Y, C):
     """Column variant: the same v_p recursion over the length-m dual
-    estimates y_p; the column kernel takes v_p and D_p rho / 2 unscaled."""
-    return st.states.gamma[group] - st.config.rho * S
+    estimates y_p, plus b/P (every node knows b); the column kernel takes
+    v_p + b/P and D_p rho / 2 unscaled."""
+    return st.states.gamma[group] - st.config.rho * S + st.problem.b / st.graph.n_nodes
 
 
 def _column_coefficients(st: "Stepper", group):
@@ -217,11 +218,9 @@ def _row_group(st: "Stepper", rows: RowGroup, V, C):
 
 
 def _column_group(st: "Stepper", blocks, V, Q):
-    """min psi_p(y) + (v_p + b/P)'y + q||y||^2 per node, unconstrained: every
-    node knows b, and each transmits y_p (length m) instead of a length-n
-    iterate."""
-    P, b, bb = st.graph.n_nodes, st.problem.b, st.config.bb
-    solutions = [solve_col_node(sp, v, b, P, q, bb) for sp, v, q in zip(blocks, V, Q)]
+    """min psi_p(y) + lin_p'y + q||y||^2 per node, unconstrained: each node
+    transmits y_p (length m) instead of a length-n iterate."""
+    solutions = [solve_col_node(sp, lin, q, st.config.bb) for sp, lin, q in zip(blocks, V, Q)]
     return [solution.y for solution in solutions], solutions
 
 

@@ -4,8 +4,9 @@ These deliberately avoid the library's own code paths: brute-force grid
 minimization, sign-pattern KKT enumeration, Jacobi eigenvalue sweeps,
 Floyd-Warshall reachability, central finite differences, the row dual in
 closed form, graph matrices built edge by edge, a color-scheduled round
-written as per-node neighbor loops, and a rho sweep run in the caller's
-grid order.
+written as per-node neighbor loops, a rho sweep run in the caller's grid
+order, and the delta-regularized basis pursuit solution the column
+partition converges to, by a splitting iteration with dense solves.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 import netl1 as nl
 from netl1.bench import SweepResult, _achieved
@@ -240,3 +242,31 @@ def ascending_rho_sweep(grid, config, problem, graph, coloring=None, rule=None):
         if rule.finest in trace.steps_to_accuracy:
             cap = min(cap, trace.steps_to_accuracy[rule.finest])
     return result, executed
+
+
+def solve_regularized_bp(A, b, delta: float, tol: float = 1e-9, max_iter: int = 100_000):
+    """Minimizer of ||x||_1 + (delta/2)||x||^2 subject to A x = b.
+
+    The centralized oracle's splitting with the elastic prox in place of
+    the shrinkage: x projects z - u onto {Ax = b} (a Cholesky solve with
+    AA'), z = shrink(x + u, 1) / (1 + delta) and u accumulates x - z, until
+    the split variables agree and z has settled, both to 0.1 tol scaled by
+    1 + ||b||_inf. For small delta this selects the least-2-norm minimum-l1
+    solution.
+    """
+    if not delta > 0:
+        raise nl.InputError("delta must be positive")
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    gram = cho_factor(A @ A.T)
+    z, u = np.zeros(A.shape[1]), np.zeros(A.shape[1])
+    scale = 1.0 + float(np.abs(b).max(initial=0.0))
+    for _ in range(max_iter):
+        w = z - u
+        x = w - A.T @ cho_solve(gram, A @ w - b)
+        z_new = np.sign(x + u) * np.maximum(np.abs(x + u) - 1.0, 0.0) / (1.0 + delta)
+        u += x - z_new
+        settled = max(np.abs(x - z_new).max(), np.abs(z_new - z).max()) <= 0.1 * tol * scale
+        z = z_new
+        if settled:
+            return x
+    raise RuntimeError(f"regularized solver missed tol={tol} in {max_iter} iterations")

@@ -34,7 +34,6 @@ SURFACE = {
     "StopRule.max_comm_steps",
     "StopRule.targets",
     # every parameter with a default of the other callables in netl1.__all__
-    "NodeStates(fista_y)",
     "ProblemInstance(partition)",
     "ProblemInstance(x_ref)",
     "RunTrace(comm_steps)",
@@ -54,17 +53,14 @@ SURFACE = {
     "make_stepper(coloring)",
     "rho_sweep(coloring)",
     "rho_sweep(rule)",
-    "rho_sweep(x_ref)",
     "run(coloring)",
     "run(rule)",
-    "run(x_ref)",
     "save_network(coloring)",
     "scale_experiment(max_comm_steps)",
     "scale_experiment(rho)",
     "scale_experiment(seed)",
     "scale_experiment(target)",
     "solve_bp_centralized(tol)",
-    "solve_regularized_bp(tol)",
 }
 
 

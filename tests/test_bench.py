@@ -11,13 +11,12 @@ from netl1.bench import (
     rho_sweep,
     scale_experiment,
     solve_bp_centralized,
-    solve_regularized_bp,
 )
 from netl1.engine import StopRule
 from netl1.linalg import InputError
 from netl1.solvers import SolverConfig
 
-from oracles import ascending_rho_sweep
+from oracles import ascending_rho_sweep, solve_regularized_bp
 
 
 class TestGenInstance:
@@ -136,6 +135,10 @@ class TestConnectedNetwork:
         g4 = connected_network("watts_strogatz", 4, seed=0, n=4, p=0.6)
         assert nl.is_connected(g4)
 
+    def test_missing_parameter_is_an_input_error(self):
+        with pytest.raises(InputError, match=r"watts_strogatz takes the parameters \(n, p\)"):
+            connected_network("watts_strogatz", 8, p=0.5)
+
 
 class TestRhoSweep:
     def _setup(self):
@@ -240,13 +243,15 @@ class TestRhoSweep:
         assert (result.best_rho, result.best_trace) == (ref.best_rho, ref.best_trace)
 
     def test_target_met_at_step_zero(self):
-        # every weight meets 2.0 at the zero start (error 1): the cap is 0
-        # steps, and each later weight still runs its one-step minimum
+        # every weight meets 2.0 at the zero start (error 1) and takes no
+        # step; the cap is 0 steps, and each later weight's budget is 1
         prob, g = self._setup()
         rule = StopRule(targets=(2.0,), max_comm_steps=10)
         result = rho_sweep(RHO_GRID, SolverConfig(kind="dadmm_row"), prob, g, rule=rule)
         assert result.best_rho == min(RHO_GRID)
-        assert all(t.steps_to_accuracy == {2.0: 0} for t in result.traces.values())
+        for trace in result.traces.values():
+            assert trace.steps_to_accuracy == {2.0: 0}
+            assert (trace.comm_steps, trace.converged, len(trace.max_rel_err)) == (0, True, 1)
 
     @pytest.mark.parametrize("bad", [0.0, -0.1, float("nan"), float("inf")])
     def test_bad_grid_value_rejected_before_any_run(self, bad, monkeypatch):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from netl1 import bench
-from netl1.cli import main
+from netl1.cli import ALGOS, main
+from netl1.graphs import generate_network, greedy_coloring, load_network
 from netl1.problems import load_instance, save_instance
 
 
@@ -42,6 +43,46 @@ def test_gen_network_and_run_exit_codes(tmp_path):
     code = main(["run", "--algo", "dadmm", "--instance", str(inst),
                  "--network", str(tmp_path / "missing.txt")])
     assert code == 1
+
+
+@pytest.mark.parametrize("model, param, params", [
+    ("erdos_renyi", "0.5", {"p": 0.5}),
+    ("watts_strogatz", "4,0.6", {"n": 4, "p": 0.6}),
+    ("geometric", "0.75", {"d": 0.75}),
+])
+def test_gen_network_param(tmp_path, capsys, model, param, params):
+    net = tmp_path / "net.txt"
+    assert main(["gen-network", "--model", model, "--P", "10", "--seed", "3",
+                 "--param", param, "--out", str(net)]) == 0
+    g, coloring = load_network(net)
+    assert g == generate_network(model, 10, 3, **params)
+    assert coloring == greedy_coloring(g)
+    assert capsys.readouterr().out.startswith(f"wrote {model} network P=10 E={g.n_edges} ")
+
+
+@pytest.mark.parametrize("model, param", [("watts_strogatz", "4"), ("erdos_renyi", "")])
+def test_gen_network_bad_param_is_an_error(tmp_path, capsys, model, param):
+    assert main(["gen-network", "--model", model, "--P", "10", "--param", param,
+                 "--out", str(tmp_path / "net.txt")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+#: The --algo names README documents, and the kinds they run on a row partition.
+ALGO_KINDS = {"dadmm": "dadmm_row", "dlasso": "dlasso", "subgradient": "subgradient",
+              "mm-ngs": "mm_ngs", "mm-dqa": "mm_dqa", "dn": "dn"}
+
+
+def test_algo_names_are_documented():
+    assert sorted(ALGOS) == sorted(ALGO_KINDS)
+
+
+@pytest.mark.parametrize("algo, kind", sorted(ALGO_KINDS.items()))
+def test_every_algo_name_runs(tmp_path, capsys, algo, kind):
+    inst, net = _instance_and_network(tmp_path, 14)
+    capsys.readouterr()
+    assert main(["run", "--algo", algo, "--instance", str(inst), "--network", str(net),
+                 "--targets", "1e-9", "--max-steps", "2"]) == 2
+    assert capsys.readouterr().out.startswith(f"{kind} rho=")
 
 
 def test_column_run_and_bad_algo(tmp_path):

@@ -9,7 +9,7 @@ import netl1 as nl
 from netl1 import engine
 from netl1.engine import RunTrace, StopRule, global_estimate, relative_error, run
 from netl1.linalg import InputError, PartitionSpec
-from netl1.nodeprob import ColSubproblem
+from netl1.nodeprob import BBConfig, ColSubproblem
 from netl1.solvers import NodeStates, SolverConfig, make_stepper
 
 from test_solvers import KIND_COUNTS, desk_problem
@@ -131,6 +131,26 @@ class TestRun:
         tr = run(SolverConfig(kind="dadmm_row"), prob, g,
                  rule=StopRule(targets=(1e-8,), max_comm_steps=3))
         assert not tr.converged and tr.comm_steps == 3
+
+    def test_start_meeting_the_finest_target_takes_no_step(self):
+        # the zero start has error 1
+        prob = small_problem()
+        g = nl.generate_network("lattice", 4)
+        tr = run(SolverConfig(kind="dadmm_row"), prob, g,
+                 rule=StopRule(targets=(2.0,), max_comm_steps=5))
+        assert (tr.comm_steps, tr.converged, tr.steps_to_accuracy) == (0, True, {2.0: 0})
+        assert list(tr.max_rel_err) == [1.0] and list(tr.inner_iterations) == [0]
+
+    def test_capped_node_solves_are_flagged(self):
+        # one Newton step per solve is too few, so every step has a group
+        # solve that hits its cap
+        prob = small_problem()
+        g = nl.generate_network("lattice", 4)
+        config = SolverConfig(kind="dadmm_row", bb=BBConfig(max_iter=1))
+        tr = run(config, prob, g, rule=StopRule(targets=(1e-8,), max_comm_steps=5))
+        assert tr.flagged_rounds == tr.comm_steps == 5
+        stepper = make_stepper(config, prob, g, nl.greedy_coloring(g))
+        assert 1 <= stepper.step(1).flagged <= len(stepper.groups)
 
     def test_repeated_runs_are_byte_identical(self, tmp_path):
         prob = small_problem(seed=31)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,6 +92,18 @@ class TestGenerators:
             generate_network("geometric", 5, 0, d=0.0)
         with pytest.raises(InputError):
             generate_network("unknown", 5, 0)
+
+    @pytest.mark.parametrize("model, params, named", [
+        ("erdos_renyi", {}, "(p)"),
+        ("geometric", {"p": 0.5}, "(d)"),
+        ("watts_strogatz", {"n": 2}, "(n, p)"),
+        ("lattice", {"p": 0.5}, "()"),
+        ("barabasi_albert", {"d": 0.5}, "()"),
+        ("erdos_renyi", {"p": 0.5, "d": 0.5}, "(p)"),
+    ])
+    def test_parameters_must_match_the_model(self, model, params, named):
+        with pytest.raises(InputError, match=re.escape(f"{model} takes the parameters {named}")):
+            generate_network(model, 8, 0, **params)
 
     @pytest.mark.parametrize("n_nodes, edges", [
         (3, [(0.5, 1.9), (1, 2)]),  # used to give the edges ((0, 1), (1, 2))

@@ -483,13 +483,12 @@ class TestColumnSide:
         sp = ColSubproblem(np.zeros((3, 2)), delta=1e-3)
         v = np.array([1.0, -2.0, 0.5])
         b = np.array([0.3, 0.3, 0.3])
-        sol = solve_col_node(sp, v, b, 3, q=2.0, cfg=BBConfig())
+        sol = solve_col_node(sp, v + b / 3, q=2.0, cfg=BBConfig())
         np.testing.assert_allclose(sol.y, -(v + b / 3) / 4.0, atol=1e-10)
 
     def test_zero_linear_term_gives_zero(self):
         sp = ColSubproblem(np.zeros((3, 2)), delta=1e-3)
-        b = np.array([1.0, 2.0, 3.0])
-        sol = solve_col_node(sp, -b / 3.0, b, 3, q=1.0, cfg=BBConfig())
+        sol = solve_col_node(sp, np.zeros(3), q=1.0, cfg=BBConfig())
         np.testing.assert_allclose(sol.y, 0.0, atol=1e-12)
 
     def test_random_instance_first_order_optimal(self):
@@ -499,14 +498,13 @@ class TestColumnSide:
         cfg = BBConfig(grad_tol=1e-9, max_iter=5000)
         for m, n, delta, q in [(3, 2, 0.5, 1.3), (40, 20, 1e-3, 1.0)]:
             sp = ColSubproblem(rng.normal(size=(m, n)), delta=delta)
-            v = rng.normal(size=m)
-            b = rng.normal(size=m)
-            sol = solve_col_node(sp, v, b, 4, q, cfg)
+            lin = rng.normal(size=m) + rng.normal(size=m) / 4  # v + b/P at P = 4
+            sol = solve_col_node(sp, lin, q, cfg)
             assert sol.converged
 
             def value_grad(y):
                 value, _, grad = psi_p(sp, y)
-                return value + (v + b / 4) @ y + q * (y @ y), grad + v + b / 4 + 2.0 * q * y
+                return value + lin @ y + q * (y @ y), grad + lin + 2.0 * q * y
 
             base = value_grad(sol.y)[0]
             for _ in range(1000):
@@ -526,4 +524,4 @@ class TestColumnSide:
             with pytest.raises(InputError):
                 ColSubproblem(np.ones((2, 2)), delta=bad)
             with pytest.raises(InputError):
-                solve_col_node(sp, np.zeros(2), np.zeros(2), 2, q=bad, cfg=BBConfig())
+                solve_col_node(sp, np.zeros(2), q=bad, cfg=BBConfig())

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -206,6 +208,22 @@ class TestDADMMRound:
         bad = Coloring(colors=(0, 0, 1, 1))
         with pytest.raises(InputError):
             make_stepper(SolverConfig(kind="dadmm_row"), prob, g, bad)
+
+
+@pytest.mark.parametrize("kind, problem, graph, message", [
+    ("dadmm_row", desk_problem, lambda: Graph.from_edges(4, [(0, 1), (1, 2)]),
+     "isolated nodes"),
+    ("dlasso", lambda: replace(desk_problem(), partition=None), lambda: ring_graph(4),
+     "no partition descriptor"),
+    ("dlasso", desk_problem, lambda: ring_graph(3), "node count does not match"),
+    ("dadmm_col", desk_problem, lambda: ring_graph(4), "needs a column partition"),
+    ("dlasso", lambda: desk_problem(kind="column"), lambda: ring_graph(4),
+     "needs a row partition"),
+    ("dadmm_row", desk_problem, lambda: ring_graph(4), "need a coloring"),
+])
+def test_make_stepper_rejects(kind, problem, graph, message):
+    with pytest.raises(InputError, match=message):
+        make_stepper(SolverConfig(kind=kind), problem(), graph(), None)
 
 
 class TestDADMMColumn:
