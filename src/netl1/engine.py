@@ -148,6 +148,14 @@ def run(
 
     stepper = make_stepper(config, problem, graph, coloring)
     i, j = graph.endpoints
+    # the record's arrays, allocated once per run and written in place (the
+    # edge rows gathered by np.take, not by indexing): made afresh at every
+    # step, the (E, L) ones are large enough that glibc can trim and re-fault
+    # its heap on every step (80-230 minor page faults a step on the 8x8
+    # grid instead of at most one)
+    P, L = stepper.states.primal.shape
+    D, DD = np.empty((P, L)), np.empty((P, L))
+    E, E_j = np.empty((len(i), L)), np.empty((len(i), L))
     trace = RunTrace(
         solver=config.kind,
         rho=config.rho,
@@ -163,20 +171,19 @@ def run(
             # global_estimate and relative_error in one pass over D = X - x_ref:
             # the node norms as np.linalg.norm(D, axis=1) takes them, and the
             # errors as the vector norm takes them, sqrt(d @ d)
-            D = X - x_ref
-            p = int(np.argmax(np.sqrt(np.add.reduce(D * D, axis=1))))
+            np.subtract(X, x_ref, out=D)
+            np.multiply(D, D, out=DD)
+            p = int(np.argmax(np.sqrt(np.add.reduce(DD, axis=1))))
             max_err = math.sqrt(D[p] @ D[p]) / ref_norm
             node0_err = math.sqrt(D[0] @ D[0]) / ref_norm
             estimate = X[p]
-            # freed before the edge differences are allocated: holding both
-            # made glibc trim and re-fault its heap on every step (~60,000
-            # minor page faults per grid64_row run instead of ~260)
-            del D
         trace.max_rel_err.append(max_err)
         trace.node0_rel_err.append(node0_err)
-        E = X[i] - X[j]
+        np.take(X, i, axis=0, out=E)
+        np.subtract(E, np.take(X, j, axis=0, out=E_j), out=E)
+        np.multiply(E, E, out=E)
         # sqrt is monotone, so this is the largest of the edges' norms
-        trace.consensus_residual.append(math.sqrt(np.add.reduce(E * E, axis=1).max()))
+        trace.consensus_residual.append(math.sqrt(np.add.reduce(E, axis=1).max()))
         trace.objective.append(float(np.abs(estimate).sum()))
         trace.inner_iterations.append(inner)
         for target in rule.targets:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .linalg import InputError
 
@@ -66,7 +65,7 @@ class Graph:
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        return np.diff(self.adjacency_matrix.indptr).astype(int)
+        return np.count_nonzero(self.adjacency_matrix, axis=1)
 
     @cached_property
     def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
@@ -76,14 +75,14 @@ class Graph:
         return i, j
 
     @cached_property
-    def adjacency_matrix(self) -> sparse.csr_matrix:
-        """P x P 0/1 adjacency in CSR form with sorted column indices, so a
-        product Adj @ X sums each node's neighbor rows in index order; row p
-        lists the neighbors of node p."""
+    def adjacency_matrix(self) -> np.ndarray:
+        """P x P 0/1 adjacency as a dense float array; row p marks the
+        neighbors of node p, and Adj @ X sums each node's neighbor rows.
+        The networks here have tens of nodes, where a dense product costs
+        about what a sparse one does."""
         i, j = self.endpoints
-        P = self.n_nodes
-        M = sparse.csr_matrix((np.ones(2 * self.n_edges), (np.r_[i, j], np.r_[j, i])), (P, P))
-        M.sort_indices()
+        M = np.zeros((self.n_nodes, self.n_nodes))
+        M[i, j] = M[j, i] = 1.0
         return M
 
 
@@ -271,7 +270,7 @@ def generate_network(model: str, P: int, seed: int = 0, **params) -> Graph:
 def is_connected(g: Graph) -> bool:
     """Whether every node is reachable from node 0: the reached set grows by
     its neighbors, one product with the adjacency matrix at a time, until it
-    stops growing. (scipy.sparse.csgraph would add ~3 MB to peak memory.)"""
+    stops growing."""
     reached = np.zeros(g.n_nodes, dtype=bool)
     reached[0] = True
     while True:
@@ -289,10 +288,9 @@ def greedy_coloring(g: Graph) -> Coloring:
     result uses at most max degree + 1 colors.
     """
     order = sorted(range(g.n_nodes), key=lambda p: (-g.degrees[p], p))
-    indptr, neighbors = g.adjacency_matrix.indptr.tolist(), g.adjacency_matrix.indices.tolist()
     colors = [-1] * g.n_nodes
     for p in order:
-        used = {colors[j] for j in neighbors[indptr[p]:indptr[p + 1]] if colors[j] >= 0}
+        used = {colors[j] for j in np.flatnonzero(g.adjacency_matrix[p]) if colors[j] >= 0}
         c = 0
         while c in used:
             c += 1

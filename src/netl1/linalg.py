@@ -7,10 +7,9 @@ semantics; nothing keeps mutable shared state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 
 class InputError(ValueError):
@@ -76,10 +75,22 @@ class PartitionSpec:
 
 @dataclass(frozen=True)
 class GramFactorization:
-    """Cholesky factor of A A^T for an m-by-n matrix A of full row rank:
-    lower is lower triangular with lower @ lower.T == A @ A.T."""
+    """(A A^T)^{-1} for an m-by-n matrix A of full row rank, formed once
+    from the Cholesky factor lower (lower @ lower.T == A @ A.T) as
+    inv(lower).T @ inv(lower), so that each solve is one product.
 
-    lower: np.ndarray
+    Raises FactorizationError when lower is singular.
+    """
+
+    lower: InitVar[np.ndarray]
+    inverse: np.ndarray = field(init=False)
+
+    def __post_init__(self, lower):
+        try:
+            lower_inv = np.linalg.inv(lower)
+        except np.linalg.LinAlgError as exc:
+            raise FactorizationError("the Gram factor is singular") from exc
+        object.__setattr__(self, "inverse", lower_inv.T @ lower_inv)
 
 
 def gram_factorization(A) -> GramFactorization:
@@ -97,26 +108,16 @@ def gram_factorization(A) -> GramFactorization:
         lower = np.linalg.cholesky(A @ A.T)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"Gram matrix of a {m}x{n} block is singular") from exc
-    return GramFactorization(lower=lower)
+    return GramFactorization(lower)
 
 
 def gram_solve(fact: GramFactorization, rhs: np.ndarray) -> np.ndarray:
-    """Solve (A A^T) z = rhs using the cached Cholesky factor.
-
-    With U = lower.T (upper triangular, Fortran-ordered), LAPACK's trtrs
-    solves U' y = rhs and then U z = y: the calls scipy's solve_triangular
-    makes, without its per-call validation and batching.
-    """
+    """Solve (A A^T) z = rhs (a vector, or a matrix of right-hand sides)
+    by one product with the cached inverse."""
     rhs = np.asarray(rhs, dtype=float)
     if not np.isfinite(rhs).all():
         raise InputError("right-hand side entries must be finite")
-    upper = fact.lower.T
-    y, info = dtrtrs(upper, rhs, lower=0, trans=1)
-    if info == 0:
-        y, info = dtrtrs(upper, y, lower=0, trans=0)
-    if info != 0:
-        raise FactorizationError(f"triangular solve with the Gram factor failed (info {info})")
-    return y
+    return fact.inverse @ rhs
 
 
 def partition(A, b, spec: PartitionSpec):

@@ -22,10 +22,10 @@ it from warm starts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dposv
 
 from .linalg import (
     GramFactorization,
@@ -183,8 +183,9 @@ class RowSubproblem:
 @dataclass
 class RowSolution:
     """A row solve: one node's x and multipliers, or for a RowGroup the
-    nodes' x as rows and a list of their multipliers; iterations are the
-    dual evaluations of all of them, each solve's first one excepted."""
+    nodes' x as rows and their multipliers (a list, or the rows of one
+    array for a stacked group); iterations are the dual evaluations of all
+    of them, each solve's first one excepted."""
 
     x: np.ndarray
     lam: np.ndarray
@@ -214,7 +215,10 @@ class RowGroup:
     BATCH_MIN_WIDTH nodes of one block height is solved in lockstep, and
     stack holds its blocks (width, height, n), a view of A, and slices
     (width, height); any other group is solved node by node, and stack is
-    None. Warm starts stay with the blocks. The subgradient projects a
+    None. A stacked group keeps its nodes' warm starts as the rows of one
+    array warm_lambda (width, height), and each block's warm_lambda is a
+    view of its row, so a solve writes them all with one copy; a group
+    without a stack leaves them with the blocks. The subgradient projects a
     stacked group's nodes in one stacked product with projector, the
     blocks' A_p'(A_p A_p')^-1 (linalg.projector_stack), which its stepper
     sets; a group without a stack projects node by node. frobenius_sq and
@@ -227,6 +231,7 @@ class RowGroup:
     frobenius_sq: np.ndarray = field(init=False)
     b_scale: np.ndarray = field(init=False)
     projector: np.ndarray | None = field(init=False, default=None)
+    warm_lambda: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
         self.A = np.vstack([sp.A for sp in self.blocks])
@@ -237,6 +242,9 @@ class RowGroup:
         if len(self.blocks) >= BATCH_MIN_WIDTH and len(heights) == 1:
             self.stack = (self.A.reshape(len(self.blocks), heights.pop(), -1),
                           np.stack([sp.b for sp in self.blocks]))
+            self.warm_lambda = np.stack([sp.warm_lambda for sp in self.blocks])
+            for sp, row in zip(self.blocks, self.warm_lambda):
+                sp.warm_lambda = row
 
 
 #: The Newton damping's floor per column of the block (see solve_row_node).
@@ -267,11 +275,13 @@ def solve_row_node(sp, v, c, cfg: BBConfig) -> RowSolution:
         return _solve_row_group(sp, v, c, cfg)
     if not (np.isfinite(c) and c > 0):
         raise InputError("quadratic coefficient c must be positive and finite")
-    return _newton_node(sp, as_vector(v, sp.A.shape[1], "v"), c, cfg)
+    x, evals, converged = _newton_node(sp, as_vector(v, sp.A.shape[1], "v"), c, cfg)
+    return RowSolution(x=x, lam=sp.warm_lambda, iterations=evals, converged=converged)
 
 
-def _newton_node(sp: RowSubproblem, v: np.ndarray, c, cfg: BBConfig) -> RowSolution:
-    """solve_row_node's Newton method on one node, for checked v and c."""
+def _newton_node(sp: RowSubproblem, v: np.ndarray, c, cfg: BBConfig):
+    """solve_row_node's Newton method on one node, for checked v and c:
+    (x, evaluations after the first, converged)."""
     A, b = sp.A, sp.b
     c2 = 2.0 * c
 
@@ -285,7 +295,7 @@ def _newton_node(sp: RowSubproblem, v: np.ndarray, c, cfg: BBConfig) -> RowSolut
     lam, x, evals, converged = _newton(evaluate, A, c2, 0.0, sp.frobenius_sq / (c2 * A.shape[1]),
                                        sp.warm_lambda, cfg.grad_tol * sp.b_scale, cfg.max_iter)
     sp.warm_lambda = lam
-    return RowSolution(x=x, lam=lam, iterations=evals, converged=converged)
+    return x, evals, converged
 
 
 def _newton(evaluate, A, curvature, shift, damping, z, tol, max_iter):
@@ -301,14 +311,15 @@ def _newton(evaluate, A, curvature, shift, damping, z, tol, max_iter):
     cuts a line search short, the loop ends at the last accepted point.
     Returns (z, x, evaluations after the first, converged).
     """
-    n = A.shape[1]
+    m, n = A.shape
     f, g, x, gnorm = evaluate(z)
     evals = 0
     while gnorm > tol and evals < max_iter:
-        active = A[:, x != 0.0]
-        H = active @ active.T / curvature
-        H.flat[:: len(g) + 1] += shift + damping * (np.sqrt(g @ g) + n * DAMPING_FLOOR)
-        s = dposv(H, -g)[1]  # H is symmetric positive definite
+        active = np.compress(x != 0.0, A, axis=1)
+        H = active @ active.T
+        H /= curvature
+        H.ravel()[:: m + 1] += shift + damping * (math.sqrt(g @ g) + n * DAMPING_FLOOR)
+        s = np.linalg.solve(H, -g)
         slope, t = ARMIJO * float(g @ s), 1.0
         while evals < max_iter:
             trial = z + t * s
@@ -408,22 +419,18 @@ def _solve_row_group(group: RowGroup, V, C, cfg: BBConfig) -> RowSolution:
     if group.stack is None:
         X, iterations, converged = np.empty(V.shape), 0, True
         for p, (sp, v, c) in enumerate(zip(group.blocks, V, C)):
-            solution = _newton_node(sp, v, c, cfg)
-            X[p] = solution.x
-            iterations += solution.iterations
-            converged = converged and solution.converged
-    else:
-        A, b = group.stack
-        lam, X, iters, ok = _newton_lockstep(
-            A, b, V, 2.0 * C[:, None], np.array([sp.warm_lambda for sp in group.blocks]),
-            group.frobenius_sq / (2.0 * C * A.shape[2]), cfg.grad_tol * group.b_scale,
-            cfg.max_iter,
-        )
-        for sp, lam_i in zip(group.blocks, lam):
-            sp.warm_lambda = lam_i
-        iterations, converged = int(iters.sum()), bool(ok.all())
-    lam = [sp.warm_lambda for sp in group.blocks]
-    return RowSolution(x=X, lam=lam, iterations=iterations, converged=converged)
+            X[p], evals, ok = _newton_node(sp, v, c, cfg)
+            iterations += evals
+            converged = converged and ok
+        return RowSolution(x=X, lam=[sp.warm_lambda for sp in group.blocks],
+                           iterations=iterations, converged=converged)
+    A, b = group.stack
+    lam, X, iters, ok = _newton_lockstep(
+        A, b, V, 2.0 * C[:, None], group.warm_lambda, group.frobenius_sq / (2.0 * C * A.shape[2]),
+        cfg.grad_tol * group.b_scale, cfg.max_iter,
+    )
+    group.warm_lambda[...] = lam
+    return RowSolution(x=X, lam=lam, iterations=int(iters.sum()), converged=bool(ok.all()))
 
 
 @dataclass

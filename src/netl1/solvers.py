@@ -239,10 +239,8 @@ def _projection_group(st: "Stepper", rows: RowGroup, points, _):
 
 def _disagreements(graph: Graph, X: np.ndarray) -> np.ndarray:
     """sum_j (x_p - x_j) over each node's neighbors, the rows the dual
-    aggregates absorb; they are antisymmetric per edge, so aggregates that
-    start at zero always sum to zero. The sums are taken as D X - Adj X
-    rather than L X so that each neighbor sum is formed on its own, in
-    index order."""
+    aggregates absorb, as D X - Adj X; they are antisymmetric per edge, so
+    aggregates that start at zero sum to zero up to rounding."""
     return graph.degrees[:, None] * X - graph.adjacency_matrix @ X
 
 
@@ -322,7 +320,7 @@ def _dn_setup(st: "Stepper"):
     """The FISTA step size is 1/(rho * lambda_max(L)) for the graph
     Laplacian L = D - Adj; the node sums of the multipliers and of their
     extrapolation start at zero."""
-    laplacian = np.diag(st.graph.degrees.astype(float)) - st.graph.adjacency_matrix.toarray()
+    laplacian = np.diag(st.graph.degrees.astype(float)) - st.graph.adjacency_matrix
     st.alpha = 1.0 / (st.config.rho * np.linalg.eigvalsh(laplacian)[-1])
     st.lam_sums = np.zeros_like(st.states.primal)
     st.k_outer = 1

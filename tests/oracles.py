@@ -6,7 +6,9 @@ Floyd-Warshall reachability, central finite differences, the row dual in
 closed form, graph matrices built edge by edge, a color-scheduled round
 written as per-node neighbor loops, a rho sweep run in the caller's grid
 order, and the delta-regularized basis pursuit solution the column
-partition converges to, by a splitting iteration with dense solves.
+partition converges to, by a splitting iteration with dense solves. A
+hypothesis strategy draws connected graphs as a random tree plus random
+edges.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 import netl1 as nl
@@ -270,3 +273,14 @@ def solve_regularized_bp(A, b, delta: float, tol: float = 1e-9, max_iter: int = 
         if settled:
             return x
     raise RuntimeError(f"regularized solver missed tol={tol} in {max_iter} iterations")
+
+
+@st.composite
+def connected_graphs(draw, max_nodes: int = 8):
+    """A random connected graph on 2..max_nodes nodes: every node after the
+    first joins an earlier one (a random spanning tree), and each other
+    node pair is an edge or not."""
+    P = draw(st.integers(2, max_nodes))
+    tree = [(draw(st.integers(0, p - 1)), p) for p in range(1, P)]
+    pairs = [(i, j) for i in range(P) for j in range(i + 1, P)]
+    return nl.Graph.from_edges(P, tree + [e for e in pairs if draw(st.booleans())])

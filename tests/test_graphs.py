@@ -17,7 +17,7 @@ from netl1.graphs import (
 )
 from netl1.linalg import InputError
 
-from oracles import floyd_warshall_reachable, incidence_oracle, laplacian_oracle
+from oracles import connected_graphs, floyd_warshall_reachable, incidence_oracle, laplacian_oracle
 
 
 def random_graphs(count, P=12):
@@ -153,6 +153,17 @@ class TestColoring:
             assert coloring.n_colors <= g.degrees.max(initial=0) + 1
             assert sorted(p for cls in coloring.classes for p in cls) == list(range(g.n_nodes))
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(g=connected_graphs(max_nodes=16))
+    def test_greedy_coloring_property(self, g):
+        # on any connected graph: no edge joins two nodes of one color, and
+        # at most max degree + 1 colors are used
+        coloring = greedy_coloring(g)
+        assert len(coloring.colors) == g.n_nodes
+        assert all(coloring.colors[i] != coloring.colors[j] for i, j in g.edges)
+        max_degree = max(sum(p in edge for edge in g.edges) for p in range(g.n_nodes))
+        assert coloring.n_colors <= max_degree + 1
+
     def test_color_class_incidence_blocks_are_diagonal(self):
         # rows of B for one color class: B_c B_c' is diagonal with the degrees
         for g in random_graphs(20):
@@ -186,7 +197,7 @@ class TestColoring:
 
 def laplacian(g):
     """dn's Laplacian D - Adj from the graph's adjacency operator."""
-    return np.diag(g.degrees.astype(float)) - g.adjacency_matrix.toarray()
+    return np.diag(g.degrees.astype(float)) - g.adjacency_matrix
 
 
 class TestMatrices:
@@ -202,7 +213,9 @@ class TestMatrices:
         X = np.random.default_rng(3).normal(size=(7, 2))
         i, j = g.endpoints
         np.testing.assert_array_equal(X[i] - X[j], B.T @ X)
-        assert g.adjacency_matrix.has_sorted_indices
+        adjacency = np.zeros((7, 7))
+        adjacency[i, j] = adjacency[j, i] = 1.0
+        np.testing.assert_array_equal(g.adjacency_matrix, adjacency)  # dense, symmetric, 0/1
 
     def test_incidence_times_transpose_is_laplacian(self):
         # B B' equals D - Adj entry for entry

@@ -341,11 +341,14 @@ def per_node_solutions(blocks, V, C, cfg):
 
 def assert_group_matches_per_node(blocks, V, C, cfg):
     reference = per_node_solutions(blocks, V, C, cfg)
-    sol = solve_row_node(RowGroup(blocks), V, C, cfg)
+    group = RowGroup(blocks)
+    sol = solve_row_node(group, V, C, cfg)
     np.testing.assert_allclose(sol.x, [r.x for r in reference], atol=1e-10, rtol=0)
     assert sol.converged == all(r.converged for r in reference)
     for sp, x, lam in zip(blocks, sol.x, sol.lam):
-        assert sp.warm_lambda is lam
+        # the next solve's warm start: a stacked group's rows, viewed by its blocks
+        np.testing.assert_array_equal(sp.warm_lambda, lam)
+        assert (group.stack is not None) == np.shares_memory(sp.warm_lambda, group.warm_lambda)
         if sol.converged:
             assert np.abs(sp.A @ x - sp.b).max() <= cfg.grad_tol * (1 + np.abs(sp.b).max())
 
