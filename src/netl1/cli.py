@@ -3,6 +3,9 @@
 Subcommands: gen-instance, gen-network, oracle, run, sweep-rho, scale.
 Exit codes: 0 on success/convergence, 2 when a run exhausts its step
 budget, 1 on input errors, rank-deficient blocks and oracle failures.
+run and sweep-rho report a run's flagged_rounds (steps in which a node
+solve hit its evaluation cap) when there are any; they leave the exit code
+as it is.
 """
 
 from __future__ import annotations
@@ -92,6 +95,13 @@ def _parse_targets(text: str) -> tuple[float, ...]:
     return tuple(float(t) for t in text.split(",") if t.strip())
 
 
+def _flagged_note(trace) -> str:
+    """The run's flagged_rounds, when some node solve hit its cap."""
+    if not trace.flagged_rounds:
+        return ""
+    return f"; flagged_rounds = {trace.flagged_rounds} (steps with a node solve at its cap)"
+
+
 def cmd_run(args) -> int:
     kind, g, coloring, problem, rule = _load_run(args)
     rho = args.rho if args.rho is not None else bench.FIXED_RHO[kind]
@@ -103,7 +113,7 @@ def cmd_run(args) -> int:
         f"{t:g}: {trace.steps_to_accuracy.get(t, 'not reached')}" for t in rule.targets
     )
     print(f"{kind} rho={rho:g}: {trace.comm_steps} communication steps "
-          f"(steps to accuracy {summary})")
+          f"(steps to accuracy {summary}){_flagged_note(trace)}")
     return 0 if trace.converged else 2
 
 
@@ -119,7 +129,7 @@ def cmd_sweep_rho(args) -> int:
             outcome = f"stopped at the sweep's cap of {tr.comm_steps} steps"
         else:
             outcome = f"steps to {rule.finest:g} = not reached"
-        print(f"  rho={rho:g}: {outcome}")
+        print(f"  rho={rho:g}: {outcome}{_flagged_note(tr)}")
     print(f"best rho = {result.best_rho:g}")
     if args.trace_out:
         result.best_trace.to_csv(args.trace_out)

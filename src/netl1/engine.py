@@ -149,10 +149,12 @@ def run(
     stepper = make_stepper(config, problem, graph, coloring)
     i, j = graph.endpoints
     # the record's arrays, allocated once per run and written in place (the
-    # edge rows gathered by np.take, not by indexing): made afresh at every
-    # step, the (E, L) ones are large enough that glibc can trim and re-fault
-    # its heap on every step (80-230 minor page faults a step on the 8x8
-    # grid instead of at most one)
+    # edge rows gathered by np.take, not by indexing, in "clip" mode, since
+    # the default mode gathers into a temporary of out's size; the endpoints
+    # are valid, so nothing is clipped): made afresh at every step, the
+    # (E, L) ones are large enough that glibc can trim and re-fault its heap
+    # on every step (60-230 minor page faults a step on the 8x8 grid instead
+    # of at most one)
     P, L = stepper.states.primal.shape
     D, DD = np.empty((P, L)), np.empty((P, L))
     E, E_j = np.empty((len(i), L)), np.empty((len(i), L))
@@ -179,8 +181,8 @@ def run(
             estimate = X[p]
         trace.max_rel_err.append(max_err)
         trace.node0_rel_err.append(node0_err)
-        np.take(X, i, axis=0, out=E)
-        np.subtract(E, np.take(X, j, axis=0, out=E_j), out=E)
+        np.take(X, i, axis=0, out=E, mode="clip")
+        np.subtract(E, np.take(X, j, axis=0, out=E_j, mode="clip"), out=E)
         np.multiply(E, E, out=E)
         # sqrt is monotone, so this is the largest of the edges' norms
         trace.consensus_residual.append(math.sqrt(np.add.reduce(E, axis=1).max()))

@@ -260,10 +260,14 @@ def solve_row_node(sp, v, c, cfg: BBConfig) -> RowSolution:
     from the warm start sp.warm_lambda until ||g||_inf <= grad_tol *
     (1 + ||b||_inf) or cfg.max_iter evaluations after the first. Each
     step solves (A_S A_S' / (2c) + mu I) s = -g on the active set S =
-    {i : |u_i| > 1}, damped by mu = ||A||_F^2 / (2c n) * (||g||_2 + n *
-    DAMPING_FLOOR) so that a step is defined even for an empty S, and a
-    halving line search follows (see _newton). sp.warm_lambda is updated
-    in place for the next call.
+    {i : |u_i| > 1}, with mu = ||A||_F^2 / (2c n) * n * DAMPING_FLOOR,
+    which keeps the step defined even for an empty S. Where S has fewer
+    columns than A has rows, A_S A_S' is singular and mu also takes
+    ||A||_F^2 / (2c n) * ||g||_2 (Levenberg-Marquardt damping). Any other
+    step is undamped: where S spans the rows and stays the same, the dual
+    is quadratic and that step lands on its minimizer in one move. A
+    halving line search follows each step (see _newton). sp.warm_lambda is
+    updated in place for the next call.
 
     sp may also be a RowGroup, with one row of v and one entry of c per
     node: every node's problem is solved, and the solution holds the rows
@@ -299,12 +303,13 @@ def _newton_node(sp: RowSubproblem, v: np.ndarray, c, cfg: BBConfig):
 
 
 def _newton(evaluate, A, curvature, shift, damping, z, tol, max_iter):
-    """The damped semismooth Newton loop of both node kernels.
+    """The semismooth Newton loop of both node kernels.
 
     evaluate(z) returns the objective f, its gradient g, the node's x
     (nonzero exactly on the active set S) and ||g||_inf. Each step solves
-    (A_S A_S' / curvature + (shift + damping * (||g||_2 + n *
-    DAMPING_FLOOR)) I) s = -g and halves t from 1 until z + t s passes the
+    (A_S A_S' / curvature + (shift + damping * mu) I) s = -g, where mu =
+    n * DAMPING_FLOOR, plus ||g||_2 when S has fewer columns than A has
+    rows (A_S A_S' singular), and halves t from 1 until z + t s passes the
     Armijo test on f, halves ||g||_inf (near the solution the Armijo test
     fails at rounding level), or t reaches STEP_MIN. Runs from z until
     ||g||_inf <= tol or max_iter evaluations after the first; when the cap
@@ -318,7 +323,10 @@ def _newton(evaluate, A, curvature, shift, damping, z, tol, max_iter):
         active = np.compress(x != 0.0, A, axis=1)
         H = active @ active.T
         H /= curvature
-        H.ravel()[:: m + 1] += shift + damping * (math.sqrt(g @ g) + n * DAMPING_FLOOR)
+        mu = n * DAMPING_FLOOR
+        if active.shape[1] < m:  # too few columns to span the rows: A_S A_S' is singular
+            mu += math.sqrt(g @ g)
+        H.ravel()[:: m + 1] += shift + damping * mu
         s = np.linalg.solve(H, -g)
         slope, t = ARMIJO * float(g @ s), 1.0
         while evals < max_iter:
@@ -350,13 +358,20 @@ def _batch_evaluate(A, b, V, C2, Lam):
 
 
 def _newton_directions(A, G, X, C2, scale):
-    """solve_row_node's damped Newton steps of a batch at gradients G and
-    points X, and the Armijo slopes along them."""
-    n = A.shape[2]
-    H = np.matmul(A * (X != 0.0)[:, None, :], A.transpose(0, 2, 1)) / C2[:, :, None]
+    """solve_row_node's Newton steps of a batch at gradients G and points
+    X, and the Armijo slopes along them: each problem's ||g||_2 damps its
+    step only where its active set X != 0 has fewer columns than the block
+    has rows, as in _newton."""
+    m, n = A.shape[1:]
+    active = X != 0.0
+    H = np.matmul(A * active[:, None, :], A.transpose(0, 2, 1)) / C2[:, :, None]
+    # the problems whose active set has fewer columns than the block has rows
+    # (for one-row blocks an empty one, which any() finds at a third of the cost)
+    singular = ~active.any(axis=1) if m == 1 else np.count_nonzero(active, axis=1) < m
     diagonal = np.einsum("kii->ki", H)  # a writable view
-    diagonal += (scale * (np.sqrt(_rowdot(G, G)) + n * DAMPING_FLOOR))[:, None]
-    if A.shape[1] == 1:  # one-row blocks: LAPACK's 1x1 solve is this division
+    diagonal += (scale * (np.where(singular, np.sqrt(_rowdot(G, G)), 0.0)
+                          + n * DAMPING_FLOOR))[:, None]
+    if m == 1:  # one-row blocks: LAPACK's 1x1 solve is this division
         S = -G / H[:, :, 0]
     else:
         S = np.linalg.solve(H, -G[:, :, None])[:, :, 0]

@@ -1,10 +1,14 @@
+import functools
+
 import numpy as np
 import pytest
 
-from netl1 import bench
+from netl1 import bench, cli
 from netl1.cli import ALGOS, main
 from netl1.graphs import generate_network, greedy_coloring, load_network
+from netl1.nodeprob import BBConfig
 from netl1.problems import load_instance, save_instance
+from netl1.solvers import SolverConfig
 
 
 def test_gen_instance_and_oracle_roundtrip(tmp_path, capsys):
@@ -83,6 +87,26 @@ def test_every_algo_name_runs(tmp_path, capsys, algo, kind):
     assert main(["run", "--algo", algo, "--instance", str(inst), "--network", str(net),
                  "--targets", "1e-9", "--max-steps", "2"]) == 2
     assert capsys.readouterr().out.startswith(f"{kind} rho=")
+
+
+def test_capped_node_solves_are_reported(tmp_path, capsys, monkeypatch):
+    # one evaluation per node solve is too few: run and sweep-rho print the
+    # flagged_rounds and keep their exit codes; an unflagged run prints none
+    inst, net = _instance_and_network(tmp_path, 15)
+    run = ["run", "--algo", "dadmm", "--instance", str(inst), "--network", str(net),
+           "--targets", "1e-2", "--max-steps", "3000"]
+    sweep = ["sweep-rho", "--algo", "dadmm", "--instance", str(inst), "--network", str(net),
+             "--grid", "1", "--targets", "1e-2"]
+    capsys.readouterr()
+    assert main(run) == 0 and main(sweep) == 0
+    assert "flagged_rounds" not in capsys.readouterr().out
+    capped = functools.partial(SolverConfig, bb=BBConfig(max_iter=1))
+    monkeypatch.setattr(cli, "SolverConfig", capped)
+    assert main(run[:-2] + ["--max-steps", "4"]) == 2
+    assert main(sweep + ["--max-steps", "4"]) == 2
+    run_line, sweep_line, _ = capsys.readouterr().out.splitlines()
+    suffix = "; flagged_rounds = 4 (steps with a node solve at its cap)"
+    assert run_line.endswith(suffix) and sweep_line.endswith(suffix)
 
 
 def test_column_run_and_bad_algo(tmp_path):

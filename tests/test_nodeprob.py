@@ -84,9 +84,12 @@ class TestShrink:
             assert x_of_u(u, delta / 2.0) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
-def random_row_subproblem(rng, m, n):
-    A = rng.normal(size=(m, n))
-    x0 = rng.normal(size=n)
+def random_row_subproblem(rng, m, n, copies=1):
+    """A Gaussian m x n block B, or with copies > 1 the block A = [B, B, ...]
+    of that many copies of it: its active sets can hold m or more columns
+    without spanning the rows."""
+    A = np.tile(rng.normal(size=(m, n)), copies)
+    x0 = rng.normal(size=n * copies)
     return RowSubproblem(A, A @ x0)
 
 
@@ -232,12 +235,14 @@ class TestRowNewton:
         log_c=st.floats(-2.0, 3.0),
         seed=st.integers(0, 2**16),
         cold=st.booleans(),
+        copies=st.integers(1, 3),
     )
-    def test_kkt_property(self, m, extra, log_c, seed, cold):
+    def test_kkt_property(self, m, extra, log_c, seed, cold, copies):
         rng = np.random.default_rng(seed)
-        sp = random_row_subproblem(rng, m, m + extra)
+        sp = random_row_subproblem(rng, m, m + extra, copies)
+        n = sp.A.shape[1]
         c = 10.0**log_c
-        v = np.zeros(m + extra) if cold else rng.normal(size=m + extra) * rng.uniform(0.1, 5.0)
+        v = np.zeros(n) if cold else rng.normal(size=n) * rng.uniform(0.1, 5.0)
         if not cold:
             sp.warm_lambda = rng.normal(size=m)
         cfg = BBConfig(grad_tol=1e-10, max_iter=20000)
@@ -277,6 +282,26 @@ class TestRowNewton:
                 np.testing.assert_allclose(X[i], r.x, atol=1e-10, rtol=0)
                 assert (iterations[i], converged[i]) == (r.iterations, r.converged)
                 np.testing.assert_allclose(lam[i], r.lam, atol=1e-10, rtol=0)
+        # one group of blocks A = [B, B, B], solved warm three times over
+        # with c in [0.01, 10]: their active sets can hold m or more columns
+        # and still leave A_S A_S' singular; every solve converges
+        width, m = 5, 3
+        blocks = [random_row_subproblem(rng, m, m + 1, copies=3) for _ in range(width)]
+        n = blocks[0].A.shape[1]
+        cfg = BBConfig(grad_tol=1e-12)
+        for _ in range(3):
+            V = rng.normal(size=(width, n)) * rng.uniform(0.1, 5.0)
+            C = 10.0 ** rng.uniform(-2.0, 1.0, size=width)
+            reference = per_node_solutions(blocks, V, C, cfg)
+            lam, X, iterations, converged = lockstep(
+                blocks, V, C, np.stack([sp.warm_lambda for sp in blocks]), cfg)
+            for sp, v, c, r, lam_i, x_i, its, ok in zip(blocks, V, C, reference, lam, X,
+                                                       iterations, converged):
+                assert r.converged and ok and its == r.iterations
+                np.testing.assert_allclose(x_i, r.x, atol=1e-10, rtol=0)
+                np.testing.assert_allclose(lam_i, r.lam, atol=1e-10, rtol=0)
+                assert_kkt(sp, v, c, r, cfg.grad_tol * (1 + np.abs(sp.b).max()))
+                sp.warm_lambda = r.lam
 
     def test_finished_rows_stay_put(self):
         # one batch that mixes problems finished at their warm starts (a zero

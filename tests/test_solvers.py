@@ -54,12 +54,12 @@ def run_steps(stepper, count):
 #: communication steps, steps to each target and total Newton kernel
 #: evaluations.
 KIND_COUNTS = {
-    "dadmm_row": (1.0, 14, {1e-2: 13, 1e-4: 14}, 255),
-    "dlasso": (1.0, 37, {1e-2: 36, 1e-4: 37}, 458),
+    "dadmm_row": (1.0, 14, {1e-2: 13, 1e-4: 14}, 212),
+    "dlasso": (1.0, 37, {1e-2: 36, 1e-4: 37}, 309),
     "subgradient": (1.0, 310, {1e-1: 310}, 0),
-    "mm_ngs": (10.0, 82, {1e-2: 78, 1e-4: 82}, 695),
-    "mm_dqa": (10.0, 586, {1e-2: 467, 1e-4: 586}, 3813),
-    "dn": (10.0, 163, {1e-2: 118, 1e-4: 163}, 1111),
+    "mm_ngs": (10.0, 82, {1e-2: 78, 1e-4: 82}, 426),
+    "mm_dqa": (10.0, 586, {1e-2: 467, 1e-4: 586}, 2734),
+    "dn": (10.0, 163, {1e-2: 118, 1e-4: 163}, 875),
     "dadmm_col": (1.0, 51, {1e-2: 22, 1e-4: 51}, 423),
 }
 
