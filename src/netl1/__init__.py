@@ -36,7 +36,6 @@ from .linalg import (
     partition,
 )
 from .nodeprob import (
-    BBConfig,
     ColSubproblem,
     RowSubproblem,
     psi_p,

@@ -137,12 +137,7 @@ def cmd_sweep_rho(args) -> int:
 
 
 def cmd_scale(args) -> int:
-    p_values = [int(p) for p in args.p_values.split(",")] if args.p_values else None
-    if p_values is None:
-        p_values, P = [], 2
-        while P <= args.pmax:
-            p_values.append(P)
-            P *= 2
+    p_values = [int(p) for p in args.p_values.split(",") if p.strip()]
     result = bench.scale_experiment(
         m=args.m, n=args.n, k=args.k, p_values=p_values, seed=args.seed,
         rho=args.rho, target=args.target, max_comm_steps=args.max_steps,
@@ -204,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--target", type=float, default=1e-3)
     p.add_argument("--max-steps", type=int, default=10_000)
-    p.add_argument("--pmax", type=int, default=64)
-    p.add_argument("--p-values", default=None, help="comma-separated override")
+    p.add_argument("--p-values", default="2,4,8,16,32,64",
+                   help="comma-separated network sizes")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_scale)
 

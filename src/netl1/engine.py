@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import Coloring, Graph, greedy_coloring, is_connected
-from .linalg import InputError
+from .linalg import InputError, as_vector
 from .nodeprob import psi_p
 from .problems import ProblemInstance
 from .solvers import SolverConfig, make_stepper
@@ -138,7 +138,7 @@ def run(
         raise InputError("the network must be connected")
     if problem.x_ref is None:
         raise InputError("a reference solution is required to trace errors")
-    x_ref = np.asarray(problem.x_ref, dtype=float)
+    x_ref = as_vector(problem.x_ref, problem.n, "x_ref")  # it may be set after construction
     ref_norm = float(np.linalg.norm(x_ref))
     if ref_norm == 0.0:
         raise InputError("reference solution must be nonzero")

@@ -137,8 +137,8 @@ def watts_strogatz(P: int, n_neighbors: int, p_rewire: float, seed: int) -> Grap
     no valid partner are skipped.
     """
     _check_nodes(P)
-    if not 1 <= n_neighbors < P:
-        raise InputError("neighbor count must satisfy 1 <= n < P")
+    if not _is_integer(n_neighbors) or not 1 <= n_neighbors < P:
+        raise InputError("neighbor count must be an integer n with 1 <= n < P")
     if not 0.0 <= p_rewire <= 1.0:
         raise InputError("rewiring probability must lie in [0, 1]")
     if n_neighbors % 2 == 1 and P % 2 == 1:
@@ -349,5 +349,5 @@ def load_network(path) -> tuple[Graph, Coloring | None]:
 
 
 def _check_nodes(P: int) -> None:
-    if P < 2:
-        raise InputError("network models need at least 2 nodes")
+    if not _is_integer(P) or P < 2:
+        raise InputError("network models need an integer count of at least 2 nodes")

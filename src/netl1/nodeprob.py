@@ -56,48 +56,26 @@ STEP_MIN, STEP_MAX = 1e-10, 1e10
 #: of both line searches.
 MEMORY, ARMIJO = 10, 1e-4
 
-
-@dataclass
-class BBConfig:
-    """Node kernel controls: the Newton loop of the row and column kernels.
-
-    grad_tol is the target infinity norm of the gradient (scaled by the
-    problem, see the solvers) and max_iter caps the evaluations after the
-    first, which are what a solution's iterations count.
-
-    divergence_factor serves only bb_minimize, a Barzilai-Borwein (BB) loop
-    that no kernel calls. Its two spectral step lengths alternate and are
-    clamped to [STEP_MIN, STEP_MAX]. Raw BB steps are nonmonotone, so each
-    step must additionally pass a watchdog: the objective may not exceed the worst of the last
-    MEMORY accepted values minus an Armijo margin, else the step is halved
-    (the duals are piecewise quadratic with flat stretches on which
-    unguarded BB limit-cycles). A gradient blow-up by divergence_factor
-    over the best seen additionally restarts from the best point with a
-    steepest-descent step.
-    """
-
-    grad_tol: float = 1e-10
-    max_iter: int = 2000
-    divergence_factor: float = 1e6
-
-    def __post_init__(self):
-        if not (np.isfinite(self.grad_tol) and self.grad_tol > 0):
-            raise InputError("grad_tol must be positive and finite")
-        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
-            raise InputError("max_iter must be an integer of at least 1")
-        if not (np.isfinite(self.divergence_factor) and self.divergence_factor >= 1):
-            raise InputError("divergence_factor must be finite and at least 1")
+#: The gradient blow-up over the best seen that restarts bb_minimize.
+DIVERGENCE_FACTOR = 1e6
 
 
-def bb_minimize(value_grad_fn, x0: np.ndarray, tol: float, cfg: BBConfig, on_safeguard=None):
+def bb_minimize(value_grad_fn, x0: np.ndarray, tol: float, max_iter: int, on_safeguard=None):
     """Minimize a smooth convex function given its value and gradient.
 
-    Runs the alternating-step Barzilai-Borwein method from x0 until
-    ||grad||_inf <= tol or cfg.max_iter gradient evaluations, guarding each
-    step with the nonmonotone watchdog described in BBConfig. Returns
-    (x, iterations, converged); on non-convergence x is the best iterate
-    seen (smallest gradient norm). The loop body touches O(len(x)) memory
-    per iteration beyond the value/gradient evaluation itself.
+    Runs the alternating-step Barzilai-Borwein (BB) method from x0 until
+    ||grad||_inf <= tol or max_iter gradient evaluations; no node kernel
+    calls it. Its two spectral step lengths alternate and are clamped to
+    [STEP_MIN, STEP_MAX]. Raw BB steps are nonmonotone, so each step must
+    additionally pass a watchdog: the objective may not exceed the worst of
+    the last MEMORY accepted values minus an Armijo margin, else the step
+    is halved (the duals are piecewise quadratic with flat stretches on
+    which unguarded BB limit-cycles). A gradient blow-up by
+    DIVERGENCE_FACTOR over the best seen restarts from the best point with
+    a steepest-descent step, after calling on_safeguard with that point.
+    Returns (x, iterations, converged); on non-convergence x is the best
+    iterate seen (smallest gradient norm). The loop body touches O(len(x))
+    memory per iteration beyond the value/gradient evaluation itself.
     """
     x = np.array(x0, dtype=float)
     f, g = value_grad_fn(x)
@@ -110,7 +88,7 @@ def bb_minimize(value_grad_fn, x0: np.ndarray, tol: float, cfg: BBConfig, on_saf
     step = 1.0 / np.linalg.norm(g)
     use_first = True
     evals = 0
-    while evals < cfg.max_iter:
+    while evals < max_iter:
         gg = float(g @ g)
         bound = max(window)
         t = step
@@ -118,7 +96,7 @@ def bb_minimize(value_grad_fn, x0: np.ndarray, tol: float, cfg: BBConfig, on_saf
             x_new = x - t * g
             f_new, g_new = value_grad_fn(x_new)
             evals += 1
-            if f_new <= bound - ARMIJO * t * gg or t <= STEP_MIN or evals >= cfg.max_iter:
+            if f_new <= bound - ARMIJO * t * gg or t <= STEP_MIN or evals >= max_iter:
                 break
             t *= 0.5
 
@@ -127,7 +105,7 @@ def bb_minimize(value_grad_fn, x0: np.ndarray, tol: float, cfg: BBConfig, on_saf
             return x_new, evals, True
         if gnorm < best_norm:
             best_x, best_g, best_f, best_norm = x_new.copy(), g_new.copy(), f_new, gnorm
-        if gnorm > cfg.divergence_factor * best_norm:
+        if gnorm > DIVERGENCE_FACTOR * best_norm:
             if on_safeguard is not None:
                 on_safeguard(best_x)
             x, f, g = best_x.copy(), best_f, best_g.copy()
@@ -251,14 +229,14 @@ class RowGroup:
 DAMPING_FLOOR = 1e-10
 
 
-def solve_row_node(sp, v, c, cfg: BBConfig) -> RowSolution:
+def solve_row_node(sp, v, c, *, grad_tol: float, max_iter: int) -> RowSolution:
     """Solve min ||x||_1 + v'x + c||x||^2 s.t. A x = b through its dual.
 
     With u = v - A'lam, d = clip(u, -1, 1) - u and x = d / (2c), the
     negated dual f(lam) = d'x / 2 - lam'b is piecewise quadratic with
     gradient g = A x - b, and a semismooth Newton method minimizes it
     from the warm start sp.warm_lambda until ||g||_inf <= grad_tol *
-    (1 + ||b||_inf) or cfg.max_iter evaluations after the first. Each
+    (1 + ||b||_inf) or max_iter evaluations after the first. Each
     step solves (A_S A_S' / (2c) + mu I) s = -g on the active set S =
     {i : |u_i| > 1}, with mu = ||A||_F^2 / (2c n) * n * DAMPING_FLOOR,
     which keeps the step defined even for an empty S. Where S has fewer
@@ -267,7 +245,8 @@ def solve_row_node(sp, v, c, cfg: BBConfig) -> RowSolution:
     step is undamped: where S spans the rows and stays the same, the dual
     is quadratic and that step lands on its minimizer in one move. A
     halving line search follows each step (see _newton). sp.warm_lambda is
-    updated in place for the next call.
+    updated in place for the next call. The stepper passes SolverConfig's
+    grad_tol and max_iter, which that class checks.
 
     sp may also be a RowGroup, with one row of v and one entry of c per
     node: every node's problem is solved, and the solution holds the rows
@@ -276,14 +255,15 @@ def solve_row_node(sp, v, c, cfg: BBConfig) -> RowSolution:
     nodes.
     """
     if isinstance(sp, RowGroup):
-        return _solve_row_group(sp, v, c, cfg)
+        return _solve_row_group(sp, v, c, grad_tol, max_iter)
     if not (np.isfinite(c) and c > 0):
         raise InputError("quadratic coefficient c must be positive and finite")
-    x, evals, converged = _newton_node(sp, as_vector(v, sp.A.shape[1], "v"), c, cfg)
+    x, evals, converged = _newton_node(sp, as_vector(v, sp.A.shape[1], "v"), c, grad_tol,
+                                       max_iter)
     return RowSolution(x=x, lam=sp.warm_lambda, iterations=evals, converged=converged)
 
 
-def _newton_node(sp: RowSubproblem, v: np.ndarray, c, cfg: BBConfig):
+def _newton_node(sp: RowSubproblem, v: np.ndarray, c, grad_tol, max_iter):
     """solve_row_node's Newton method on one node, for checked v and c:
     (x, evaluations after the first, converged)."""
     A, b = sp.A, sp.b
@@ -297,7 +277,7 @@ def _newton_node(sp: RowSubproblem, v: np.ndarray, c, cfg: BBConfig):
         return 0.5 * float(d @ x) - float(lam @ b), g, x, float(np.abs(g).max())
 
     lam, x, evals, converged = _newton(evaluate, A, c2, 0.0, sp.frobenius_sq / (c2 * A.shape[1]),
-                                       sp.warm_lambda, cfg.grad_tol * sp.b_scale, cfg.max_iter)
+                                       sp.warm_lambda, grad_tol * sp.b_scale, max_iter)
     sp.warm_lambda = lam
     return x, evals, converged
 
@@ -423,7 +403,7 @@ def _newton_lockstep(A, b, V, C2, Lam, scale, tol, max_iter):
             t[~fresh] *= 0.5
 
 
-def _solve_row_group(group: RowGroup, V, C, cfg: BBConfig) -> RowSolution:
+def _solve_row_group(group: RowGroup, V, C, grad_tol, max_iter) -> RowSolution:
     V, C = np.asarray(V, dtype=float), np.asarray(C, dtype=float)
     if V.shape != (len(group.blocks), group.A.shape[1]) or C.shape != (len(group.blocks),):
         raise InputError("a group solve needs one row of v and one c per node")
@@ -434,7 +414,7 @@ def _solve_row_group(group: RowGroup, V, C, cfg: BBConfig) -> RowSolution:
     if group.stack is None:
         X, iterations, converged = np.empty(V.shape), 0, True
         for p, (sp, v, c) in enumerate(zip(group.blocks, V, C)):
-            X[p], evals, ok = _newton_node(sp, v, c, cfg)
+            X[p], evals, ok = _newton_node(sp, v, c, grad_tol, max_iter)
             iterations += evals
             converged = converged and ok
         return RowSolution(x=X, lam=[sp.warm_lambda for sp in group.blocks],
@@ -442,7 +422,7 @@ def _solve_row_group(group: RowGroup, V, C, cfg: BBConfig) -> RowSolution:
     A, b = group.stack
     lam, X, iters, ok = _newton_lockstep(
         A, b, V, 2.0 * C[:, None], group.warm_lambda, group.frobenius_sq / (2.0 * C * A.shape[2]),
-        cfg.grad_tol * group.b_scale, cfg.max_iter,
+        grad_tol * group.b_scale, max_iter,
     )
     group.warm_lambda[...] = lam
     return RowSolution(x=X, lam=lam, iterations=int(iters.sum()), converged=bool(ok.all()))
@@ -486,7 +466,8 @@ class ColSolution:
     converged: bool
 
 
-def solve_col_node(sp: ColSubproblem, lin, q: float, cfg: BBConfig) -> ColSolution:
+def solve_col_node(sp: ColSubproblem, lin, q: float, *, grad_tol: float,
+                   max_iter: int) -> ColSolution:
     """Minimize psi_p(y) + lin'y + q||y||^2 by semismooth Newton.
 
     q must be positive and finite (the distributed solver passes D_p rho / 2
@@ -494,7 +475,7 @@ def solve_col_node(sp: ColSubproblem, lin, q: float, cfg: BBConfig) -> ColSoluti
     x = d / delta, the objective is f(y) = d'x/2 + lin'y + q y'y with
     gradient g = lin + 2q y - A x. The row kernel's Newton loop minimizes it
     from the warm start sp.warm_y until ||g||_inf <= grad_tol or
-    cfg.max_iter evaluations after the first, undamped: the generalized
+    max_iter evaluations after the first, undamped: the generalized
     Hessian A_S A_S'/delta + 2q I is positive definite. sp.warm_y is
     updated in place.
     """
@@ -511,7 +492,7 @@ def solve_col_node(sp: ColSubproblem, lin, q: float, cfg: BBConfig) -> ColSoluti
         f = 0.5 * float(d @ x) + float(lin @ y) + q * float(y @ y)
         return f, g, x, float(np.abs(g).max())
 
-    y, _, evals, converged = _newton(evaluate, A, delta, 2.0 * q, 0.0, sp.warm_y, cfg.grad_tol,
-                                     cfg.max_iter)
+    y, _, evals, converged = _newton(evaluate, A, delta, 2.0 * q, 0.0, sp.warm_y, grad_tol,
+                                     max_iter)
     sp.warm_y = y
     return ColSolution(y=y, iterations=evals, converged=converged)

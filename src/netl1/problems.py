@@ -56,9 +56,13 @@ def save_instance(path, problem: ProblemInstance) -> None:
 def load_instance(path) -> ProblemInstance:
     with open(path) as fh:
         rows = [line.split() for line in fh if line.strip()]
-    if not rows or len(rows[0]) != 2:
+    if not rows:
         raise InputError("instance file must start with an 'm n' line")
-    m, n = int(rows[0][0]), int(rows[0][1])
+    try:
+        m, n = (int(token) for token in rows[0])
+    except ValueError:
+        raise InputError(f"line {' '.join(rows[0])!r} must be an 'm n' header of two "
+                         "integers") from None
     if len(rows) not in (m + 2, m + 3):
         raise InputError(f"instance file should have {m}+2 or {m}+3 lines")
     try:

@@ -48,7 +48,6 @@ import numpy as np
 from .graphs import Coloring, Graph, is_proper
 from .linalg import InputError, affine_projection, projector_stack
 from .nodeprob import (
-    BBConfig,
     ColSubproblem,
     RowGroup,
     RowSubproblem,
@@ -68,7 +67,10 @@ class SolverConfig:
     """Algorithm selection and tuning knobs.
 
     rho is the augmented-Lagrangian weight (unused by the subgradient);
-    delta the column-partition regularization; inner_tol_rel and inner_cap
+    delta the column-partition regularization; grad_tol and max_iter
+    control the node kernel's Newton loop (the target infinity norm of its
+    gradient, scaled by 1 + ||b_p||_inf for row nodes, and the cap on the
+    evaluations after a solve's first); inner_tol_rel and inner_cap
     control the inner loops of the double-looped methods (the inner loop
     stops when the sweep-over-sweep iterate change falls below
     inner_tol_rel * (1 + ||b||_inf) or after inner_cap steps).
@@ -77,7 +79,8 @@ class SolverConfig:
     kind: str
     rho: float = 1.0
     delta: float = 1e-3
-    bb: BBConfig = field(default_factory=lambda: BBConfig(grad_tol=1e-8))
+    grad_tol: float = 1e-8
+    max_iter: int = 2000
     inner_tol_rel: float = 1e-6
     inner_cap: int = 50
 
@@ -90,6 +93,10 @@ class SolverConfig:
             raise InputError("rho must be positive")
         if self.kind == "dadmm_col" and self.delta <= 0:
             raise InputError("delta must be positive")
+        if not (np.isfinite(self.grad_tol) and self.grad_tol > 0):
+            raise InputError("grad_tol must be positive and finite")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise InputError("max_iter must be an integer of at least 1")
         if not (np.isfinite(self.inner_tol_rel) and self.inner_tol_rel >= 0):
             raise InputError("inner_tol_rel must be finite and nonnegative")
         if not isinstance(self.inner_cap, (int, np.integer)) or self.inner_cap < 1:
@@ -213,14 +220,17 @@ def _fista_coefficients(st: "Stepper", group):
 def _row_group(st: "Stepper", rows: RowGroup, V, C):
     """One kernel call per group: the nodes of a group share no edges, so
     their problems are independent."""
-    solution = solve_row_node(rows, V, C, st.config.bb)
+    solution = solve_row_node(rows, V, C, grad_tol=st.config.grad_tol,
+                              max_iter=st.config.max_iter)
     return solution.x, (solution,)
 
 
 def _column_group(st: "Stepper", blocks, V, Q):
     """min psi_p(y) + lin_p'y + q||y||^2 per node, unconstrained: each node
     transmits y_p (length m) instead of a length-n iterate."""
-    solutions = [solve_col_node(sp, lin, q, st.config.bb) for sp, lin, q in zip(blocks, V, Q)]
+    cfg = st.config
+    solutions = [solve_col_node(sp, lin, q, grad_tol=cfg.grad_tol, max_iter=cfg.max_iter)
+                 for sp, lin, q in zip(blocks, V, Q)]
     return [solution.y for solution in solutions], solutions
 
 

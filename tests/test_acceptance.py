@@ -17,7 +17,6 @@ from netl1.bench import NETWORK_MODELS, RHO_GRID, rho_sweep
 from netl1.graphs import greedy_coloring, is_proper
 from netl1.linalg import partition
 from netl1.nodeprob import (
-    BBConfig,
     ColSubproblem,
     RowSubproblem,
     psi_p,
@@ -78,7 +77,6 @@ def test_criterion_1_closed_form_kernel():
 
 def test_criterion_2_node_solver_kkt():
     rng = np.random.default_rng(101)
-    cfg = BBConfig(grad_tol=1e-10, max_iter=5000)
     for _ in range(200):
         m = int(rng.integers(1, 9))
         n = int(rng.integers(m + 1, 21))
@@ -87,7 +85,7 @@ def test_criterion_2_node_solver_kkt():
         sp = RowSubproblem(A, b)
         v = rng.normal(size=n)
         c = float(rng.uniform(0.2, 4.0))
-        sol = nl.solve_row_node(sp, v, c, cfg)
+        sol = nl.solve_row_node(sp, v, c, grad_tol=1e-10, max_iter=5000)
         assert sol.converged
         assert np.abs(A @ sol.x - b).max() <= 1e-8 * (1 + np.abs(b).max())
         np.testing.assert_allclose(sol.x, x_of_u(v - A.T @ sol.lam, c), atol=1e-8)
@@ -100,7 +98,7 @@ def test_criterion_2_node_solver_kkt():
         sp = RowSubproblem(A, b)
         v = rng.normal(size=n)
         c = float(rng.uniform(0.3, 2.0))
-        sol = nl.solve_row_node(sp, v, c, BBConfig(grad_tol=1e-10, max_iter=20000))
+        sol = nl.solve_row_node(sp, v, c, grad_tol=1e-10, max_iter=20000)
         _, obj_star = kkt_enumeration(A, b, v, c)
         obj = np.abs(sol.x).sum() + v @ sol.x + c * (sol.x @ sol.x)
         assert obj == pytest.approx(obj_star, abs=1e-6)
@@ -311,12 +309,13 @@ def test_criterion_8_exact_invariants(desk8):
     # per-node loops reading X_new[j] exactly for lower-color neighbors
     blocks = [RowSubproblem(Ap, bp) for Ap, bp in partition(prob.A, prob.b, prob.partition)]
     stepper = make_stepper(SolverConfig(kind="dadmm_row", rho=1.0), prob, graph, coloring)
-    bb = stepper.config.bb
+    cfg = stepper.config
     X, gamma = stepper.states.primal, stepper.states.gamma
     for k in range(1, 4):
         X, gamma = reference_color_round(
             X, gamma, graph.edges, coloring.colors, coloring.classes, 1.0,
-            lambda p, v, c: solve_row_node(blocks[p], v, c, bb).x)
+            lambda p, v, c: solve_row_node(blocks[p], v, c, grad_tol=cfg.grad_tol,
+                                           max_iter=cfg.max_iter).x)
         stepper.step(k)
         assert np.array_equal(stepper.states.primal, X)
         assert np.array_equal(stepper.states.gamma, gamma)

@@ -10,14 +10,10 @@ import inspect
 
 import netl1
 
-CONFIGS = (netl1.SolverConfig, netl1.BBConfig, netl1.StopRule, netl1.InstanceSpec,
-           netl1.PartitionSpec)
+CONFIGS = (netl1.SolverConfig, netl1.StopRule, netl1.InstanceSpec, netl1.PartitionSpec)
 
 SURFACE = {
     # every field of the configuration classes
-    "BBConfig.divergence_factor",
-    "BBConfig.grad_tol",
-    "BBConfig.max_iter",
     "InstanceSpec.P",
     "InstanceSpec.k",
     "InstanceSpec.m",
@@ -25,11 +21,12 @@ SURFACE = {
     "InstanceSpec.seed",
     "PartitionSpec.kind",
     "PartitionSpec.sizes",
-    "SolverConfig.bb",
     "SolverConfig.delta",
+    "SolverConfig.grad_tol",
     "SolverConfig.inner_cap",
     "SolverConfig.inner_tol_rel",
     "SolverConfig.kind",
+    "SolverConfig.max_iter",
     "SolverConfig.rho",
     "StopRule.max_comm_steps",
     "StopRule.targets",

@@ -6,7 +6,6 @@ import pytest
 from netl1 import bench, cli
 from netl1.cli import ALGOS, main
 from netl1.graphs import generate_network, greedy_coloring, load_network
-from netl1.nodeprob import BBConfig
 from netl1.problems import load_instance, save_instance
 from netl1.solvers import SolverConfig
 
@@ -100,7 +99,7 @@ def test_capped_node_solves_are_reported(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert main(run) == 0 and main(sweep) == 0
     assert "flagged_rounds" not in capsys.readouterr().out
-    capped = functools.partial(SolverConfig, bb=BBConfig(max_iter=1))
+    capped = functools.partial(SolverConfig, max_iter=1)
     monkeypatch.setattr(cli, "SolverConfig", capped)
     assert main(run[:-2] + ["--max-steps", "4"]) == 2
     assert main(sweep + ["--max-steps", "4"]) == 2
@@ -211,8 +210,7 @@ def test_empty_rho_grid_is_an_input_error(tmp_path, capsys):
 
 
 def test_scale_without_network_sizes_is_an_input_error(capsys):
-    # doubling from P=2 never reaches a P of at most 1
-    assert main(["scale", "--m", "8", "--n", "24", "--k", "1", "--pmax", "1"]) == 1
+    assert main(["scale", "--m", "8", "--n", "24", "--k", "1", "--p-values", ""]) == 1
     assert "at least one network size" in capsys.readouterr().err
 
 

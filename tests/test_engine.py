@@ -9,7 +9,7 @@ import netl1 as nl
 from netl1 import engine
 from netl1.engine import RunTrace, StopRule, global_estimate, relative_error, run
 from netl1.linalg import InputError, PartitionSpec
-from netl1.nodeprob import BBConfig, ColSubproblem
+from netl1.nodeprob import ColSubproblem
 from netl1.solvers import NodeStates, SolverConfig, make_stepper
 
 from test_solvers import KIND_COUNTS, desk_problem
@@ -125,6 +125,23 @@ class TestRun:
         with pytest.raises(InputError):
             run(SolverConfig(kind="dadmm_row"), prob, g)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "short"])
+    def test_reference_set_after_construction_is_checked(self, bad):
+        # a NaN or inf entry used to give a 0-step trace with a NaN error,
+        # and a short vector numpy's broadcast ValueError
+        prob = small_problem()
+        x_ref = prob.x_ref.copy()
+        if bad == "short":
+            x_ref = x_ref[:-1]
+        else:
+            x_ref[3] = float(bad)
+        prob.x_ref = x_ref
+        g = nl.generate_network("lattice", 4)
+        with pytest.raises(InputError, match="x_ref"):
+            run(SolverConfig(kind="dadmm_row"), prob, g)
+        with pytest.raises(InputError, match="x_ref"):
+            nl.rho_sweep((0.1, 1.0), SolverConfig(kind="dadmm_row"), prob, g)
+
     def test_budget_exhaustion_not_converged(self):
         prob = small_problem()
         g = nl.generate_network("lattice", 4)
@@ -146,7 +163,7 @@ class TestRun:
         # solve that hits its cap
         prob = small_problem()
         g = nl.generate_network("lattice", 4)
-        config = SolverConfig(kind="dadmm_row", bb=BBConfig(max_iter=1))
+        config = SolverConfig(kind="dadmm_row", max_iter=1)
         tr = run(config, prob, g, rule=StopRule(targets=(1e-8,), max_comm_steps=5))
         assert tr.flagged_rounds == tr.comm_steps == 5
         stepper = make_stepper(config, prob, g, nl.greedy_coloring(g))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from netl1.bench import connected_network
 from netl1.graphs import (
     Coloring,
     Graph,
@@ -92,6 +93,26 @@ class TestGenerators:
             generate_network("geometric", 5, 0, d=0.0)
         with pytest.raises(InputError):
             generate_network("unknown", 5, 0)
+
+    @pytest.mark.parametrize("model, params", [
+        ("erdos_renyi", {"p": 0.5}),
+        ("watts_strogatz", {"n": 2, "p": 0.5}),
+        ("barabasi_albert", {}),
+        ("geometric", {"d": 0.5}),
+        ("lattice", {}),
+    ])
+    def test_non_integer_node_count_rejected(self, model, params):
+        # used to raise a TypeError from range
+        with pytest.raises(InputError, match="integer count"):
+            generate_network(model, 8.0, 0, **params)
+
+    def test_non_integer_neighbor_count_rejected(self):
+        # used to raise a TypeError from range, also through the clamp of
+        # connected_network
+        with pytest.raises(InputError, match="integer n"):
+            generate_network("watts_strogatz", 8, n=4.0, p=0.5)
+        with pytest.raises(InputError, match="integer n"):
+            connected_network("watts_strogatz", 8, n=3.0, p=0.5)
 
     @pytest.mark.parametrize("model, params, named", [
         ("erdos_renyi", {}, "(p)"),

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import netl1.nodeprob
 from netl1.linalg import InputError
 from netl1.nodeprob import (
     BATCH_MIN_WIDTH,
-    BBConfig,
     ColSubproblem,
     RowGroup,
     RowSubproblem,
@@ -16,6 +16,7 @@ from netl1.nodeprob import (
     solve_row_node,
     x_of_u,
 )
+from netl1.solvers import SolverConfig
 
 from oracles import (
     brute_force_scalar_min,
@@ -24,6 +25,9 @@ from oracles import (
     kkt_enumeration,
     row_dual_value,
 )
+
+#: The kernel controls of the tests that set none of their own.
+CONTROLS = {"grad_tol": 1e-10, "max_iter": 2000}
 
 
 class TestScalarKernel:
@@ -98,18 +102,18 @@ class TestRowSolver:
         rng = np.random.default_rng(3)
         b = rng.normal(size=5)
         sp = RowSubproblem(np.eye(5), b)
-        sol = solve_row_node(sp, rng.normal(size=5), 1.0, BBConfig())
+        sol = solve_row_node(sp, rng.normal(size=5), 1.0, **CONTROLS)
         np.testing.assert_allclose(sol.x, b, atol=1e-9)
 
     def test_scalar_kkt(self):
         sp = RowSubproblem(np.array([[1.0]]), np.array([2.0]))
-        sol = solve_row_node(sp, np.zeros(1), 0.5, BBConfig())
+        sol = solve_row_node(sp, np.zeros(1), 0.5, **CONTROLS)
         assert sol.x[0] == pytest.approx(2.0, abs=1e-9)
         assert sol.lam[0] == pytest.approx(3.0, abs=1e-8)  # 2c x + sign(x)
 
     def test_two_variable_symmetry(self):
         sp = RowSubproblem(np.array([[1.0, 1.0]]), np.array([1.0]))
-        sol = solve_row_node(sp, np.zeros(2), 1.0, BBConfig())
+        sol = solve_row_node(sp, np.zeros(2), 1.0, **CONTROLS)
         # brute force over the feasible line x = (t, 1 - t)
         t = np.linspace(-3, 4, 70001)
         obj = np.abs(t) + np.abs(1 - t) + t**2 + (1 - t) ** 2
@@ -118,14 +122,14 @@ class TestRowSolver:
 
     def test_kkt_residuals_many_instances(self):
         rng = np.random.default_rng(4)
-        cfg = BBConfig(grad_tol=1e-10, max_iter=5000)
+        cfg = dict(grad_tol=1e-10, max_iter=5000)
         for _ in range(200):
             m = int(rng.integers(1, 9))
             n = int(rng.integers(m + 1, 21))
             sp = random_row_subproblem(rng, m, n)
             v = rng.normal(size=n)
             c = float(rng.uniform(0.2, 4.0))
-            sol = solve_row_node(sp, v, c, cfg)
+            sol = solve_row_node(sp, v, c, **cfg)
             assert sol.converged
             feas = np.abs(sp.A @ sol.x - sp.b).max()
             assert feas <= 1e-8 * (1 + np.abs(sp.b).max())
@@ -135,14 +139,14 @@ class TestRowSolver:
 
     def test_objective_matches_kkt_enumeration(self):
         rng = np.random.default_rng(5)
-        cfg = BBConfig(grad_tol=1e-10, max_iter=20000)
+        cfg = dict(grad_tol=1e-10, max_iter=20000)
         for _ in range(25):
             m = int(rng.integers(1, 4))
             n = int(rng.integers(m + 1, 7))
             sp = random_row_subproblem(rng, m, n)
             v = rng.normal(size=n)
             c = float(rng.uniform(0.3, 2.0))
-            sol = solve_row_node(sp, v, c, cfg)
+            sol = solve_row_node(sp, v, c, **cfg)
             x_star, obj_star = kkt_enumeration(sp.A, sp.b, v, c)
             assert x_star is not None
             obj = np.abs(sol.x).sum() + v @ sol.x + c * (sol.x @ sol.x)
@@ -152,16 +156,16 @@ class TestRowSolver:
         rng = np.random.default_rng(6)
         sp = random_row_subproblem(rng, 3, 8)
         v = rng.normal(size=8)
-        sol = solve_row_node(sp, v, 1.0, BBConfig())
+        sol = solve_row_node(sp, v, 1.0, **CONTROLS)
         np.testing.assert_array_equal(sp.warm_lambda, sol.lam)
         # re-solving the same problem from the warm start is immediate
-        again = solve_row_node(sp, v, 1.0, BBConfig())
+        again = solve_row_node(sp, v, 1.0, **CONTROLS)
         assert again.iterations == 0
 
     def test_max_iter_returns_best_flagged(self):
         rng = np.random.default_rng(7)
         sp = random_row_subproblem(rng, 4, 12)
-        sol = solve_row_node(sp, rng.normal(size=12), 1.0, BBConfig(max_iter=2))
+        sol = solve_row_node(sp, rng.normal(size=12), 1.0, grad_tol=1e-10, max_iter=2)
         assert not sol.converged
         assert np.all(np.isfinite(sol.x))
 
@@ -169,27 +173,27 @@ class TestRowSolver:
         sp = RowSubproblem(np.array([[1.0, 0.0]]), np.array([1.0]))
         for c in (0.0, -1.0, np.nan, np.inf):  # an infinite c used to spend the whole cap
             with pytest.raises(InputError):
-                solve_row_node(sp, np.zeros(2), c, BBConfig())
+                solve_row_node(sp, np.zeros(2), c, **CONTROLS)
 
     def test_rejects_non_finite_v(self):
         sp = RowSubproblem(np.array([[1.0, 0.0]]), np.array([1.0]))
         with pytest.raises(InputError):
-            solve_row_node(sp, np.array([0.0, np.nan]), 1.0, BBConfig())
+            solve_row_node(sp, np.array([0.0, np.nan]), 1.0, **CONTROLS)
 
     @pytest.mark.parametrize("bad", [{"grad_tol": np.nan}, {"grad_tol": 0.0}, {"grad_tol": -1e-8},
                                      {"grad_tol": np.inf}, {"max_iter": 0}, {"max_iter": -5},
-                                     {"max_iter": 2.5}, {"max_iter": 3.0},
-                                     {"divergence_factor": np.nan}, {"divergence_factor": np.inf},
-                                     {"divergence_factor": -1.0}, {"divergence_factor": 0.5}])
+                                     {"max_iter": 2.5}, {"max_iter": 3.0}])
     def test_config_rejects_bad_controls(self, bad):
+        # the kernel's controls are SolverConfig's, checked there once
         with pytest.raises(InputError):
-            BBConfig(**bad)
-        assert BBConfig(max_iter=np.int64(1), divergence_factor=1.0).max_iter == 1
+            SolverConfig(kind="dadmm_row", **bad)
+        assert SolverConfig(kind="dadmm_row", max_iter=np.int64(1)).max_iter == 1
 
-    def test_dual_nondecreasing_at_safeguard_restarts(self):
+    def test_dual_nondecreasing_at_safeguard_restarts(self, monkeypatch):
         # a small divergence factor makes the nonmonotone BB steps on the
         # row dual trip the safeguard; the dual value at the restart points
         # must not decrease
+        monkeypatch.setattr(netl1.nodeprob, "DIVERGENCE_FACTOR", 3.0)
         rng = np.random.default_rng(8)
         fired = 0
         for trial in range(20):
@@ -205,8 +209,7 @@ class TestRowSolver:
             def on_safeguard(lam_best):
                 values.append(row_dual_value(sp, v, c, lam_best))
 
-            cfg = BBConfig(grad_tol=1e-9, max_iter=800, divergence_factor=3.0)
-            lam, _, _ = bb_minimize(neg_dual, np.zeros(4), 1e-9, cfg, on_safeguard=on_safeguard)
+            lam, _, _ = bb_minimize(neg_dual, np.zeros(4), 1e-9, 800, on_safeguard=on_safeguard)
             assert np.all(np.isfinite(lam))
             fired += len(values)
             assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
@@ -245,11 +248,11 @@ class TestRowNewton:
         v = np.zeros(n) if cold else rng.normal(size=n) * rng.uniform(0.1, 5.0)
         if not cold:
             sp.warm_lambda = rng.normal(size=m)
-        cfg = BBConfig(grad_tol=1e-10, max_iter=20000)
-        sol = solve_row_node(sp, v, c, cfg)
+        cfg = dict(grad_tol=1e-10, max_iter=20000)
+        sol = solve_row_node(sp, v, c, **cfg)
         assert sol.converged
         np.testing.assert_array_equal(sol.x, x_of_u(v - sp.A.T @ sol.lam, c))
-        assert_kkt(sp, v, c, sol, cfg.grad_tol * (1 + np.abs(sp.b).max()))
+        assert_kkt(sp, v, c, sol, cfg["grad_tol"] * (1 + np.abs(sp.b).max()))
 
     def test_cold_start_converges_in_ten_evaluations(self):
         # a desk-scale block (5x160, an 8-sparse planted signal) from
@@ -260,7 +263,7 @@ class TestRowNewton:
             x0 = np.zeros(160)
             x0[rng.choice(160, 8, replace=False)] = rng.choice([-1.0, 1.0], 8)
             sp = RowSubproblem(A, A @ x0)
-            sol = solve_row_node(sp, np.zeros(160), c, BBConfig(grad_tol=1e-10))
+            sol = solve_row_node(sp, np.zeros(160), c, **CONTROLS)
             assert sol.converged and sol.iterations <= 10
 
     def test_lockstep_matches_per_node_solves(self):
@@ -275,10 +278,10 @@ class TestRowNewton:
             if trial % 2:
                 for sp in blocks:
                     sp.warm_lambda = rng.normal(size=m)
-            cfg = BBConfig(grad_tol=1e-12, max_iter=int(rng.choice([3, 8, 20000])))
+            cfg = dict(grad_tol=1e-12, max_iter=int(rng.choice([3, 8, 20000])))
             lam, X, iterations, converged = lockstep(
-                blocks, V, C, np.stack([sp.warm_lambda for sp in blocks]), cfg)
-            for i, r in enumerate(per_node_solutions(blocks, V, C, cfg)):
+                blocks, V, C, np.stack([sp.warm_lambda for sp in blocks]), **cfg)
+            for i, r in enumerate(per_node_solutions(blocks, V, C, **cfg)):
                 np.testing.assert_allclose(X[i], r.x, atol=1e-10, rtol=0)
                 assert (iterations[i], converged[i]) == (r.iterations, r.converged)
                 np.testing.assert_allclose(lam[i], r.lam, atol=1e-10, rtol=0)
@@ -288,19 +291,19 @@ class TestRowNewton:
         width, m = 5, 3
         blocks = [random_row_subproblem(rng, m, m + 1, copies=3) for _ in range(width)]
         n = blocks[0].A.shape[1]
-        cfg = BBConfig(grad_tol=1e-12)
+        cfg = dict(grad_tol=1e-12, max_iter=2000)
         for _ in range(3):
             V = rng.normal(size=(width, n)) * rng.uniform(0.1, 5.0)
             C = 10.0 ** rng.uniform(-2.0, 1.0, size=width)
-            reference = per_node_solutions(blocks, V, C, cfg)
+            reference = per_node_solutions(blocks, V, C, **cfg)
             lam, X, iterations, converged = lockstep(
-                blocks, V, C, np.stack([sp.warm_lambda for sp in blocks]), cfg)
+                blocks, V, C, np.stack([sp.warm_lambda for sp in blocks]), **cfg)
             for sp, v, c, r, lam_i, x_i, its, ok in zip(blocks, V, C, reference, lam, X,
                                                        iterations, converged):
                 assert r.converged and ok and its == r.iterations
                 np.testing.assert_allclose(x_i, r.x, atol=1e-10, rtol=0)
                 np.testing.assert_allclose(lam_i, r.lam, atol=1e-10, rtol=0)
-                assert_kkt(sp, v, c, r, cfg.grad_tol * (1 + np.abs(sp.b).max()))
+                assert_kkt(sp, v, c, r, cfg["grad_tol"] * (1 + np.abs(sp.b).max()))
                 sp.warm_lambda = r.lam
 
     def test_finished_rows_stay_put(self):
@@ -310,7 +313,7 @@ class TestRowNewton:
         # is bitwise that of the problem run alone
         rng = np.random.default_rng(15)
         m, n, width = 3, 20, 7
-        cfg = BBConfig(grad_tol=1e-12, max_iter=12)
+        cfg = dict(grad_tol=1e-12, max_iter=12)
         blocks = [random_row_subproblem(rng, m, n) for _ in range(width)]
         blocks[0] = RowSubproblem(blocks[0].A, np.zeros(m))
         V = rng.normal(size=(width, n))
@@ -318,17 +321,18 @@ class TestRowNewton:
         C = np.array([1.0, 1.0, 0.01, 1.0, 10.0, 100.0, 3.0])
         Lam = rng.normal(size=(width, m))
         Lam[0], Lam[2] = -0.0, 0.0
-        Lam[1] = lockstep(blocks[1:2], V[1:2], C[1:2], Lam[1:2], BBConfig(grad_tol=1e-12))[0][0]
-        lam, X, iterations, converged = lockstep(blocks, V, C, Lam.copy(), cfg)
+        Lam[1] = lockstep(blocks[1:2], V[1:2], C[1:2], Lam[1:2], grad_tol=1e-12,
+                          max_iter=2000)[0][0]
+        lam, X, iterations, converged = lockstep(blocks, V, C, Lam.copy(), **cfg)
         for i in range(width):
             alone = lockstep(blocks[i : i + 1], V[i : i + 1], C[i : i + 1], Lam[i : i + 1].copy(),
-                             cfg)
+                             **cfg)
             assert lam[i].tobytes() == alone[0][0].tobytes()
             assert X[i].tobytes() == alone[1][0].tobytes()
             assert (iterations[i], converged[i]) == (alone[2][0], alone[3][0])
         assert lam[:2].tobytes() == Lam[:2].tobytes() and list(iterations[:2]) == [0, 0]
-        assert not converged[2] and iterations[2] == cfg.max_iter
-        assert converged[3:].all() and iterations[3:].max() < cfg.max_iter
+        assert not converged[2] and iterations[2] == cfg["max_iter"]
+        assert converged[3:].all() and iterations[3:].max() < cfg["max_iter"]
 
     @pytest.mark.parametrize("width", [1, BATCH_MIN_WIDTH])
     def test_cap_of_one_evaluation(self, width):
@@ -338,36 +342,36 @@ class TestRowNewton:
         V, C = rng.normal(size=(width, 12)), np.full(width, 1.0)
         group = RowGroup(blocks)
         assert (group.stack is not None) == (width >= BATCH_MIN_WIDTH)
-        sol = solve_row_node(group, V, C, BBConfig(max_iter=1))
+        sol = solve_row_node(group, V, C, grad_tol=1e-10, max_iter=1)
         assert not sol.converged and sol.iterations == width
         assert np.all(np.isfinite(sol.x))
 
 
-def lockstep(blocks, V, C, Lam, cfg):
+def lockstep(blocks, V, C, Lam, *, grad_tol, max_iter):
     """_newton_lockstep on the stacked blocks of one height, from the rows
     Lam, with the damping scales and tolerances of their RowGroup."""
     group = RowGroup(blocks)
     (width, m), n = Lam.shape, V.shape[1]
     return _newton_lockstep(group.A.reshape(width, m, n), np.stack([sp.b for sp in blocks]), V,
                             2.0 * C[:, None], Lam, group.frobenius_sq / (2.0 * C * n),
-                            cfg.grad_tol * group.b_scale, cfg.max_iter)
+                            grad_tol * group.b_scale, max_iter)
 
 
-def per_node_solutions(blocks, V, C, cfg):
+def per_node_solutions(blocks, V, C, **controls):
     """The reference for a group solve: every node solved on its own by the
     per-node kernel, from a copy of its warm start."""
     solutions = []
     for sp, v, c in zip(blocks, V, C):
         alone = RowSubproblem(sp.A, sp.b)
         alone.warm_lambda = sp.warm_lambda.copy()
-        solutions.append(solve_row_node(alone, v, c, cfg))
+        solutions.append(solve_row_node(alone, v, c, **controls))
     return solutions
 
 
-def assert_group_matches_per_node(blocks, V, C, cfg):
-    reference = per_node_solutions(blocks, V, C, cfg)
+def assert_group_matches_per_node(blocks, V, C, *, grad_tol, max_iter):
+    reference = per_node_solutions(blocks, V, C, grad_tol=grad_tol, max_iter=max_iter)
     group = RowGroup(blocks)
-    sol = solve_row_node(group, V, C, cfg)
+    sol = solve_row_node(group, V, C, grad_tol=grad_tol, max_iter=max_iter)
     np.testing.assert_allclose(sol.x, [r.x for r in reference], atol=1e-10, rtol=0)
     assert sol.converged == all(r.converged for r in reference)
     for sp, x, lam in zip(blocks, sol.x, sol.lam):
@@ -375,7 +379,7 @@ def assert_group_matches_per_node(blocks, V, C, cfg):
         np.testing.assert_array_equal(sp.warm_lambda, lam)
         assert (group.stack is not None) == np.shares_memory(sp.warm_lambda, group.warm_lambda)
         if sol.converged:
-            assert np.abs(sp.A @ x - sp.b).max() <= cfg.grad_tol * (1 + np.abs(sp.b).max())
+            assert np.abs(sp.A @ x - sp.b).max() <= grad_tol * (1 + np.abs(sp.b).max())
 
 
 class TestRowGroup:
@@ -398,11 +402,11 @@ class TestRowGroup:
                 sp.warm_lambda = rng.normal(size=height)
         V = rng.normal(size=(width, n)) * rng.uniform(0.1, 5.0)
         C = rng.uniform(0.2, 4.0, size=width)
-        assert_group_matches_per_node(blocks, V, C, BBConfig(grad_tol=1e-12, max_iter=20000))
+        assert_group_matches_per_node(blocks, V, C, grad_tol=1e-12, max_iter=20000)
 
     def test_width_decides_the_path(self):
         rng = np.random.default_rng(30)
-        cfg = BBConfig(grad_tol=1e-12, max_iter=20000)
+        cfg = dict(grad_tol=1e-12, max_iter=20000)
         for width in (BATCH_MIN_WIDTH - 1, BATCH_MIN_WIDTH):
             blocks = [random_row_subproblem(rng, 2, 9) for _ in range(width)]
             group = RowGroup(blocks)
@@ -414,15 +418,15 @@ class TestRowGroup:
                 assert np.shares_memory(A, group.A)  # a view, not a second copy
             assert group.A.shape == (2 * width, 9)
             V, C = rng.normal(size=(width, 9)), rng.uniform(0.5, 2.0, size=width)
-            assert_group_matches_per_node(blocks, V, C, cfg)
+            assert_group_matches_per_node(blocks, V, C, **cfg)
 
     def test_narrow_group_is_the_per_node_loop_bitwise(self):
         rng = np.random.default_rng(31)
         width = BATCH_MIN_WIDTH - 1
         blocks = [random_row_subproblem(rng, 3, 10) for _ in range(width)]
         V, C = rng.normal(size=(width, 10)), rng.uniform(0.5, 2.0, size=width)
-        reference = per_node_solutions(blocks, V, C, BBConfig())
-        sol = solve_row_node(RowGroup(blocks), V, C, BBConfig())
+        reference = per_node_solutions(blocks, V, C, **CONTROLS)
+        sol = solve_row_node(RowGroup(blocks), V, C, **CONTROLS)
         np.testing.assert_array_equal(sol.x, [r.x for r in reference])
         assert sol.iterations == sum(r.iterations for r in reference)
 
@@ -439,7 +443,7 @@ class TestRowGroup:
         else:
             C[-1] = {"zero_c": 0.0, "negative_c": -1.0, "nan_c": np.nan, "inf_c": np.inf}[bad]
         with pytest.raises(InputError):
-            solve_row_node(group, V, C, BBConfig())
+            solve_row_node(group, V, C, **CONTROLS)
 
     def test_mixed_heights_run_node_by_node(self):
         # however wide, a group whose blocks differ in height is the
@@ -451,9 +455,9 @@ class TestRowGroup:
         assert group.stack is None
         assert group.A.shape == (sum(heights), 11)
         V, C = rng.normal(size=(len(heights), 11)), rng.uniform(0.5, 2.0, size=len(heights))
-        cfg = BBConfig(grad_tol=1e-12, max_iter=20000)
-        reference = per_node_solutions(blocks, V, C, cfg)
-        sol = solve_row_node(group, V, C, cfg)
+        cfg = dict(grad_tol=1e-12, max_iter=20000)
+        reference = per_node_solutions(blocks, V, C, **cfg)
+        sol = solve_row_node(group, V, C, **cfg)
         np.testing.assert_array_equal(sol.x, [r.x for r in reference])
         assert sol.iterations == sum(r.iterations for r in reference)
         assert sol.converged == all(r.converged for r in reference)
@@ -471,12 +475,12 @@ class TestBBCore:
             d = x - target
             return 0.5 * float(d @ H @ d), H @ d
 
-        x, iters, ok = bb_minimize(fg, np.zeros(3), 1e-12, BBConfig())
+        x, iters, ok = bb_minimize(fg, np.zeros(3), 1e-12, 2000)
         assert ok and iters > 0
         np.testing.assert_allclose(x, target, atol=1e-9)
 
     def test_zero_gradient_returns_immediately(self):
-        x, iters, ok = bb_minimize(lambda x: (0.0, np.zeros(2)), np.ones(2), 1e-12, BBConfig())
+        x, iters, ok = bb_minimize(lambda x: (0.0, np.zeros(2)), np.ones(2), 1e-12, 2000)
         assert ok and iters == 0
 
 
@@ -511,23 +515,23 @@ class TestColumnSide:
         sp = ColSubproblem(np.zeros((3, 2)), delta=1e-3)
         v = np.array([1.0, -2.0, 0.5])
         b = np.array([0.3, 0.3, 0.3])
-        sol = solve_col_node(sp, v + b / 3, q=2.0, cfg=BBConfig())
+        sol = solve_col_node(sp, v + b / 3, q=2.0, **CONTROLS)
         np.testing.assert_allclose(sol.y, -(v + b / 3) / 4.0, atol=1e-10)
 
     def test_zero_linear_term_gives_zero(self):
         sp = ColSubproblem(np.zeros((3, 2)), delta=1e-3)
-        sol = solve_col_node(sp, np.zeros(3), q=1.0, cfg=BBConfig())
+        sol = solve_col_node(sp, np.zeros(3), q=1.0, **CONTROLS)
         np.testing.assert_allclose(sol.y, 0.0, atol=1e-12)
 
     def test_random_instance_first_order_optimal(self):
         # the second input is criterion 7's stiff regime: 40-row blocks and a
         # curvature of order 1/delta
         rng = np.random.default_rng(11)
-        cfg = BBConfig(grad_tol=1e-9, max_iter=5000)
+        cfg = dict(grad_tol=1e-9, max_iter=5000)
         for m, n, delta, q in [(3, 2, 0.5, 1.3), (40, 20, 1e-3, 1.0)]:
             sp = ColSubproblem(rng.normal(size=(m, n)), delta=delta)
             lin = rng.normal(size=m) + rng.normal(size=m) / 4  # v + b/P at P = 4
-            sol = solve_col_node(sp, lin, q, cfg)
+            sol = solve_col_node(sp, lin, q, **cfg)
             assert sol.converged
 
             def value_grad(y):
@@ -540,8 +544,7 @@ class TestColumnSide:
 
             # Barzilai-Borwein from the same cold start is the reference; on
             # the stiff input it needs ~8500 evaluations, hence its larger cap
-            y_bb, _, ok = bb_minimize(value_grad, np.zeros(m), cfg.grad_tol,
-                                      BBConfig(max_iter=20_000))
+            y_bb, _, ok = bb_minimize(value_grad, np.zeros(m), cfg["grad_tol"], 20_000)
             assert ok
             np.testing.assert_allclose(sol.y, y_bb, rtol=0, atol=1e-7)
 
@@ -552,4 +555,4 @@ class TestColumnSide:
             with pytest.raises(InputError):
                 ColSubproblem(np.ones((2, 2)), delta=bad)
             with pytest.raises(InputError):
-                solve_col_node(sp, np.zeros(2), q=bad, cfg=BBConfig())
+                solve_col_node(sp, np.zeros(2), q=bad, **CONTROLS)

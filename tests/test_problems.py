@@ -1,7 +1,11 @@
+import re
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from netl1.linalg import InputError
 from netl1.problems import ProblemInstance, load_instance, save_instance
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -25,3 +29,12 @@ def test_instance_roundtrip_is_exact(tmp_path_factory, data, m, extra, with_ref)
         assert loaded.x_ref.tobytes() == x_ref.tobytes()
     else:
         assert loaded.x_ref is None
+
+
+@pytest.mark.parametrize("header", ["2 x", "2", "2 3 4", "2.0 3"])
+def test_malformed_header_is_an_input_error(tmp_path, header):
+    # "2 x" used to raise int()'s ValueError
+    path = tmp_path / "inst.txt"
+    path.write_text(f"{header}\n1 2 3\n4 5 6\n1 2\n")
+    with pytest.raises(InputError, match=re.escape(f"line '{header}' must be an 'm n' header")):
+        load_instance(path)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import netl1 as nl
 from netl1.graphs import Coloring, Graph, greedy_coloring
 from netl1.linalg import InputError, affine_projection, partition
-from netl1.nodeprob import BBConfig, RowSubproblem, solve_row_node
+from netl1.nodeprob import RowSubproblem, solve_row_node
 from netl1.solvers import (
     NodeStates,
     SolverConfig,
@@ -174,7 +174,8 @@ class TestDADMMRound:
         cfg = stepper.config
 
         def kernel(p, v, c):
-            return solve_row_node(blocks[p], v, c, cfg.bb).x
+            return solve_row_node(blocks[p], v, c, grad_tol=cfg.grad_tol,
+                                  max_iter=cfg.max_iter).x
 
         X, gamma = stepper.states.primal, stepper.states.gamma
         for k in range(1, 6):
@@ -295,9 +296,9 @@ class TestDLasso:
 
         real = solvers_mod.solve_row_node
 
-        def spy(group, V, C, cfg, **kw):
+        def spy(group, V, C, **controls):
             calls.append(list(C))  # one c per node of the group
-            return real(group, V, C, cfg, **kw)
+            return real(group, V, C, **controls)
 
         monkeypatch.setattr(solvers_mod, "solve_row_node", spy)
         stepper_for("dadmm_row", prob, g, coloring, rho=1.0).step(1)
@@ -482,7 +483,7 @@ class TestNGSAndDQA:
         g = ring_graph(4)
         # inner_tol_rel = 0 and a large cap: no outer update in these sweeps
         stepper = stepper_for("mm_ngs", prob, g, rho=1.0, inner_tol_rel=0.0, inner_cap=100,
-                              bb=BBConfig(grad_tol=1e-10, max_iter=5000))
+                              grad_tol=1e-10, max_iter=5000)
 
         def inner_objective(X):
             total = sum(np.abs(X[p]).sum() / 4 for p in range(4))
@@ -519,7 +520,8 @@ class TestNGSAndDQA:
         for p in range(4):
             sp = RowSubproblem(blocks[p].A, blocks[p].b)
             v = states.gamma[p] - 1.0 * S[p]
-            expected_u.append(kernel(sp, 4 * v, 4 * g.degrees[p] * 0.5, cfg.bb).x)
+            expected_u.append(kernel(sp, 4 * v, 4 * g.degrees[p] * 0.5, grad_tol=cfg.grad_tol,
+                                     max_iter=cfg.max_iter).x)
         stepper.step(1)
         expected = 0.25 * np.vstack(expected_u) + 0.75 * X_before
         np.testing.assert_allclose(stepper.states.primal, expected, atol=1e-9)
@@ -530,7 +532,7 @@ class TestNGSAndDQA:
         g = ring_graph(4)
         # inner_tol_rel = 0 and a large cap keep the multipliers at zero
         stepper = stepper_for("mm_dqa", prob, g, rho=1.0, inner_tol_rel=0.0, inner_cap=1000,
-                              bb=BBConfig(grad_tol=1e-12, max_iter=20000))
+                              grad_tol=1e-12, max_iter=20000)
         for k in range(1, 401):
             before = stepper.states.primal.copy()
             stepper.step(k)
@@ -545,8 +547,7 @@ class TestNGSAndDQA:
         g = nl.generate_network("lattice", 2)
         # inner_tol_rel = 0 and a cap beyond the horizon: both solve the
         # inner problem at zero multipliers
-        inner = dict(rho=1.0, inner_tol_rel=0.0, inner_cap=2000,
-                     bb=BBConfig(grad_tol=1e-12, max_iter=20000))
+        inner = dict(rho=1.0, inner_tol_rel=0.0, inner_cap=2000, grad_tol=1e-12, max_iter=20000)
         states_a = run_steps(stepper_for("mm_ngs", prob, g, **inner), 300)
         states_b = run_steps(stepper_for("mm_dqa", prob, g, **inner), 1500)
         np.testing.assert_allclose(states_a.primal, states_b.primal, atol=1e-6)

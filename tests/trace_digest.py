@@ -1,0 +1,60 @@
+"""Print one sha256 over the repr of every RunTrace of a fixed set of runs.
+
+    python3 tests/trace_digest.py
+
+Run from anywhere; the library is imported from ./src. The runs are the
+solve phases of the benchmark's three workloads (perfbench/workloads.py)
+at seeds 0 and 5, every run of a sweep included, and the seven runs of
+test_solvers.KIND_COUNTS. A change that must leave every trace bitwise as
+it was prints the digest its parent commit prints. The workloads' exact
+counts are printed first, one line per workload and seed. pytest does not
+collect this file; BLAS runs on one thread, as in the benchmark.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
+
+import netl1 as nl  # noqa: E402
+import workloads  # noqa: E402
+from test_solvers import KIND_COUNTS, desk_problem  # noqa: E402
+
+SEEDS = (0, 5)
+
+
+def workload_traces():
+    for name, workload in workloads.WORKLOADS.items():
+        for seed in SEEDS:
+            outcomes = workloads.solve(workload, workloads.setup(workload, seed))
+            counts = workloads.counts(outcomes)
+            print(f"{name} seed {seed}: " + ", ".join(f"{k} {v}" for k, v in counts.items()))
+            yield from (trace for outcome in outcomes for trace in outcome.traces)
+
+
+def kind_count_traces():
+    """The runs of test_solvers.test_kind_counts_pinned."""
+    g = nl.Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
+    for kind, (rho, _, reached, _) in sorted(KIND_COUNTS.items()):
+        prob = desk_problem(kind="column" if kind == "dadmm_col" else "row")
+        yield nl.run(nl.SolverConfig(kind=kind, rho=rho), prob, g, nl.greedy_coloring(g),
+                     nl.StopRule(targets=tuple(reached), max_comm_steps=3000))
+
+
+def main():
+    digest = hashlib.sha256()
+    for trace in (*workload_traces(), *kind_count_traces()):
+        digest.update(repr(trace).encode())
+    print(digest.hexdigest())
+
+
+if __name__ == "__main__":
+    main()
