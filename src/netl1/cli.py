@@ -25,20 +25,20 @@ ALGOS = ("dadmm",) + tuple(k.replace("_", "-") for k in ROW_KINDS if k != "dadmm
 def _load_run(args):
     """The run's kind, network, coloring (the file's, else greedy),
     partitioned problem (its reference solved if the file has none) and
-    stop rule."""
+    stop rule, which is read first."""
     if args.algo == "dadmm":
         kind = "dadmm_col" if args.partition == "column" else "dadmm_row"
     elif args.partition == "column":
         raise InputError(f"{args.algo} supports only the row partition")
     else:
         kind = args.algo.replace("-", "_")
+    rule = engine.StopRule(targets=_parse_list(args, "targets"), max_comm_steps=args.max_steps)
     g, coloring = graphs.load_network(args.network)
     problem = problems.load_instance(args.instance).with_partition(args.partition, g.n_nodes)
     if problem.x_ref is None:
         problem.x_ref = bench.solve_bp_centralized(problem.A, problem.b, tol=args.oracle_tol)
     if coloring is None:
         coloring = graphs.greedy_coloring(g)
-    rule = engine.StopRule(targets=_parse_targets(args.targets), max_comm_steps=args.max_steps)
     return kind, g, coloring, problem, rule
 
 
@@ -91,8 +91,12 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _parse_targets(text: str) -> tuple[float, ...]:
-    return tuple(float(t) for t in text.split(",") if t.strip())
+def _parse_list(args, option: str, kind=float) -> tuple:
+    """The nonblank comma-separated entries of --option, each read by kind."""
+    try:
+        return tuple(kind(t) for t in getattr(args, option).split(",") if t.strip())
+    except ValueError as exc:
+        raise InputError(f"--{option.replace('_', '-')}: {exc}") from None
 
 
 def _flagged_note(trace) -> str:
@@ -118,8 +122,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep_rho(args) -> int:
+    grid = _parse_list(args, "grid")
     kind, g, coloring, problem, rule = _load_run(args)
-    grid = _parse_targets(args.grid)
     config = SolverConfig(kind=kind, delta=args.delta)  # the sweep sets rho
     result = bench.rho_sweep(grid, config, problem, g, coloring, rule)
     for rho, tr in result.traces.items():
@@ -137,9 +141,8 @@ def cmd_sweep_rho(args) -> int:
 
 
 def cmd_scale(args) -> int:
-    p_values = [int(p) for p in args.p_values.split(",") if p.strip()]
     result = bench.scale_experiment(
-        m=args.m, n=args.n, k=args.k, p_values=p_values, seed=args.seed,
+        m=args.m, n=args.n, k=args.k, p_values=_parse_list(args, "p_values", int), seed=args.seed,
         rho=args.rho, target=args.target, max_comm_steps=args.max_steps,
     )
     if args.out:

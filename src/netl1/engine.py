@@ -14,7 +14,9 @@ byte-identical traces.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import sys
 from array import array
 from dataclasses import dataclass, field
 
@@ -117,6 +119,18 @@ def global_estimate(states, partition, x_ref=None, col_blocks=None):
     return X[int(np.argmax(np.linalg.norm(X - x_ref, axis=1)))].copy()
 
 
+def _hold_heap() -> None:
+    """Fix glibc's malloc thresholds at the ceilings its dynamic rule can
+    reach (arrays under 32 MB from the heap, its top trimmed only once
+    64 MB lie free), so that no start-up heap layout makes every step give
+    back and fault in again its temporaries; other C libraries keep theirs."""
+    libc = ctypes.CDLL(None) if sys.platform.startswith("linux") else None
+    if hasattr(libc, "mallopt"):
+        libc.mallopt.argtypes, libc.mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def run(
     config: SolverConfig,
     problem: ProblemInstance,
@@ -146,6 +160,7 @@ def run(
     if coloring is None:
         coloring = greedy_coloring(graph)
 
+    _hold_heap()
     stepper = make_stepper(config, problem, graph, coloring)
     i, j = graph.endpoints
     # the record's arrays, allocated once per run and written in place (the

@@ -140,13 +140,6 @@ def central_difference_gradient(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarra
     return g
 
 
-def row_dual_value(sp, v, c: float, lam) -> float:
-    """Dual objective lam'b + sum_i inf_x(|x| + u_i x + c x^2) of a row node
-    at u = v - A'lam, with each infimum -(|u_i| - 1)_+^2 / (4c)."""
-    u = np.asarray(v, dtype=float) - sp.A.T @ lam
-    return float(lam @ sp.b - (np.maximum(np.abs(u) - 1.0, 0.0) ** 2).sum() / (4.0 * c))
-
-
 def kkt_projection(A: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Projection onto {x : Ax = b} by solving the dense KKT system directly."""
     m, n = A.shape

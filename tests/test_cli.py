@@ -223,6 +223,26 @@ def _instance_and_network(tmp_path, seed):
     return inst, net
 
 
+@pytest.mark.parametrize("command, option, value", [
+    ("run", "--targets", "1e-2,x"),
+    ("sweep-rho", "--grid", "1,x"),
+    ("scale", "--p-values", "2,x"),
+    ("scale", "--p-values", "2,2.5"),
+])
+def test_unreadable_list_entry_names_its_option(tmp_path, capsys, monkeypatch, command, option,
+                                                value):
+    # a bare int()/float() error used to name neither the option nor the list,
+    # and came after the oracle had solved an instance without a reference
+    inst, net = _instance_and_network(tmp_path, 14)
+    capsys.readouterr()
+    monkeypatch.setattr(bench, "solve_bp_centralized", None)
+    run_args = [] if command == "scale" else ["--algo", "dadmm", "--instance", str(inst),
+                                              "--network", str(net)]
+    assert main([command, *run_args, f"{option}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option}: ") and repr(value.split(",")[1]) in err
+
+
 def test_nonpositive_oracle_tol_is_an_input_error(tmp_path, capsys):
     inst, net = _instance_and_network(tmp_path, 7)
     assert main(["oracle", "--instance", str(inst), "--tol", "-1"]) == 1

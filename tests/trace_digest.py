@@ -7,12 +7,15 @@ solve phases of the benchmark's three workloads (perfbench/workloads.py)
 at seeds 0 and 5, every run of a sweep included, and the seven runs of
 test_solvers.KIND_COUNTS. A change that must leave every trace bitwise as
 it was prints the digest its parent commit prints. The workloads' exact
-counts are printed first, one line per workload and seed. pytest does not
-collect this file; BLAS runs on one thread, as in the benchmark.
+counts are printed first, one line per workload and seed, then the
+OpenBLAS kernel set the products ran on: the digest is exact for one kernel
+set only. pytest does not collect this file; BLAS runs on one thread, as in
+the benchmark.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import os
 import sys
@@ -25,6 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 import netl1 as nl  # noqa: E402
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 from test_solvers import KIND_COUNTS, desk_problem  # noqa: E402
 
@@ -49,10 +53,23 @@ def kind_count_traces():
                      nl.StopRule(targets=tuple(reached), max_comm_steps=3000))
 
 
+def blas_kernels() -> str:
+    """The kernel set numpy's bundled OpenBLAS picked (OPENBLAS_CORETYPE
+    forces another), or unknown where that library or its query is missing."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    try:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.argtypes, corename.restype = (), ctypes.c_char_p
+    return corename().decode()
+
+
 def main():
     digest = hashlib.sha256()
     for trace in (*workload_traces(), *kind_count_traces()):
         digest.update(repr(trace).encode())
+    print(f"OpenBLAS kernels: {blas_kernels()}")
     print(digest.hexdigest())
 
 
