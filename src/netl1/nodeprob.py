@@ -8,8 +8,8 @@ Row partition: each node repeatedly solves
 through its dual, whose objective is differentiable with gradient
 b - A x(lam), where x(lam) applies the scalar closed form x_of_u to
 u = v - A' lam componentwise. The dual is piecewise quadratic, and a
-semismooth Newton method maximizes it with warm starts across consecutive
-calls: per node, or in lockstep over the nodes of a wide group.
+semismooth Newton method maximizes it from warm starts: per node, in
+lockstep over a wide group, bracketed where that group's duals are scalar.
 
 Column partition: each node minimizes the unconstrained, differentiable
 
@@ -98,14 +98,13 @@ class RowSolution:
 #: Narrowest group that solve_row_node batches. A lockstep batch pays ~40
 #: small array operations of bookkeeping per evaluation of all its nodes,
 #: so it wins only when that replaces enough per-node evaluations.
-#: Replaying the recorded group solves of the benchmark's grid64_row (1x256
-#: blocks) and desk8_mixed dn (5x160 blocks) runs in slices of each width,
-#: each slice one solve_row_node call by the per-node Newton loop and one
-#: by the lockstep Newton batch, the batch ran at 0.50-0.58x the loop's
-#: speed for one node, 0.70-0.80x for two, 0.86-0.92x (5x160) and
-#: 1.04-1.08x (1x256) for three, 1.06-1.33x for four, 1.6-2.1x for eight
-#: and 4.8-4.9x for 32 (CPU time, 2-vCPU KVM Xeon, numpy 2.4.6). Three
-#: loses on the 5x160 blocks, so four stays.
+#: Replaying recorded group solves in slices of each width, each slice one
+#: call of the per-node Newton loop and one of the batch, the batch ran at
+#: 0.50-0.58x the loop's speed for 1 node, 0.70-0.80x for 2, 0.86-0.92x for
+#: 3, 1.06-1.33x for 4, 1.6-2.1x for 8 and 4.8-4.9x for 32 on desk8_mixed
+#: dn's 5x160 blocks, and 0.66-0.98x, 1.00-1.86x, 1.81-2.21x, 2.10-2.85x,
+#: 4.7-5.9x and 11.6-14.1x (scalar kernel) on grid64_row's 1x256 blocks
+#: (CPU time, 2-vCPU KVM Xeon, numpy 2.4.6). 3 loses on 5x160, so 4 stays.
 BATCH_MIN_WIDTH = 4
 
 
@@ -117,14 +116,15 @@ class RowGroup:
     BATCH_MIN_WIDTH nodes of one block height is solved in lockstep, and
     stack holds its blocks (width, height, n), a view of A, and slices
     (width, height); any other group is solved node by node, and stack is
-    None. A stacked group keeps its nodes' warm starts as the rows of one
-    array warm_lambda (width, height), and each block's warm_lambda is a
-    view of its row, so a solve writes them all with one copy; a group
-    without a stack leaves them with the blocks. The subgradient projects a
-    stacked group's nodes in one stacked product with projector, the
-    blocks' A_p'(A_p A_p')^-1 (linalg.projector_stack), which its stepper
-    sets; a group without a stack projects node by node. frobenius_sq and
-    b_scale hold the blocks' constants of the same names, one per node.
+    None; a stack of one-row blocks keeps squares = A * A (else None) for
+    the scalar kernel. A stacked group keeps its nodes' warm starts as the
+    rows of one array warm_lambda (width, height), and each block's
+    warm_lambda is a view of its row, so a solve writes them all with one
+    copy; a group without a stack leaves them with the blocks. The
+    subgradient projects a stacked group's nodes in one stacked product with
+    projector, the blocks' A_p'(A_p A_p')^-1 (linalg.projector_stack), which
+    its stepper sets; a group without a stack projects node by node.
+    frobenius_sq and b_scale hold the blocks' constants, one per node.
     """
 
     blocks: list
@@ -134,6 +134,7 @@ class RowGroup:
     b_scale: np.ndarray = field(init=False)
     projector: np.ndarray | None = field(init=False, default=None)
     warm_lambda: np.ndarray | None = field(init=False, default=None)
+    squares: np.ndarray | None = field(init=False, default=None)  # one-row stacks only
 
     def __post_init__(self):
         self.A = np.vstack([sp.A for sp in self.blocks])
@@ -147,6 +148,7 @@ class RowGroup:
             self.warm_lambda = np.stack([sp.warm_lambda for sp in self.blocks])
             for sp, row in zip(self.blocks, self.warm_lambda):
                 sp.warm_lambda = row
+            self.squares = self.A * self.A if len(self.A) == len(self.blocks) else None
 
 
 #: The Newton damping's floor per column of the block (see solve_row_node).
@@ -168,8 +170,9 @@ def solve_row_node(sp, v, c, *, grad_tol: float, max_iter: int) -> RowSolution:
     ||A||_F^2 / (2c n) * ||g||_2 (Levenberg-Marquardt damping). Any other
     step is undamped: where S spans the rows and stays the same, the dual
     is quadratic and that step lands on its minimizer in one move. A
-    halving line search follows each step (see _newton). sp.warm_lambda is
-    updated in place for the next call. The stepper passes SolverConfig's
+    halving line search (a bracket for a stack of one-row blocks) follows
+    each step (see _newton, _scalar_lockstep). sp.warm_lambda is updated in
+    place for the next call. The stepper passes SolverConfig's
     grad_tol and max_iter, which that class checks.
 
     sp may also be a RowGroup, with one row of v and one entry of c per
@@ -269,16 +272,11 @@ def _newton_directions(A, G, X, C2, scale):
     m, n = A.shape[1:]
     active = X != 0.0
     H = np.matmul(A * active[:, None, :], A.transpose(0, 2, 1)) / C2[:, :, None]
-    # the problems whose active set has fewer columns than the block has rows
-    # (for one-row blocks an empty one, which any() finds at a third of the cost)
-    singular = ~active.any(axis=1) if m == 1 else np.count_nonzero(active, axis=1) < m
+    singular = np.count_nonzero(active, axis=1) < m  # too few columns to span the rows
     diagonal = np.einsum("kii->ki", H)  # a writable view
     diagonal += (scale * (np.where(singular, np.sqrt(_rowdot(G, G)), 0.0)
                           + n * DAMPING_FLOOR))[:, None]
-    if m == 1:  # one-row blocks: LAPACK's 1x1 solve is this division
-        S = -G / H[:, :, 0]
-    else:
-        S = np.linalg.solve(H, -G[:, :, None])[:, :, 0]
+    S = np.linalg.solve(H, -G[:, :, None])[:, :, 0]
     return S, ARMIJO * _rowdot(G, S)
 
 
@@ -327,6 +325,35 @@ def _newton_lockstep(A, b, V, C2, Lam, scale, tol, max_iter):
             t[~fresh] *= 0.5
 
 
+def _scalar_lockstep(a, squares, b, V, C2, lam, scale, tol, max_iter):
+    """_newton_lockstep for k one-row problems (the rows of a; squares =
+    a * a), from lam. Each gradient g = a.x - b is nondecreasing and
+    piecewise linear in lam, with slope h = sum of a_i^2 / 2c over the
+    active set, so the points where g < 0 and g > 0 bracket its root. A
+    step goes to lam - g / (h + _newton's damping) or, where that leaves the
+    open bracket, to its midpoint (Newton-bisection, rtsafe in Numerical
+    Recipes), and no line search follows."""
+    lo, hi = np.full_like(lam, -np.inf), np.full_like(lam, np.inf)
+    U, D, iterations, evals = np.empty_like(V), np.empty_like(V), np.full(len(lam), max_iter), 0
+    while True:
+        np.subtract(V, np.multiply(a, lam[:, None], out=U), out=U)
+        np.clip(U, -1.0, 1.0, out=D)
+        D -= U  # x = D / C2, formed once at the end
+        g = _rowdot(a, D) / C2[:, 0] - b
+        done = np.abs(g) <= tol
+        np.minimum(iterations, evals, out=iterations, where=done)
+        if evals >= max_iter or done.all():
+            return lam, D / C2, iterations, done
+        lo, hi = np.where(g <= 0.0, lam, lo), np.where(g > 0.0, lam, hi)  # g = 0 only if done
+        h = _rowdot(squares, D != 0.0) / C2[:, 0]
+        h += scale * (np.where(h == 0.0, np.abs(g), 0.0) + a.shape[1] * DAMPING_FLOOR)
+        trial = lam - g / h
+        mid = 0.5 * (lo + hi)  # infinite until both sides are found
+        np.copyto(trial, mid, where=~((lo < trial) & (trial < hi)) & np.isfinite(mid))
+        lam = np.where(done, lam, trial)
+        evals += 1
+
+
 def _solve_row_group(group: RowGroup, V, C, grad_tol, max_iter) -> RowSolution:
     V, C = np.asarray(V, dtype=float), np.asarray(C, dtype=float)
     if V.shape != (len(group.blocks), group.A.shape[1]) or C.shape != (len(group.blocks),):
@@ -343,11 +370,14 @@ def _solve_row_group(group: RowGroup, V, C, grad_tol, max_iter) -> RowSolution:
             converged = converged and ok
         return RowSolution(x=X, lam=[sp.warm_lambda for sp in group.blocks],
                            iterations=iterations, converged=converged)
-    A, b = group.stack
-    lam, X, iters, ok = _newton_lockstep(
-        A, b, V, 2.0 * C[:, None], group.warm_lambda, group.frobenius_sq / (2.0 * C * A.shape[2]),
-        grad_tol * group.b_scale, max_iter,
-    )
+    (A, b), C2 = group.stack, 2.0 * C[:, None]
+    controls = group.frobenius_sq / (2.0 * C * A.shape[2]), grad_tol * group.b_scale, max_iter
+    if group.squares is None:
+        lam, X, iters, ok = _newton_lockstep(A, b, V, C2, group.warm_lambda, *controls)
+    else:  # one-row blocks: group.A is (width, n)
+        lam, X, iters, ok = _scalar_lockstep(group.A, group.squares, b[:, 0], V, C2,
+                                             group.warm_lambda[:, 0], *controls)
+        lam = lam[:, None]
     group.warm_lambda[...] = lam
     return RowSolution(x=X, lam=lam, iterations=int(iters.sum()), converged=bool(ok.all()))
 

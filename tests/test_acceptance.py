@@ -7,6 +7,9 @@ module-scoped fixtures.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -116,11 +119,47 @@ def test_criterion_3_bipartite_grid_convergence():
                    nl.StopRule(targets=(1e-2, 1e-5), max_comm_steps=10_000))
     steps = trace.steps_to_accuracy.get(1e-5)
     assert steps is not None and steps < 10_000
-    # the evaluation total gates the lockstep kernel on one-row blocks
+    # the evaluation total gates the scalar lockstep kernel of one-row blocks
     evaluations = sum(trace.inner_iterations)
     assert {"dadmm_row": {"steps": steps, "evaluations": evaluations}} == PINNED["criterion_3"]
     _report(3, "color-scheduled ADMM reaches 1e-5 on the 8x8 grid",
             f"(m=64, n=256, k=8, rho=1: {steps} steps)")
+
+
+#: Criterion 3's run in a new interpreter, which prints the OpenBLAS kernel
+#: set its products ran on and the steps at which each target was reached.
+CRITERION_3_STEPS = """
+import json
+import netl1 as nl
+from trace_digest import blas_kernels
+
+prob = nl.gen_instance(nl.InstanceSpec(m=64, n=256, P=64, k=8, seed=0))
+prob.x_ref = nl.solve_bp_centralized(prob.A, prob.b, tol=1e-10)
+graph = nl.generate_network("lattice", 64)
+trace = nl.run(nl.SolverConfig(kind="dadmm_row", rho=1.0), prob, graph, nl.greedy_coloring(graph),
+               nl.StopRule(targets=(1e-2, 1e-5), max_comm_steps=10_000))
+print(json.dumps([blas_kernels(), sorted(trace.steps_to_accuracy.items())]))
+"""
+
+
+def test_criterion_3_steps_on_haswell_kernels():
+    # the step pins hold off the BLAS kernels OpenBLAS picks by default:
+    # OPENBLAS_CORETYPE forces the set an AVX2-only x86 CPU gets, in the
+    # child process only
+    from trace_digest import blas_kernels
+
+    if blas_kernels() == "unknown":
+        pytest.skip("numpy's BLAS does not report an OpenBLAS kernel set")
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+           "PYTHONPATH": os.pathsep.join([str(Path(nl.__file__).parent.parent), str(tests)])}
+    done = subprocess.run([sys.executable, "-c", CRITERION_3_STEPS], env=env, cwd=tests,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    kernels, steps = json.loads(done.stdout.splitlines()[-1])
+    assert kernels == "Haswell"
+    assert steps == [[1e-5, PINNED["criterion_3"]["dadmm_row"]["steps"]], [1e-2, 212]]
+    _report(3, "the grid run's steps under OpenBLAS's Haswell kernels", "(212 to 1e-2, 355 to 1e-5)")
 
 
 def test_criterion_4_cross_algorithm_agreement(desk8):

@@ -7,8 +7,10 @@ from netl1.nodeprob import (
     BATCH_MIN_WIDTH,
     ColSubproblem,
     RowGroup,
+    RowSolution,
     RowSubproblem,
     _newton_lockstep,
+    _scalar_lockstep,
     psi_p,
     solve_col_node,
     solve_row_node,
@@ -337,6 +339,117 @@ def per_node_solutions(blocks, V, C, **controls):
         alone.warm_lambda = sp.warm_lambda.copy()
         solutions.append(solve_row_node(alone, v, c, **controls))
     return solutions
+
+
+def scalar(blocks, V, C, lam, *, grad_tol, max_iter):
+    """_scalar_lockstep on one-row blocks, from the multipliers lam, with
+    the damping scales and tolerances of their RowGroup."""
+    group = RowGroup(blocks)
+    a, n = group.A, V.shape[1]
+    return _scalar_lockstep(a, a * a, np.array([sp.b[0] for sp in blocks]), V, 2.0 * C[:, None],
+                            lam, group.frobenius_sq / (2.0 * C * n), grad_tol * group.b_scale,
+                            max_iter)
+
+
+class TestScalarLockstep:
+    """The bracketed scalar Newton method of stacked one-row groups."""
+
+    def test_matches_per_node_solves(self):
+        # random one-row groups, cold and warm, with c from 1e-2 to 1e3
+        rng = np.random.default_rng(40)
+        cfg = dict(grad_tol=1e-12, max_iter=20000)
+        for trial in range(20):
+            width, n = int(rng.integers(BATCH_MIN_WIDTH, 40)), int(rng.integers(2, 300))
+            blocks = [random_row_subproblem(rng, 1, n) for _ in range(width)]
+            V = rng.normal(size=(width, n)) * rng.uniform(0.0, 5.0)
+            C = 10.0 ** rng.uniform(-2.0, 3.0, size=width)
+            if trial % 2:
+                for sp in blocks:
+                    sp.warm_lambda = rng.normal(size=1) * rng.uniform(0.1, 10.0)
+            reference = per_node_solutions(blocks, V, C, **cfg)
+            direct = scalar(blocks, V, C, np.stack([sp.warm_lambda[0] for sp in blocks]), **cfg)
+            group = RowGroup(blocks)
+            assert group.squares is not None  # the group takes the scalar kernel
+            sol = solve_row_node(group, V, C, **cfg)
+            assert sol.converged and direct[3].all()
+            assert sol.x.tobytes() == direct[1].tobytes()
+            assert sol.lam[:, 0].tobytes() == direct[0].tobytes()
+            for sp, v, c, x, lam, r in zip(blocks, V, C, sol.x, sol.lam, reference):
+                assert r.converged
+                np.testing.assert_allclose(x, r.x, atol=1e-10, rtol=0)
+                # the stopping test fixes lam only to within tol / h of the
+                # root, and h = ||a||^2 / 2c is small at c = 1e3, where |lam|
+                # reaches about 100: lam agrees to 1e-10 or 1e-12 relative
+                np.testing.assert_allclose(lam, r.lam, atol=1e-10, rtol=1e-12)
+                assert_kkt(sp, v, c, RowSolution(x=x, lam=lam, iterations=0, converged=True),
+                           cfg["grad_tol"] * sp.b_scale)
+
+    def test_midpoint_when_the_newton_point_leaves_the_bracket(self):
+        # g(lam) = soft(lam + 1) + soft(lam - 3) at c = 1/2, with soft(z) =
+        # sign(z) max(|z| - 1, 0), has its root at 1 and slope 2 on [0, 2],
+        # but at lam = 0 and at lam = 2 one coordinate sits on its kink
+        # (|u| = 1) and counts as inactive, so the slope read there is 1.
+        # Undamped (scale 0, so every float is exact), Newton from 2 lands
+        # on 0 and from 0 on 2 again, a cycle; the bracket (0, 2) rejects
+        # that point and takes its midpoint, the root.
+        a, v = np.array([[1.0, 1.0]]), np.array([[-1.0, 3.0]])
+        args = (a, a * a, np.zeros(1), v, np.ones((1, 1)))
+        controls = (np.zeros(1), np.zeros(1))  # damping scale 0, tolerance 0
+        assert _scalar_lockstep(*args, np.array([2.0]), *controls, 1)[0][0] == 0.0
+        lam, x, iterations, converged = _scalar_lockstep(*args, np.array([2.0]), *controls, 5)
+        assert (lam[0], iterations[0], converged[0]) == (1.0, 2, True)
+        np.testing.assert_array_equal(x, [[1.0, -1.0]])
+
+    @pytest.mark.parametrize("cap", [1, 3])
+    def test_capped_rows_are_flagged(self, cap):
+        rng = np.random.default_rng(41)
+        width, n = 12, 64
+        blocks = [random_row_subproblem(rng, 1, n) for _ in range(width)]
+        V, C = rng.normal(size=(width, n)) * 3.0, 10.0 ** rng.uniform(-2.0, 3.0, size=width)
+        lam, X, iterations, converged = scalar(blocks, V, C, np.zeros(width), grad_tol=1e-12,
+                                               max_iter=cap)
+        assert not converged.all()
+        assert np.all(iterations[~converged] == cap) and np.all(iterations <= cap)
+        assert np.all(np.isfinite(lam)) and np.all(np.isfinite(X))
+        sol = solve_row_node(RowGroup(blocks), V, C, grad_tol=1e-12, max_iter=cap)
+        assert not sol.converged and sol.iterations == iterations.sum()
+
+    def test_rows_finished_at_their_warm_start_stay_put(self):
+        # a zero b and v with a -0.0 start, and starts already solved, ride
+        # along with problems that still move
+        rng = np.random.default_rng(42)
+        width, n = 8, 40
+        cfg = dict(grad_tol=1e-12, max_iter=2000)
+        blocks = [random_row_subproblem(rng, 1, n) for _ in range(width)]
+        blocks[0] = RowSubproblem(blocks[0].A, np.zeros(1))
+        V, C = rng.normal(size=(width, n)), rng.uniform(0.1, 10.0, size=width)
+        V[0] = 0.0
+        Lam = scalar(blocks, V, C, rng.normal(size=width), **cfg)[0]
+        Lam[0] = -0.0
+        Lam[5:] = rng.normal(size=3)
+        lam, X, iterations, converged = scalar(blocks, V, C, Lam.copy(), **cfg)
+        assert converged.all()
+        assert lam[:5].tobytes() == Lam[:5].tobytes() and not iterations[:5].any()
+        assert iterations[5:].all()
+        for i in range(width):
+            alone = scalar(blocks[i : i + 1], V[i : i + 1], C[i : i + 1], Lam[i : i + 1].copy(),
+                           **cfg)
+            assert (lam[i : i + 1].tobytes(), X[i].tobytes()) == (alone[0].tobytes(),
+                                                                  alone[1][0].tobytes())
+
+    def test_empty_active_set_cold_start_converges(self):
+        # v = 0 and lam = 0 put every u in the dead zone: the first steps
+        # are damped by |g|
+        rng = np.random.default_rng(43)
+        width, n = 10, 256
+        blocks = [random_row_subproblem(rng, 1, n) for _ in range(width)]
+        V, C = np.zeros((width, n)), 10.0 ** np.linspace(-2.0, 3.0, width)
+        cfg = dict(grad_tol=1e-12, max_iter=20000)
+        lam, X, iterations, converged = scalar(blocks, V, C, np.zeros(width), **cfg)
+        assert converged.all()
+        for sp, v, c, x, l in zip(blocks, V, C, X, lam):
+            assert_kkt(sp, v, c, RowSolution(x=x, lam=np.array([l]), iterations=0,
+                                             converged=True), cfg["grad_tol"] * sp.b_scale)
 
 
 def assert_group_matches_per_node(blocks, V, C, *, grad_tol, max_iter):

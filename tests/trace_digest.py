@@ -7,9 +7,11 @@ solve phases of the benchmark's three workloads (perfbench/workloads.py)
 at seeds 0 and 5, every run of a sweep included, and the seven runs of
 test_solvers.KIND_COUNTS. A change that must leave every trace bitwise as
 it was prints the digest its parent commit prints. The workloads' exact
-counts are printed first, one line per workload and seed, then the
-OpenBLAS kernel set the products ran on: the digest is exact for one kernel
-set only. pytest does not collect this file; BLAS runs on one thread, as in
+counts are printed first, one line per workload and seed, with a sha256
+over each workload's traces and one over the KIND_COUNTS runs (so a change
+meant to move one workload shows that the others held), then the OpenBLAS
+kernel set the products ran on: the digests are exact for one kernel set
+only. pytest does not collect this file; BLAS runs on one thread, as in
 the benchmark.
 """
 
@@ -35,13 +37,13 @@ from test_solvers import KIND_COUNTS, desk_problem  # noqa: E402
 SEEDS = (0, 5)
 
 
-def workload_traces():
-    for name, workload in workloads.WORKLOADS.items():
-        for seed in SEEDS:
-            outcomes = workloads.solve(workload, workloads.setup(workload, seed))
-            counts = workloads.counts(outcomes)
-            print(f"{name} seed {seed}: " + ", ".join(f"{k} {v}" for k, v in counts.items()))
-            yield from (trace for outcome in outcomes for trace in outcome.traces)
+def workload_traces(name):
+    workload = workloads.WORKLOADS[name]
+    for seed in SEEDS:
+        outcomes = workloads.solve(workload, workloads.setup(workload, seed))
+        counts = workloads.counts(outcomes)
+        print(f"{name} seed {seed}: " + ", ".join(f"{k} {v}" for k, v in counts.items()))
+        yield from (trace for outcome in outcomes for trace in outcome.traces)
 
 
 def kind_count_traces():
@@ -67,8 +69,14 @@ def blas_kernels() -> str:
 
 def main():
     digest = hashlib.sha256()
-    for trace in (*workload_traces(), *kind_count_traces()):
-        digest.update(repr(trace).encode())
+    parts = {name: workload_traces(name) for name in workloads.WORKLOADS}
+    parts["KIND_COUNTS"] = kind_count_traces()
+    for name, traces in parts.items():
+        part = hashlib.sha256()
+        for trace in traces:
+            digest.update(repr(trace).encode())
+            part.update(repr(trace).encode())
+        print(f"{name} digest {part.hexdigest()}")
     print(f"OpenBLAS kernels: {blas_kernels()}")
     print(digest.hexdigest())
 
