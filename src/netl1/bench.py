@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .engine import RunTrace, StopRule, run
-from .graphs import Coloring, Graph, generate_network, greedy_coloring, is_connected
+from .graphs import Coloring, Graph, _is_integer, generate_network, greedy_coloring, is_connected
 from .linalg import InputError, gram_factorization, gram_solve
 from .problems import ProblemInstance
 from .solvers import SolverConfig
@@ -38,7 +38,7 @@ class ToleranceError(RuntimeError):
 @dataclass(frozen=True)
 class InstanceSpec:
     """Synthetic instance dimensions: m equations, n unknowns (m < n),
-    P nodes, sparsity k, and the RNG seed."""
+    P nodes, sparsity k, and the RNG seed, all integers."""
 
     m: int
     n: int
@@ -47,6 +47,9 @@ class InstanceSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("m", "n", "P", "k", "seed"):
+            if not _is_integer(getattr(self, name)):
+                raise InputError(f"InstanceSpec.{name} must be an integer")
         if self.m >= self.n:
             raise InputError("instances need m < n")
         if self.k < 1 or 2 * self.k > self.m:
@@ -305,6 +308,9 @@ def scale_experiment(
     """
     if not p_values:
         raise InputError("the scaling study needs at least one network size")
+    for P in p_values:  # all checked before the oracle solve and the first run
+        if not _is_integer(P) or P < 2 or m % P != 0:
+            raise InputError(f"network size P={P} must be an integer of at least 2 dividing m={m}")
     spec = InstanceSpec(m=m, n=n, P=p_values[0], k=k, seed=seed)
     base = gen_instance(spec)
     x_ref = solve_bp_centralized(base.A, base.b, tol=1e-10)
@@ -313,8 +319,6 @@ def scale_experiment(
     result = ScaleResult(p_values=list(p_values), steps={kd: [] for kd in SCALE_KINDS},
                          exponents={})
     for P in p_values:
-        if m % P != 0:
-            raise InputError(f"P={P} does not divide m={m}")
         problem = base.with_partition("row", P)
         problem.x_ref = x_ref
         g = connected_network("watts_strogatz", P, seed=seed, n=4, p=0.6)

@@ -65,14 +65,14 @@ def cmd_gen_instance(args) -> int:
 
 
 def cmd_gen_network(args) -> int:
-    params = {}
-    if args.model == "erdos_renyi":
-        params["p"] = float(args.param)
-    elif args.model == "watts_strogatz":
-        n, p = args.param.split(",")
-        params.update(n=int(n), p=float(p))
-    elif args.model == "geometric":
-        params["d"] = float(args.param)
+    names = graphs._MODEL_PARAMS[args.model]
+    values = [t for t in args.param.split(",") if t.strip()]
+    try:  # a wrong count of entries fails the strict zip; n counts neighbors
+        params = {name: (int if name == "n" else float)(value)
+                  for name, value in zip(names, values, strict=True)}
+    except ValueError:
+        raise InputError(f"--param: {args.model} takes '{','.join(names)}', "
+                         f"not {args.param!r}") from None
     g = graphs.generate_network(args.model, args.P, args.seed, **params)
     coloring = graphs.greedy_coloring(g)
     graphs.save_network(args.out, g, coloring)

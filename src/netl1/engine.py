@@ -163,16 +163,6 @@ def run(
     _hold_heap()
     stepper = make_stepper(config, problem, graph, coloring)
     i, j = graph.endpoints
-    # the record's arrays, allocated once per run and written in place (the
-    # edge rows gathered by np.take, not by indexing, in "clip" mode, since
-    # the default mode gathers into a temporary of out's size; the endpoints
-    # are valid, so nothing is clipped): made afresh at every step, the
-    # (E, L) ones are large enough that glibc can trim and re-fault its heap
-    # on every step (60-230 minor page faults a step on the 8x8 grid instead
-    # of at most one)
-    P, L = stepper.states.primal.shape
-    D, DD = np.empty((P, L)), np.empty((P, L))
-    E, E_j = np.empty((len(i), L)), np.empty((len(i), L))
     trace = RunTrace(
         solver=config.kind,
         rho=config.rho,
@@ -188,19 +178,16 @@ def run(
             # global_estimate and relative_error in one pass over D = X - x_ref:
             # the node norms as np.linalg.norm(D, axis=1) takes them, and the
             # errors as the vector norm takes them, sqrt(d @ d)
-            np.subtract(X, x_ref, out=D)
-            np.multiply(D, D, out=DD)
-            p = int(np.argmax(np.sqrt(np.add.reduce(DD, axis=1))))
+            D = X - x_ref
+            p = int(np.argmax(np.sqrt((D * D).sum(axis=1))))
             max_err = math.sqrt(D[p] @ D[p]) / ref_norm
             node0_err = math.sqrt(D[0] @ D[0]) / ref_norm
             estimate = X[p]
         trace.max_rel_err.append(max_err)
         trace.node0_rel_err.append(node0_err)
-        np.take(X, i, axis=0, out=E, mode="clip")
-        np.subtract(E, np.take(X, j, axis=0, out=E_j, mode="clip"), out=E)
-        np.multiply(E, E, out=E)
+        E = X[i] - X[j]
         # sqrt is monotone, so this is the largest of the edges' norms
-        trace.consensus_residual.append(math.sqrt(np.add.reduce(E, axis=1).max()))
+        trace.consensus_residual.append(math.sqrt((E * E).sum(axis=1).max()))
         trace.objective.append(float(np.abs(estimate).sum()))
         trace.inner_iterations.append(inner)
         for target in rule.targets:

@@ -172,8 +172,9 @@ def solve_row_node(sp, v, c, *, grad_tol: float, max_iter: int) -> RowSolution:
     is quadratic and that step lands on its minimizer in one move. A
     halving line search (a bracket for a stack of one-row blocks) follows
     each step (see _newton, _scalar_lockstep). sp.warm_lambda is updated in
-    place for the next call. The stepper passes SolverConfig's
-    grad_tol and max_iter, which that class checks.
+    place for the next call. grad_tol must be positive and finite and
+    max_iter an integer of at least 1 (the stepper passes
+    solvers.GRAD_TOL and solvers.MAX_ITER).
 
     sp may also be a RowGroup, with one row of v and one entry of c per
     node: every node's problem is solved, and the solution holds the rows
@@ -181,6 +182,7 @@ def solve_row_node(sp, v, c, *, grad_tol: float, max_iter: int) -> RowSolution:
     them converged. The group's v and c are checked once, for all of its
     nodes.
     """
+    _check_controls(grad_tol, max_iter)
     if isinstance(sp, RowGroup):
         return _solve_row_group(sp, v, c, grad_tol, max_iter)
     if not (np.isfinite(c) and c > 0):
@@ -188,6 +190,13 @@ def solve_row_node(sp, v, c, *, grad_tol: float, max_iter: int) -> RowSolution:
     x, evals, converged = _newton_node(sp, as_vector(v, sp.A.shape[1], "v"), c, grad_tol,
                                        max_iter)
     return RowSolution(x=x, lam=sp.warm_lambda, iterations=evals, converged=converged)
+
+
+def _check_controls(grad_tol, max_iter):
+    if not 0 < grad_tol < math.inf:
+        raise InputError("grad_tol must be positive and finite")
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise InputError("max_iter must be an integer of at least 1")
 
 
 def _newton_node(sp: RowSubproblem, v: np.ndarray, c, grad_tol, max_iter):
@@ -431,8 +440,9 @@ def solve_col_node(sp: ColSubproblem, lin, q: float, *, grad_tol: float,
     from the warm start sp.warm_y until ||g||_inf <= grad_tol or
     max_iter evaluations after the first, undamped: the generalized
     Hessian A_S A_S'/delta + 2q I is positive definite. sp.warm_y is
-    updated in place.
+    updated in place. The controls are checked as in solve_row_node.
     """
+    _check_controls(grad_tol, max_iter)
     if not (np.isfinite(q) and q > 0):
         raise InputError("quadratic coefficient q must be positive and finite")
     lin = as_vector(lin, sp.A.shape[0], "lin")

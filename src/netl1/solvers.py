@@ -62,27 +62,23 @@ COLUMN_KINDS = ("dadmm_col",)
 ALL_KINDS = ROW_KINDS + COLUMN_KINDS
 
 
+#: The node kernel's gradient tolerance (times 1 + ||b_p||_inf for row
+#: nodes) and cap on evaluations after a solve's first; an inner loop of a
+#: double-looped kind ends once its iterate moves by at most INNER_TOL_REL
+#: * (1 + ||b||_inf), or after INNER_CAP steps. Each is read at its use.
+GRAD_TOL, MAX_ITER = 1e-8, 2000
+INNER_TOL_REL, INNER_CAP = 1e-6, 50
+
+
 @dataclass
 class SolverConfig:
-    """Algorithm selection and tuning knobs.
-
-    rho is the augmented-Lagrangian weight (unused by the subgradient);
-    delta the column-partition regularization; grad_tol and max_iter
-    control the node kernel's Newton loop (the target infinity norm of its
-    gradient, scaled by 1 + ||b_p||_inf for row nodes, and the cap on the
-    evaluations after a solve's first); inner_tol_rel and inner_cap
-    control the inner loops of the double-looped methods (the inner loop
-    stops when the sweep-over-sweep iterate change falls below
-    inner_tol_rel * (1 + ||b||_inf) or after inner_cap steps).
-    """
+    """Algorithm selection and its tuned weights: rho is the
+    augmented-Lagrangian weight (unused by the subgradient), delta the
+    column-partition regularization."""
 
     kind: str
     rho: float = 1.0
     delta: float = 1e-3
-    grad_tol: float = 1e-8
-    max_iter: int = 2000
-    inner_tol_rel: float = 1e-6
-    inner_cap: int = 50
 
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
@@ -93,14 +89,6 @@ class SolverConfig:
             raise InputError("rho must be positive")
         if self.kind == "dadmm_col" and self.delta <= 0:
             raise InputError("delta must be positive")
-        if not (np.isfinite(self.grad_tol) and self.grad_tol > 0):
-            raise InputError("grad_tol must be positive and finite")
-        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
-            raise InputError("max_iter must be an integer of at least 1")
-        if not (np.isfinite(self.inner_tol_rel) and self.inner_tol_rel >= 0):
-            raise InputError("inner_tol_rel must be finite and nonnegative")
-        if not isinstance(self.inner_cap, (int, np.integer)) or self.inner_cap < 1:
-            raise InputError("inner_cap must be an integer of at least 1")
 
 
 @dataclass
@@ -220,16 +208,14 @@ def _fista_coefficients(st: "Stepper", group):
 def _row_group(st: "Stepper", rows: RowGroup, V, C):
     """One kernel call per group: the nodes of a group share no edges, so
     their problems are independent."""
-    solution = solve_row_node(rows, V, C, grad_tol=st.config.grad_tol,
-                              max_iter=st.config.max_iter)
+    solution = solve_row_node(rows, V, C, grad_tol=GRAD_TOL, max_iter=MAX_ITER)
     return solution.x, (solution,)
 
 
 def _column_group(st: "Stepper", blocks, V, Q):
     """min psi_p(y) + lin_p'y + q||y||^2 per node, unconstrained: each node
     transmits y_p (length m) instead of a length-n iterate."""
-    cfg = st.config
-    solutions = [solve_col_node(sp, lin, q, grad_tol=cfg.grad_tol, max_iter=cfg.max_iter)
+    solutions = [solve_col_node(sp, lin, q, grad_tol=GRAD_TOL, max_iter=MAX_ITER)
                  for sp, lin, q in zip(blocks, V, Q)]
     return [solution.y for solution in solutions], solutions
 
@@ -416,17 +402,17 @@ class Stepper:
         pack = list if self.col_blocks is not None else RowGroup
         nodes = np.arange(graph.n_nodes)
         self.group_blocks = [pack([blocks[p] for p in nodes[group]]) for group, _ in self.groups]
-        self.inner_tol = config.inner_tol_rel * (1.0 + float(np.abs(problem.b).max()))
+        self.inner_tol = INNER_TOL_REL * (1.0 + float(np.abs(problem.b).max()))
         self.t_inner = 0
         self.spec.setup(self)
         self.coefficients = [self.spec.coefficients(self, group) for group, _ in self.groups]
 
     def inner_finished(self, X_prev: np.ndarray) -> bool:
         """Whether the inner loop of a double-looped kind has finished: the
-        iterate moved by at most inner_tol, or the loop reached inner_cap
+        iterate moved by at most inner_tol, or the loop reached INNER_CAP
         steps. A finished loop restarts its count."""
         change = float(np.abs(self.states.primal - X_prev).max())
-        if change <= self.inner_tol or self.t_inner >= self.config.inner_cap:
+        if change <= self.inner_tol or self.t_inner >= INNER_CAP:
             self.t_inner = 0
             return True
         return False

@@ -4,11 +4,11 @@ These deliberately avoid the library's own code paths: brute-force grid
 minimization, sign-pattern KKT enumeration, Jacobi eigenvalue sweeps,
 Floyd-Warshall reachability, central finite differences, the row dual in
 closed form, graph matrices built edge by edge, a color-scheduled round
-written as per-node neighbor loops, a rho sweep run in the caller's grid
-order, and the delta-regularized basis pursuit solution the column
-partition converges to, by a splitting iteration with dense solves. A
-hypothesis strategy draws connected graphs as a random tree plus random
-edges.
+that picks each neighbor's fresh or stale value by color, a rho sweep run
+in the caller's grid order, and the delta-regularized basis pursuit
+solution the column partition converges to, by a splitting iteration with
+dense solves. A hypothesis strategy draws connected graphs as a random
+tree plus random edges.
 """
 
 from __future__ import annotations
@@ -173,40 +173,31 @@ def laplacian_oracle(n_nodes: int, edges) -> np.ndarray:
     return L
 
 
-def neighbor_lists(n_nodes: int, edges) -> list[list[int]]:
-    """Each node's neighbors in index order, built edge by edge."""
-    neighbors = [[] for _ in range(n_nodes)]
-    for i, j in edges:
-        neighbors[i].append(j)
-        neighbors[j].append(i)
-    return [sorted(ns) for ns in neighbors]
-
-
 def reference_color_round(X_old, gamma, edges, colors, classes, rho, kernel):
-    """One step of color-scheduled consensus ADMM as per-node loops.
+    """One step of color-scheduled consensus ADMM, class by class.
 
-    Classes run in order. Node p sums its neighbors j in index order,
-    taking X_new[j] when j's color is lower than p's (already updated this
-    round) and X_old[j] otherwise, forms v_p = gamma_p - rho * sum and calls
-    kernel(p, P * v_p, P * D_p * rho / 2) for its new value. Afterwards every
-    gamma_p absorbs rho * sum_j (x_p - x_j). Returns (X_new, gamma_new).
+    Classes run in order. The nodes of a class read each neighbor j's
+    X_new[j] when j's color is lower than theirs (already updated this
+    round) and X_old[j] otherwise: those rows, picked by color, are summed
+    by one product with the class's adjacency rows, as the stepper sums
+    them (a loop over the neighbors rounds differently on some BLAS kernel
+    sets). Node p forms v_p = gamma_p - rho * sum and calls
+    kernel(p, P * v_p, P * D_p * rho / 2) for its new value. Afterwards
+    every gamma_p absorbs rho * sum_j (x_p - x_j). Returns (X_new,
+    gamma_new).
     """
     P = X_old.shape[0]
-    neighbors = neighbor_lists(P, edges)
+    laplacian = laplacian_oracle(P, edges)
+    degrees = np.diag(laplacian)
+    adjacency = np.diag(degrees) - laplacian
     X_new = X_old.copy()
     for cls in classes:
-        for p in cls:
-            acc = np.zeros(X_old.shape[1])
-            for j in neighbors[p]:
-                acc += X_new[j] if colors[j] < colors[p] else X_old[j]
+        fresh = np.array([colors[j] < colors[cls[0]] for j in range(P)])
+        sums = adjacency[list(cls)] @ np.where(fresh[:, None], X_new, X_old)
+        for p, acc in zip(cls, sums):
             v = gamma[p] - rho * acc
-            X_new[p] = kernel(p, P * v, P * len(neighbors[p]) * rho / 2.0)
-    S = np.zeros_like(X_new)
-    for p in range(P):
-        for j in neighbors[p]:
-            S[p] += X_new[j]
-    deg = np.array([len(ns) for ns in neighbors], dtype=float)[:, None]
-    return X_new, gamma + rho * (deg * X_new - S)
+            X_new[p] = kernel(p, P * v, P * degrees[p] * rho / 2.0)
+    return X_new, gamma + rho * (degrees[:, None] * X_new - adjacency @ X_new)
 
 
 def ascending_rho_sweep(grid, config, problem, graph, coloring=None, rule=None):

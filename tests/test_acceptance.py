@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import netl1 as nl
+from netl1 import solvers
 from netl1.bench import NETWORK_MODELS, RHO_GRID, rho_sweep
 from netl1.graphs import greedy_coloring, is_proper
 from netl1.linalg import partition
@@ -345,16 +346,15 @@ def test_criterion_8_exact_invariants(desk8):
             np.testing.assert_allclose(rows @ rows.T, np.diag(g.degrees[list(cls)]), atol=0)
 
     # stale/fresh message discipline: the class sweep agrees bitwise with
-    # per-node loops reading X_new[j] exactly for lower-color neighbors
+    # a reference round reading X_new[j] exactly for lower-color neighbors
     blocks = [RowSubproblem(Ap, bp) for Ap, bp in partition(prob.A, prob.b, prob.partition)]
     stepper = make_stepper(SolverConfig(kind="dadmm_row", rho=1.0), prob, graph, coloring)
-    cfg = stepper.config
     X, gamma = stepper.states.primal, stepper.states.gamma
     for k in range(1, 4):
         X, gamma = reference_color_round(
             X, gamma, graph.edges, coloring.colors, coloring.classes, 1.0,
-            lambda p, v, c: solve_row_node(blocks[p], v, c, grad_tol=cfg.grad_tol,
-                                           max_iter=cfg.max_iter).x)
+            lambda p, v, c: solve_row_node(blocks[p], v, c, grad_tol=solvers.GRAD_TOL,
+                                           max_iter=solvers.MAX_ITER).x)
         stepper.step(k)
         assert np.array_equal(stepper.states.primal, X)
         assert np.array_equal(stepper.states.gamma, gamma)

@@ -22,11 +22,7 @@ SURFACE = {
     "PartitionSpec.kind",
     "PartitionSpec.sizes",
     "SolverConfig.delta",
-    "SolverConfig.grad_tol",
-    "SolverConfig.inner_cap",
-    "SolverConfig.inner_tol_rel",
     "SolverConfig.kind",
-    "SolverConfig.max_iter",
     "SolverConfig.rho",
     "StopRule.max_comm_steps",
     "StopRule.targets",

@@ -54,6 +54,16 @@ class TestGenInstance:
         with pytest.raises(InputError):
             gen_instance(InstanceSpec(m=16, n=33, P=4, k=2), kind="column")
 
+    @pytest.mark.parametrize("name", ["m", "n", "P", "k", "seed"])
+    def test_non_integer_fields_rejected(self, name):
+        # numpy's generator once raised its own TypeError for these, late
+        spec = {"m": 40, "n": 160, "P": 8, "k": 5, "seed": 1}
+        for value in (spec[name] + 0.5, float(spec[name])):
+            with pytest.raises(InputError, match=f"InstanceSpec.{name} must be an integer"):
+                InstanceSpec(**{**spec, name: value})
+        prob = gen_instance(InstanceSpec(**{**spec, name: np.int64(spec[name])}))
+        assert prob.A.shape == (40, 160) and prob.partition.sizes == (5,) * 8
+
 
 class TestCentralizedOracle:
     def test_square_invertible_case(self):
@@ -276,6 +286,18 @@ class TestScaleExperiment:
     def test_indivisible_p_rejected(self):
         with pytest.raises(InputError):
             scale_experiment(m=30, n=128, k=3, p_values=(4,), target=1e-2)
+
+    @pytest.mark.parametrize("p_values", [(2, 4, 8, 3), (2, 4, 1), (2, 4.0)])
+    def test_every_size_checked_before_any_solve(self, p_values, monkeypatch):
+        # a size that does not divide m, a size of 1 or a non-integer size
+        # fails before the oracle solve and the first run
+        calls = []
+        monkeypatch.setattr(nl.bench, "run", lambda *args: calls.append("run"))
+        monkeypatch.setattr(nl.bench, "solve_bp_centralized",
+                            lambda *args, **kwargs: calls.append("oracle"))
+        with pytest.raises(InputError, match=f"network size P={p_values[-1]} must be"):
+            scale_experiment(m=32, n=128, k=4, p_values=p_values)
+        assert calls == []
 
     def test_csv_output(self, tmp_path):
         result = scale_experiment(m=32, n=128, k=4, p_values=(2,), seed=1,

@@ -1,13 +1,10 @@
-import functools
-
 import numpy as np
 import pytest
 
-from netl1 import bench, cli
+from netl1 import bench, cli, solvers
 from netl1.cli import ALGOS, main
 from netl1.graphs import generate_network, greedy_coloring, load_network
 from netl1.problems import load_instance, save_instance
-from netl1.solvers import SolverConfig
 
 
 def test_gen_instance_and_oracle_roundtrip(tmp_path, capsys):
@@ -63,11 +60,18 @@ def test_gen_network_param(tmp_path, capsys, model, param, params):
     assert capsys.readouterr().out.startswith(f"wrote {model} network P=10 E={g.n_edges} ")
 
 
-@pytest.mark.parametrize("model, param", [("watts_strogatz", "4"), ("erdos_renyi", "")])
+@pytest.mark.parametrize("model, param", [
+    ("watts_strogatz", "4"), ("erdos_renyi", ""), ("watts_strogatz", "0.5,0.6"),
+    ("watts_strogatz", "4,0.6,1"), ("geometric", "near"), ("erdos_renyi", "0.5,0.6"),
+    ("lattice", "0.5"),
+])
 def test_gen_network_bad_param_is_an_error(tmp_path, capsys, model, param):
+    # the message names the option and the form the model takes
+    form = {"erdos_renyi": "p", "watts_strogatz": "n,p", "geometric": "d", "lattice": ""}[model]
     assert main(["gen-network", "--model", model, "--P", "10", "--param", param,
                  "--out", str(tmp_path / "net.txt")]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == (
+        f"error: --param: {model} takes '{form}', not {param!r}\n")
 
 
 #: The --algo names README documents, and the kinds they run on a row partition.
@@ -99,8 +103,7 @@ def test_capped_node_solves_are_reported(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert main(run) == 0 and main(sweep) == 0
     assert "flagged_rounds" not in capsys.readouterr().out
-    capped = functools.partial(SolverConfig, max_iter=1)
-    monkeypatch.setattr(cli, "SolverConfig", capped)
+    monkeypatch.setattr(solvers, "MAX_ITER", 1)
     assert main(run[:-2] + ["--max-steps", "4"]) == 2
     assert main(sweep + ["--max-steps", "4"]) == 2
     run_line, sweep_line, _ = capsys.readouterr().out.splitlines()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import netl1 as nl
-from netl1 import engine
+from netl1 import engine, solvers
 from netl1.engine import RunTrace, StopRule, global_estimate, relative_error, run
 from netl1.linalg import InputError, PartitionSpec
 from netl1.nodeprob import ColSubproblem
@@ -158,12 +158,13 @@ class TestRun:
         assert (tr.comm_steps, tr.converged, tr.steps_to_accuracy) == (0, True, {2.0: 0})
         assert list(tr.max_rel_err) == [1.0] and list(tr.inner_iterations) == [0]
 
-    def test_capped_node_solves_are_flagged(self):
+    def test_capped_node_solves_are_flagged(self, monkeypatch):
         # one Newton step per solve is too few, so every step has a group
         # solve that hits its cap
         prob = small_problem()
         g = nl.generate_network("lattice", 4)
-        config = SolverConfig(kind="dadmm_row", max_iter=1)
+        monkeypatch.setattr(solvers, "MAX_ITER", 1)
+        config = SolverConfig(kind="dadmm_row")
         tr = run(config, prob, g, rule=StopRule(targets=(1e-8,), max_comm_steps=5))
         assert tr.flagged_rounds == tr.comm_steps == 5
         stepper = make_stepper(config, prob, g, nl.greedy_coloring(g))
@@ -194,18 +195,16 @@ class TestRun:
         first = lines[1].split(",")
         assert first[0] == "0" and float(first[1]) == 1.0
 
-    def test_double_loop_accounting_one_step_per_inner_iteration(self):
+    def test_double_loop_accounting_one_step_per_inner_iteration(self, monkeypatch):
         # the trace advances one step per inner iteration; outer updates are free
         prob = small_problem(seed=33)
         g = nl.generate_network("lattice", 4)
-        config = SolverConfig(kind="mm_ngs", rho=10.0, inner_cap=7)
-        from netl1.solvers import make_stepper
-
-        stepper = make_stepper(config, prob, g)
+        monkeypatch.setattr(solvers, "INNER_CAP", 7)
+        stepper = make_stepper(SolverConfig(kind="mm_ngs", rho=10.0), prob, g)
         gamma_before = stepper.states.gamma.copy()
         for k in range(1, 8):
             stepper.step(k)
-        # after at most inner_cap steps the outer update must have fired
+        # after at most INNER_CAP steps the outer update must have fired
         assert not np.array_equal(stepper.states.gamma, gamma_before)
 
     def test_desk_instance_on_grid_reaches_fine_target(self):

@@ -16,7 +16,6 @@ from netl1.nodeprob import (
     solve_row_node,
     x_of_u,
 )
-from netl1.solvers import SolverConfig
 
 from oracles import (
     brute_force_scalar_min,
@@ -183,10 +182,26 @@ class TestRowSolver:
                                      {"grad_tol": np.inf}, {"max_iter": 0}, {"max_iter": -5},
                                      {"max_iter": 2.5}, {"max_iter": 3.0}])
     def test_config_rejects_bad_controls(self, bad):
-        # the kernel's controls are SolverConfig's, checked there once
-        with pytest.raises(InputError):
-            SolverConfig(kind="dadmm_row", **bad)
-        assert SolverConfig(kind="dadmm_row", max_iter=np.int64(1)).max_iter == 1
+        # every kernel checks the controls it is given: a node, a stacked
+        # one-row group and the column kernel (a NaN grad_tol once ran
+        # nothing on a node and the whole cap on a group, max_iter 2.5
+        # three evaluations)
+        rng = np.random.default_rng(8)
+        controls = {**CONTROLS, **bad}
+        sp = random_row_subproblem(rng, 2, 6)
+        group = RowGroup([random_row_subproblem(rng, 1, 6) for _ in range(BATCH_MIN_WIDTH)])
+        assert group.squares is not None
+        col = ColSubproblem(rng.normal(size=(3, 6)), delta=1e-3)
+        V, C = rng.normal(size=(BATCH_MIN_WIDTH, 6)), np.ones(BATCH_MIN_WIDTH)
+        for solve in (lambda: solve_row_node(sp, V[0], 1.0, **controls),
+                      lambda: solve_row_node(group, V, C, **controls),
+                      lambda: solve_col_node(col, V[0, :3], 1.0, **controls)):
+            with pytest.raises(InputError):
+                solve()
+        one = {"grad_tol": np.float64(1e-10), "max_iter": np.int64(1)}
+        assert solve_row_node(sp, V[0], 1.0, **one).iterations <= 1
+        assert solve_row_node(group, V, C, **one).iterations <= BATCH_MIN_WIDTH
+        assert solve_col_node(col, V[0, :3], 1.0, **one).iterations <= 1
 
 
 def assert_kkt(sp, v, c, sol, tol):
