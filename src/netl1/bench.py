@@ -38,7 +38,7 @@ class ToleranceError(RuntimeError):
 @dataclass(frozen=True)
 class InstanceSpec:
     """Synthetic instance dimensions: m equations, n unknowns (m < n),
-    P nodes, sparsity k, and the RNG seed, all integers."""
+    P nodes, sparsity k, and the RNG seed (non-negative), all integers."""
 
     m: int
     n: int
@@ -50,6 +50,8 @@ class InstanceSpec:
         for name in ("m", "n", "P", "k", "seed"):
             if not _is_integer(getattr(self, name)):
                 raise InputError(f"InstanceSpec.{name} must be an integer")
+        if self.seed < 0:
+            raise InputError("InstanceSpec.seed must be non-negative")
         if self.m >= self.n:
             raise InputError("instances need m < n")
         if self.k < 1 or 2 * self.k > self.m:

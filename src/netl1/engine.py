@@ -179,15 +179,17 @@ def run(
             # the node norms as np.linalg.norm(D, axis=1) takes them, and the
             # errors as the vector norm takes them, sqrt(d @ d)
             D = X - x_ref
-            p = int(np.argmax(np.sqrt((D * D).sum(axis=1))))
+            p = int(np.sqrt((D * D).sum(axis=1)).argmax())
             max_err = math.sqrt(D[p] @ D[p]) / ref_norm
             node0_err = math.sqrt(D[0] @ D[0]) / ref_norm
             estimate = X[p]
         trace.max_rel_err.append(max_err)
         trace.node0_rel_err.append(node0_err)
-        E = X[i] - X[j]
+        E = X.take(i, axis=0)  # the edges' differences, squared in place
+        E -= X.take(j, axis=0)
+        E *= E
         # sqrt is monotone, so this is the largest of the edges' norms
-        trace.consensus_residual.append(math.sqrt((E * E).sum(axis=1).max()))
+        trace.consensus_residual.append(math.sqrt(E.sum(axis=1).max()))
         trace.objective.append(float(np.abs(estimate).sum()))
         trace.inner_iterations.append(inner)
         for target in rule.targets:

@@ -247,10 +247,12 @@ def generate_network(model: str, P: int, seed: int = 0, **params) -> Graph:
 
     model is one of "erdos_renyi" (param p), "watts_strogatz" (params n, p),
     "barabasi_albert", "geometric" (param d) or "lattice", and params must
-    name exactly the model's parameters. The result may be disconnected;
-    callers that need connectivity should check and retry with a different
-    seed.
+    name exactly the model's parameters. seed is a non-negative integer
+    (the lattice ignores it). The result may be disconnected; callers that
+    need connectivity should check and retry with a different seed.
     """
+    if not _is_integer(seed) or seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
     if model not in _MODEL_PARAMS:
         raise InputError(f"unknown network model {model!r}")
     if set(params) != set(_MODEL_PARAMS[model]):

@@ -85,9 +85,10 @@ class RowSubproblem:
 @dataclass
 class RowSolution:
     """A row solve: one node's x and multipliers, or for a RowGroup the
-    nodes' x as rows and their multipliers (a list, or the rows of one
-    array for a stacked group); iterations are the dual evaluations of all
-    of them, each solve's first one excepted."""
+    nodes' x as rows (a tuple of them, or one array for a stacked group)
+    and their multipliers (a list, or the rows of one array for a stacked
+    group); iterations are the dual evaluations of all of them, each
+    solve's first one excepted."""
 
     x: np.ndarray
     lam: np.ndarray
@@ -202,14 +203,17 @@ def _check_controls(grad_tol, max_iter):
 def _newton_node(sp: RowSubproblem, v: np.ndarray, c, grad_tol, max_iter):
     """solve_row_node's Newton method on one node, for checked v and c:
     (x, evaluations after the first, converged)."""
-    A, b = sp.A, sp.b
+    A, AT, b = sp.A, sp.A.T, sp.b
     c2 = 2.0 * c
 
     def evaluate(lam):
-        u = v - A.T @ lam
-        d = u.clip(-1.0, 1.0) - u
+        u = AT @ lam
+        np.subtract(v, u, out=u)
+        d = u.clip(-1.0, 1.0)
+        d -= u
         x = d / c2
-        g = A @ x - b
+        g = A @ x
+        g -= b
         return 0.5 * float(d @ x) - float(lam @ b), g, x, float(np.abs(g).max())
 
     lam, x, evals, converged = _newton(evaluate, A, c2, 0.0, sp.frobenius_sq / (c2 * A.shape[1]),
@@ -236,7 +240,7 @@ def _newton(evaluate, A, curvature, shift, damping, z, tol, max_iter):
     f, g, x, gnorm = evaluate(z)
     evals = 0
     while gnorm > tol and evals < max_iter:
-        active = np.compress(x != 0.0, A, axis=1)
+        active = A.compress(x != 0.0, axis=1)
         H = active @ active.T
         H /= curvature
         mu = n * DAMPING_FLOOR
@@ -246,7 +250,7 @@ def _newton(evaluate, A, curvature, shift, damping, z, tol, max_iter):
         s = np.linalg.solve(H, -g)
         slope, t = ARMIJO * float(g @ s), 1.0
         while evals < max_iter:
-            trial = z + t * s
+            trial = z + s if t == 1.0 else z + t * s  # 1.0 * s is s: the same floats
             f_new, g_new, x_new, gnorm_new = evaluate(trial)
             evals += 1
             if f_new <= f + t * slope or gnorm_new < 0.5 * gnorm or t <= STEP_MIN:
@@ -369,16 +373,14 @@ def _solve_row_group(group: RowGroup, V, C, grad_tol, max_iter) -> RowSolution:
         raise InputError("a group solve needs one row of v and one c per node")
     if not np.isfinite(V).all():
         raise InputError("v entries must be finite")
-    if not (np.isfinite(C) & (C > 0)).all():
+    coefficients = C.tolist()  # Python floats: checked without ufuncs, cheap per node
+    if not all(0.0 < c < math.inf for c in coefficients):
         raise InputError("quadratic coefficient c must be positive and finite")
-    if group.stack is None:
-        X, iterations, converged = np.empty(V.shape), 0, True
-        for p, (sp, v, c) in enumerate(zip(group.blocks, V, C)):
-            X[p], evals, ok = _newton_node(sp, v, c, grad_tol, max_iter)
-            iterations += evals
-            converged = converged and ok
+    if group.stack is None:  # the nodes' x are returned as a tuple of rows
+        X, evals, ok = zip(*[_newton_node(sp, v, c, grad_tol, max_iter)
+                             for sp, v, c in zip(group.blocks, V, coefficients)])
         return RowSolution(x=X, lam=[sp.warm_lambda for sp in group.blocks],
-                           iterations=iterations, converged=converged)
+                           iterations=sum(evals), converged=all(ok))
     (A, b), C2 = group.stack, 2.0 * C[:, None]
     controls = group.frobenius_sq / (2.0 * C * A.shape[2]), grad_tol * group.b_scale, max_iter
     if group.squares is None:

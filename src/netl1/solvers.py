@@ -126,15 +126,19 @@ class RoundInfo:
 # by the graph, rho, P and (for dn) alpha, so they are taken once per stepper;
 # node terms: (stepper, step index, group, neighbor sums of the group, swept
 # array, the group's coefficients) -> the group's linear terms V, one row per
-# node. A group is an index array (a color class) or a slice (single nodes,
-# all nodes).
+# node; the neighbor sums are a fresh array, which the terms may overwrite.
+# A group is an index array (a color class) or a slice (single nodes, all
+# nodes).
 
 
 def _consensus_terms(st: "Stepper", k, group, S, X, C):
     """Color-scheduled ADMM and both multiplier-method inner loops: node p
     solves min (1/P)||x||_1 + v_p'x + (D_p rho / 2)||x||^2 s.t. A_p x = b_p
     with v_p = gamma_p - rho * sum_j x_j over its neighbors' latest values."""
-    return st.graph.n_nodes * (st.states.gamma[group] - st.config.rho * S)
+    S *= st.config.rho
+    V = np.subtract(st.states.gamma[group], S, out=S)
+    V *= st.graph.n_nodes
+    return V
 
 
 def _consensus_coefficients(st: "Stepper", group):
@@ -175,8 +179,11 @@ def _subgradient_terms(st: "Stepper", k, group, S, X, C):
     order of magnitude slower at these scales."""
     if k < 1:
         raise InputError("subgradient iteration index starts at 1")
-    W = (X[group] + S) / C
-    return W - (1.0 / (k + 1.0)) * np.sign(W)
+    W = S  # the averaged points, in the neighbor sums' buffer
+    W += X[group]
+    W /= C
+    W -= (1.0 / (k + 1.0)) * np.sign(W)
+    return W
 
 
 def _subgradient_coefficients(st: "Stepper", group):

@@ -53,6 +53,8 @@ class TestGenInstance:
             gen_instance(InstanceSpec(m=16, n=32, P=5, k=2))  # P does not divide m
         with pytest.raises(InputError):
             gen_instance(InstanceSpec(m=16, n=33, P=4, k=2), kind="column")
+        with pytest.raises(InputError, match="InstanceSpec.seed must be non-negative"):
+            InstanceSpec(m=16, n=48, P=4, k=2, seed=-1)  # numpy's ValueError from gen_instance
 
     @pytest.mark.parametrize("name", ["m", "n", "P", "k", "seed"])
     def test_non_integer_fields_rejected(self, name):

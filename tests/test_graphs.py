@@ -21,6 +21,15 @@ from netl1.linalg import InputError
 from oracles import connected_graphs, floyd_warshall_reachable, incidence_oracle, laplacian_oracle
 
 
+EVERY_MODEL = [
+    ("erdos_renyi", {"p": 0.5}),
+    ("watts_strogatz", {"n": 2, "p": 0.5}),
+    ("barabasi_albert", {}),
+    ("geometric", {"d": 0.5}),
+    ("lattice", {}),
+]
+
+
 def random_graphs(count, P=12):
     models = [
         ("erdos_renyi", {"p": 0.3}),
@@ -94,17 +103,19 @@ class TestGenerators:
         with pytest.raises(InputError):
             generate_network("unknown", 5, 0)
 
-    @pytest.mark.parametrize("model, params", [
-        ("erdos_renyi", {"p": 0.5}),
-        ("watts_strogatz", {"n": 2, "p": 0.5}),
-        ("barabasi_albert", {}),
-        ("geometric", {"d": 0.5}),
-        ("lattice", {}),
-    ])
+    @pytest.mark.parametrize("model, params", EVERY_MODEL)
     def test_non_integer_node_count_rejected(self, model, params):
         # used to raise a TypeError from range
         with pytest.raises(InputError, match="integer count"):
             generate_network(model, 8.0, 0, **params)
+
+    @pytest.mark.parametrize("model, params", EVERY_MODEL)
+    @pytest.mark.parametrize("entry", [generate_network, connected_network])
+    def test_negative_seed_rejected(self, entry, model, params):
+        # numpy's generator raised its own ValueError ("expected non-negative
+        # integer") for these, and the lattice took any seed
+        with pytest.raises(InputError, match="seed must be a non-negative integer, got -1"):
+            entry(model, 8, -1, **params)
 
     def test_non_integer_neighbor_count_rejected(self):
         # used to raise a TypeError from range, also through the clamp of

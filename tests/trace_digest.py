@@ -1,6 +1,7 @@
 """Print one sha256 over the repr of every RunTrace of a fixed set of runs.
 
     python3 tests/trace_digest.py
+    python3 tests/trace_digest.py --expect DIGEST [NAME=DIGEST ...]
 
 Run from anywhere; the library is imported from ./src. The runs are the
 solve phases of the benchmark's three workloads (perfbench/workloads.py)
@@ -13,10 +14,17 @@ meant to move one workload shows that the others held), then the OpenBLAS
 kernel set the products ran on: the digests are exact for one kernel set
 only. pytest does not collect this file; BLAS runs on one thread, as in
 the benchmark.
+
+--expect checks the digests against a parent's: the overall digest, then
+NAME=DIGEST for any of the per-part digests (a workload's name, or
+KIND_COUNTS), each a full digest or a prefix of at least 8 hex digits.
+The exit code is 1 if any of them differs, and each one that moved is
+named.
 """
 
 from __future__ import annotations
 
+import argparse
 import ctypes
 import hashlib
 import os
@@ -67,19 +75,48 @@ def blas_kernels() -> str:
     return corename().decode()
 
 
-def main():
-    digest = hashlib.sha256()
+def expectations(parser, values, names):
+    """--expect's values as {part name or "overall": digest prefix}."""
+    expected = {}
+    for value in values:
+        name, _, prefix = value.rpartition("=")
+        name = name or "overall"
+        if name != "overall" and name not in names:
+            parser.error(f"--expect: no part named {name!r}; the parts are {', '.join(names)}")
+        if len(prefix) < 8 or any(ch not in "0123456789abcdef" for ch in prefix):
+            parser.error(f"--expect: {value!r} needs at least 8 lowercase hex digits")
+        expected[name] = prefix
+    return expected
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--expect", nargs="+", default=[], metavar="DIGEST",
+                        help="the overall digest, then NAME=DIGEST for per-part digests")
+    args = parser.parse_args(argv)
     parts = {name: workload_traces(name) for name in workloads.WORKLOADS}
     parts["KIND_COUNTS"] = kind_count_traces()
+    expected = expectations(parser, args.expect, list(parts))
+
+    digest, digests = hashlib.sha256(), {}
     for name, traces in parts.items():
         part = hashlib.sha256()
         for trace in traces:
             digest.update(repr(trace).encode())
             part.update(repr(trace).encode())
-        print(f"{name} digest {part.hexdigest()}")
+        digests[name] = part.hexdigest()
+        print(f"{name} digest {digests[name]}")
     print(f"OpenBLAS kernels: {blas_kernels()}")
-    print(digest.hexdigest())
+    digests["overall"] = digest.hexdigest()
+    print(digests["overall"])
+
+    moved = [name for name, prefix in expected.items() if not digests[name].startswith(prefix)]
+    for name in moved:
+        print(f"MOVED: {name} digest {digests[name]}, expected {expected[name]}")
+    if expected and not moved:
+        print(f"as expected: {', '.join(expected)}")
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
