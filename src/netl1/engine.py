@@ -179,7 +179,7 @@ def run(
             # the node norms as np.linalg.norm(D, axis=1) takes them, and the
             # errors as the vector norm takes them, sqrt(d @ d)
             D = X - x_ref
-            p = int(np.sqrt((D * D).sum(axis=1)).argmax())
+            p = int(np.sqrt(np.add.reduce(D * D, axis=1)).argmax())
             max_err = math.sqrt(D[p] @ D[p]) / ref_norm
             node0_err = math.sqrt(D[0] @ D[0]) / ref_norm
             estimate = X[p]
@@ -189,8 +189,8 @@ def run(
         E -= X.take(j, axis=0)
         E *= E
         # sqrt is monotone, so this is the largest of the edges' norms
-        trace.consensus_residual.append(math.sqrt(E.sum(axis=1).max()))
-        trace.objective.append(float(np.abs(estimate).sum()))
+        trace.consensus_residual.append(math.sqrt(np.maximum.reduce(np.add.reduce(E, axis=1))))
+        trace.objective.append(float(np.add.reduce(np.abs(estimate))))
         trace.inner_iterations.append(inner)
         for target in rule.targets:
             if max_err <= target and target not in trace.steps_to_accuracy:

@@ -10,6 +10,10 @@ b - A x(lam), where x(lam) applies the scalar closed form x_of_u to
 u = v - A' lam componentwise. The dual is piecewise quadratic, and a
 semismooth Newton method maximizes it from warm starts: per node, in
 lockstep over a wide group, bracketed where that group's duals are scalar.
+Every solve starts from the linear prediction lam + (lam - last) of its
+node's last two solutions, a secant predictor ahead of the Newton
+corrector (Allgower & Georg, Numerical Continuation Methods, 1990): across
+ADMM steps the multipliers follow a smooth path.
 
 Column partition: each node minimizes the unconstrained, differentiable
 
@@ -17,7 +21,7 @@ Column partition: each node minimizes the unconstrained, differentiable
 
 where psi_p(y) = -inf_x ( ||x||_1 + (A_p' y)' x + (delta/2) ||x||^2 ).
 It is piecewise quadratic too, and the row kernel's Newton loop minimizes
-it from warm starts.
+it from the same predicted warm starts.
 """
 
 from __future__ import annotations
@@ -59,7 +63,8 @@ bb_minimize = None
 @dataclass
 class RowSubproblem:
     """Node-local data for the row partition: block A (full row rank), slice b
-    and the dual warm start carried across calls.
+    and the dual carried across calls: last_lambda, the last solution (zeros
+    before the first), and warm_lambda, the start of the next solve.
 
     The block's constants are computed once: its Gram factorization gram,
     frobenius_sq = ||A||_F^2 (the Newton damping's scale) and b_scale =
@@ -72,6 +77,7 @@ class RowSubproblem:
     frobenius_sq: float = field(init=False)
     b_scale: float = field(init=False)
     warm_lambda: np.ndarray = field(init=False)
+    last_lambda: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.A = as_matrix(self.A)
@@ -80,6 +86,7 @@ class RowSubproblem:
         self.frobenius_sq = np.einsum("ij,ij->", self.A, self.A)
         self.b_scale = 1.0 + float(np.abs(self.b).max(initial=0.0))
         self.warm_lambda = np.zeros(self.A.shape[0])
+        self.last_lambda = np.zeros(self.A.shape[0])
 
 
 @dataclass
@@ -118,10 +125,11 @@ class RowGroup:
     stack holds its blocks (width, height, n), a view of A, and slices
     (width, height); any other group is solved node by node, and stack is
     None; a stack of one-row blocks keeps squares = A * A (else None) for
-    the scalar kernel. A stacked group keeps its nodes' warm starts as the
-    rows of one array warm_lambda (width, height), and each block's
-    warm_lambda is a view of its row, so a solve writes them all with one
-    copy; a group without a stack leaves them with the blocks. The
+    the scalar kernel. A stacked group keeps its nodes' warm starts and
+    last solutions as the rows of two arrays warm_lambda and last_lambda
+    (width, height), and each block's warm_lambda and last_lambda are views
+    of their rows, so a solve writes them all with one copy each; a group
+    without a stack leaves them with the blocks. The
     subgradient projects a stacked group's nodes in one stacked product with
     projector, the blocks' A_p'(A_p A_p')^-1 (linalg.projector_stack), which
     its stepper sets; a group without a stack projects node by node.
@@ -135,6 +143,7 @@ class RowGroup:
     b_scale: np.ndarray = field(init=False)
     projector: np.ndarray | None = field(init=False, default=None)
     warm_lambda: np.ndarray | None = field(init=False, default=None)
+    last_lambda: np.ndarray | None = field(init=False, default=None)
     squares: np.ndarray | None = field(init=False, default=None)  # one-row stacks only
 
     def __post_init__(self):
@@ -147,8 +156,9 @@ class RowGroup:
             self.stack = (self.A.reshape(len(self.blocks), heights.pop(), -1),
                           np.stack([sp.b for sp in self.blocks]))
             self.warm_lambda = np.stack([sp.warm_lambda for sp in self.blocks])
-            for sp, row in zip(self.blocks, self.warm_lambda):
-                sp.warm_lambda = row
+            self.last_lambda = np.stack([sp.last_lambda for sp in self.blocks])
+            for sp, warm, last in zip(self.blocks, self.warm_lambda, self.last_lambda):
+                sp.warm_lambda, sp.last_lambda = warm, last
             self.squares = self.A * self.A if len(self.A) == len(self.blocks) else None
 
 
@@ -172,16 +182,18 @@ def solve_row_node(sp, v, c, *, grad_tol: float, max_iter: int) -> RowSolution:
     step is undamped: where S spans the rows and stays the same, the dual
     is quadratic and that step lands on its minimizer in one move. A
     halving line search (a bracket for a stack of one-row blocks) follows
-    each step (see _newton, _scalar_lockstep). sp.warm_lambda is updated in
-    place for the next call. grad_tol must be positive and finite and
-    max_iter an integer of at least 1 (the stepper passes
-    solvers.GRAD_TOL and solvers.MAX_ITER).
+    each step (see _newton, _scalar_lockstep). Then sp.last_lambda takes
+    the solution and sp.warm_lambda the prediction lam + (lam - last) from
+    the last two solutions, the start of the next call. grad_tol must be
+    positive and finite and max_iter an integer of at least 1 (the stepper
+    passes solvers.GRAD_TOL and solvers.MAX_ITER).
 
     sp may also be a RowGroup, with one row of v and one entry of c per
     node: every node's problem is solved, and the solution holds the rows
     x, the nodes' multipliers, their total iterations and whether all of
     them converged. The group's v and c are checked once, for all of its
-    nodes.
+    nodes. The multipliers returned are the solutions (last_lambda), not the
+    predictions.
     """
     _check_controls(grad_tol, max_iter)
     if isinstance(sp, RowGroup):
@@ -190,7 +202,7 @@ def solve_row_node(sp, v, c, *, grad_tol: float, max_iter: int) -> RowSolution:
         raise InputError("quadratic coefficient c must be positive and finite")
     x, evals, converged = _newton_node(sp, as_vector(v, sp.A.shape[1], "v"), c, grad_tol,
                                        max_iter)
-    return RowSolution(x=x, lam=sp.warm_lambda, iterations=evals, converged=converged)
+    return RowSolution(x=x, lam=sp.last_lambda, iterations=evals, converged=converged)
 
 
 def _check_controls(grad_tol, max_iter):
@@ -218,7 +230,7 @@ def _newton_node(sp: RowSubproblem, v: np.ndarray, c, grad_tol, max_iter):
 
     lam, x, evals, converged = _newton(evaluate, A, c2, 0.0, sp.frobenius_sq / (c2 * A.shape[1]),
                                        sp.warm_lambda, grad_tol * sp.b_scale, max_iter)
-    sp.warm_lambda = lam
+    sp.warm_lambda, sp.last_lambda = lam + (lam - sp.last_lambda), lam
     return x, evals, converged
 
 
@@ -282,11 +294,12 @@ def _newton_directions(A, G, X, C2, scale):
     X, and the Armijo slopes along them: each problem's ||g||_2 damps its
     step only where its active set X != 0 has fewer columns than the block
     has rows, as in _newton."""
-    m, n = A.shape[1:]
+    k, m, n = A.shape
     active = X != 0.0
-    H = np.matmul(A * active[:, None, :], A.transpose(0, 2, 1)) / C2[:, :, None]
-    singular = np.count_nonzero(active, axis=1) < m  # too few columns to span the rows
-    diagonal = np.einsum("kii->ki", H)  # a writable view
+    H = np.matmul(A * active[:, None, :], A.transpose(0, 2, 1))
+    H /= C2[:, :, None]
+    singular = active.sum(axis=1) < m  # too few columns to span the rows
+    diagonal = H.reshape(k, m * m)[:, :: m + 1]  # a writable view
     diagonal += (scale * (np.where(singular, np.sqrt(_rowdot(G, G)), 0.0)
                           + n * DAMPING_FLOOR))[:, None]
     S = np.linalg.solve(H, -G[:, :, None])[:, :, 0]
@@ -379,7 +392,7 @@ def _solve_row_group(group: RowGroup, V, C, grad_tol, max_iter) -> RowSolution:
     if group.stack is None:  # the nodes' x are returned as a tuple of rows
         X, evals, ok = zip(*[_newton_node(sp, v, c, grad_tol, max_iter)
                              for sp, v, c in zip(group.blocks, V, coefficients)])
-        return RowSolution(x=X, lam=[sp.warm_lambda for sp in group.blocks],
+        return RowSolution(x=X, lam=[sp.last_lambda for sp in group.blocks],
                            iterations=sum(evals), converged=all(ok))
     (A, b), C2 = group.stack, 2.0 * C[:, None]
     controls = group.frobenius_sq / (2.0 * C * A.shape[2]), grad_tol * group.b_scale, max_iter
@@ -389,24 +402,31 @@ def _solve_row_group(group: RowGroup, V, C, grad_tol, max_iter) -> RowSolution:
         lam, X, iters, ok = _scalar_lockstep(group.A, group.squares, b[:, 0], V, C2,
                                              group.warm_lambda[:, 0], *controls)
         lam = lam[:, None]
-    group.warm_lambda[...] = lam
-    return RowSolution(x=X, lam=lam, iterations=int(iters.sum()), converged=bool(ok.all()))
+    prediction = lam + (lam - group.last_lambda)  # lam may view warm_lambda: write it last
+    group.last_lambda[...] = lam
+    group.warm_lambda[...] = prediction
+    return RowSolution(x=X, lam=group.last_lambda, iterations=int(iters.sum()),
+                       converged=bool(ok.all()))
 
 
 @dataclass
 class ColSubproblem:
     """Node-local data for the column partition: column block A_p, the
-    regularization weight delta and the dual warm start in y."""
+    regularization weight delta and the dual carried across calls: last_y,
+    the last solution (zeros before the first), and warm_y, the start of
+    the next solve."""
 
     A: np.ndarray
     delta: float
     warm_y: np.ndarray = field(init=False)
+    last_y: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.A = as_matrix(self.A)
         if not (np.isfinite(self.delta) and self.delta > 0):
             raise InputError("delta must be positive and finite")
         self.warm_y = np.zeros(self.A.shape[0])
+        self.last_y = np.zeros(self.A.shape[0])
 
 
 def psi_p(sp: ColSubproblem, y):
@@ -441,8 +461,9 @@ def solve_col_node(sp: ColSubproblem, lin, q: float, *, grad_tol: float,
     gradient g = lin + 2q y - A x. The row kernel's Newton loop minimizes it
     from the warm start sp.warm_y until ||g||_inf <= grad_tol or
     max_iter evaluations after the first, undamped: the generalized
-    Hessian A_S A_S'/delta + 2q I is positive definite. sp.warm_y is
-    updated in place. The controls are checked as in solve_row_node.
+    Hessian A_S A_S'/delta + 2q I is positive definite. Then sp.last_y
+    takes the solution and sp.warm_y the prediction y + (y - last), as in
+    solve_row_node. The controls are checked as in solve_row_node.
     """
     _check_controls(grad_tol, max_iter)
     if not (np.isfinite(q) and q > 0):
@@ -460,5 +481,5 @@ def solve_col_node(sp: ColSubproblem, lin, q: float, *, grad_tol: float,
 
     y, _, evals, converged = _newton(evaluate, A, delta, 2.0 * q, 0.0, sp.warm_y, grad_tol,
                                      max_iter)
-    sp.warm_y = y
+    sp.warm_y, sp.last_y = y + (y - sp.last_y), y
     return ColSolution(y=y, iterations=evals, converged=converged)

@@ -128,7 +128,8 @@ def test_criterion_3_bipartite_grid_convergence():
 
 
 #: Criterion 3's run in a new interpreter, which prints the OpenBLAS kernel
-#: set its products ran on and the steps at which each target was reached.
+#: set its products ran on, the steps at which each target was reached and
+#: the total node evaluations.
 CRITERION_3_STEPS = """
 import json
 import netl1 as nl
@@ -139,14 +140,15 @@ prob.x_ref = nl.solve_bp_centralized(prob.A, prob.b, tol=1e-10)
 graph = nl.generate_network("lattice", 64)
 trace = nl.run(nl.SolverConfig(kind="dadmm_row", rho=1.0), prob, graph, nl.greedy_coloring(graph),
                nl.StopRule(targets=(1e-2, 1e-5), max_comm_steps=10_000))
-print(json.dumps([blas_kernels(), sorted(trace.steps_to_accuracy.items())]))
+print(json.dumps([blas_kernels(), sorted(trace.steps_to_accuracy.items()),
+                  sum(trace.inner_iterations)]))
 """
 
 
 def test_criterion_3_steps_on_haswell_kernels():
-    # the step pins hold off the BLAS kernels OpenBLAS picks by default:
-    # OPENBLAS_CORETYPE forces the set an AVX2-only x86 CPU gets, in the
-    # child process only
+    # the step and evaluation pins hold off the BLAS kernels OpenBLAS picks
+    # by default: OPENBLAS_CORETYPE forces the set an AVX2-only x86 CPU
+    # gets, in the child process only
     from trace_digest import blas_kernels
 
     if blas_kernels() == "unknown":
@@ -157,10 +159,13 @@ def test_criterion_3_steps_on_haswell_kernels():
     done = subprocess.run([sys.executable, "-c", CRITERION_3_STEPS], env=env, cwd=tests,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    kernels, steps = json.loads(done.stdout.splitlines()[-1])
+    kernels, steps, evaluations = json.loads(done.stdout.splitlines()[-1])
     assert kernels == "Haswell"
-    assert steps == [[1e-5, PINNED["criterion_3"]["dadmm_row"]["steps"]], [1e-2, 212]]
-    _report(3, "the grid run's steps under OpenBLAS's Haswell kernels", "(212 to 1e-2, 355 to 1e-5)")
+    pinned = PINNED["criterion_3"]["dadmm_row"]
+    assert steps == [[1e-5, pinned["steps"]], [1e-2, 212]]
+    assert evaluations == pinned["evaluations"]
+    _report(3, "the grid run's counts under OpenBLAS's Haswell kernels",
+            f"(212 to 1e-2, 355 to 1e-5, {evaluations} evaluations)")
 
 
 def test_criterion_4_cross_algorithm_agreement(desk8):

@@ -151,14 +151,22 @@ class TestRowSolver:
             assert obj == pytest.approx(obj_star, abs=1e-6)
 
     def test_warm_start_updated_in_place(self):
+        # each solve keeps its solution in last_lambda and starts the next
+        # one from the prediction lam + (lam - last), last zero at first
         rng = np.random.default_rng(6)
         sp = random_row_subproblem(rng, 3, 8)
         v = rng.normal(size=8)
-        sol = solve_row_node(sp, v, 1.0, **CONTROLS)
-        np.testing.assert_array_equal(sp.warm_lambda, sol.lam)
-        # re-solving the same problem from the warm start is immediate
-        again = solve_row_node(sp, v, 1.0, **CONTROLS)
+        last = np.zeros(3)
+        for w in (v, v + 0.1 * rng.normal(size=8)):
+            sol = solve_row_node(sp, w, 1.0, **CONTROLS)
+            assert sp.last_lambda.tobytes() == sol.lam.tobytes()
+            assert sp.warm_lambda.tobytes() == (sol.lam + (sol.lam - last)).tobytes()
+            last = sol.lam.copy()
+        # re-solving the same problem from its solution is immediate
+        sp.warm_lambda = sp.last_lambda
+        again = solve_row_node(sp, w, 1.0, **CONTROLS)
         assert again.iterations == 0
+        assert sp.last_lambda.tobytes() == sp.warm_lambda.tobytes() == last.tobytes()
 
     def test_max_iter_returns_best_flagged(self):
         rng = np.random.default_rng(7)
@@ -347,11 +355,11 @@ def lockstep(blocks, V, C, Lam, *, grad_tol, max_iter):
 
 def per_node_solutions(blocks, V, C, **controls):
     """The reference for a group solve: every node solved on its own by the
-    per-node kernel, from a copy of its warm start."""
+    per-node kernel, from a copy of its warm start and last solution."""
     solutions = []
     for sp, v, c in zip(blocks, V, C):
         alone = RowSubproblem(sp.A, sp.b)
-        alone.warm_lambda = sp.warm_lambda.copy()
+        alone.warm_lambda, alone.last_lambda = sp.warm_lambda.copy(), sp.last_lambda.copy()
         solutions.append(solve_row_node(alone, v, c, **controls))
     return solutions
 
@@ -470,13 +478,18 @@ class TestScalarLockstep:
 def assert_group_matches_per_node(blocks, V, C, *, grad_tol, max_iter):
     reference = per_node_solutions(blocks, V, C, grad_tol=grad_tol, max_iter=max_iter)
     group = RowGroup(blocks)
+    last = [sp.last_lambda.copy() for sp in blocks]
     sol = solve_row_node(group, V, C, grad_tol=grad_tol, max_iter=max_iter)
     np.testing.assert_allclose(sol.x, [r.x for r in reference], atol=1e-10, rtol=0)
     assert sol.converged == all(r.converged for r in reference)
-    for sp, x, lam in zip(blocks, sol.x, sol.lam):
-        # the next solve's warm start: a stacked group's rows, viewed by its blocks
-        np.testing.assert_array_equal(sp.warm_lambda, lam)
-        assert (group.stack is not None) == np.shares_memory(sp.warm_lambda, group.warm_lambda)
+    for sp, x, lam, before in zip(blocks, sol.x, sol.lam, last):
+        # the solution and the next solve's predicted start: a stacked
+        # group's rows, viewed by its blocks
+        assert sp.last_lambda.tobytes() == lam.tobytes()
+        assert sp.warm_lambda.tobytes() == (lam + (lam - before)).tobytes()
+        stacked = group.stack is not None
+        assert stacked == np.shares_memory(sp.warm_lambda, group.warm_lambda)
+        assert stacked == np.shares_memory(sp.last_lambda, group.last_lambda)
         if sol.converged:
             assert np.abs(sp.A @ x - sp.b).max() <= grad_tol * (1 + np.abs(sp.b).max())
 
@@ -561,8 +574,41 @@ class TestRowGroup:
         assert sol.iterations == sum(r.iterations for r in reference)
         assert sol.converged == all(r.converged for r in reference)
         for sp, lam, r in zip(blocks, sol.lam, reference):
-            assert sp.warm_lambda is lam
+            assert sp.last_lambda is lam
+            assert sp.warm_lambda.tobytes() == (lam + lam).tobytes()  # last was zero
             np.testing.assert_array_equal(lam, r.lam)
+
+    @pytest.mark.parametrize("height", [1, 2])
+    def test_stacked_rows_take_the_per_node_prediction(self, height):
+        # two solves of a stacked group (the scalar kernel at height 1, the
+        # lockstep at 2): each block ends with the bits of its node's kernel
+        # run alone from the same start, and of its own prediction
+        rng = np.random.default_rng(34)
+        width, n = BATCH_MIN_WIDTH + 2, 12
+        cfg = dict(grad_tol=1e-12, max_iter=2000)
+        group = RowGroup([random_row_subproblem(rng, height, n) for _ in range(width)])
+        assert group.stack is not None
+        alone = scalar if height == 1 else lockstep
+        for _ in range(2):
+            V, C = rng.normal(size=(width, n)), rng.uniform(0.5, 2.0, size=width)
+            warm, last = group.warm_lambda.copy(), group.last_lambda.copy()
+            sol = solve_row_node(group, V, C, **cfg)
+            for i, sp in enumerate(group.blocks):
+                start = warm[i : i + 1, 0] if height == 1 else warm[i : i + 1]
+                lam = alone(group.blocks[i : i + 1], V[i : i + 1], C[i : i + 1], start.copy(),
+                            **cfg)[0].reshape(height)
+                assert sp.last_lambda.tobytes() == sol.lam[i].tobytes() == lam.tobytes()
+                assert sp.warm_lambda.tobytes() == (lam + (lam - last[i])).tobytes()
+        # restarted from its solutions, with zero taken for the solutions
+        # before, every node is done at once: the kernel hands back the
+        # group's own warm_lambda, and the solutions must survive the
+        # writing of the predictions
+        solved = group.last_lambda.copy()
+        group.warm_lambda[...], group.last_lambda[...] = solved, 0.0
+        again = solve_row_node(group, V, C, **cfg)
+        assert again.iterations == 0
+        assert group.last_lambda.tobytes() == solved.tobytes()
+        assert group.warm_lambda.tobytes() == (solved + solved).tobytes()
 
 
 class TestColumnSide:
@@ -626,6 +672,17 @@ class TestColumnSide:
             # the objective is 2q-strongly convex, so the minimizer lies within
             # ||g||_2 / (2q) of sol.y, for g the gradient there by psi_p's arithmetic
             assert np.linalg.norm(value_grad(sol.y)[1]) / (2.0 * q) <= 1e-9
+
+    def test_warm_start_is_the_linear_prediction(self):
+        # after two solves the column kernel starts from y + (y - y_prev)
+        rng = np.random.default_rng(12)
+        sp = ColSubproblem(rng.normal(size=(6, 4)), delta=0.5)
+        lin = rng.normal(size=6)
+        previous = solve_col_node(sp, lin, 1.0, **CONTROLS).y.copy()
+        assert sp.warm_y.tobytes() == (previous + previous).tobytes()
+        y = solve_col_node(sp, lin + 0.1 * rng.normal(size=6), 1.0, **CONTROLS).y
+        assert sp.last_y.tobytes() == y.tobytes()
+        assert sp.warm_y.tobytes() == (y + (y - previous)).tobytes()
 
     def test_rejects_bad_delta_and_q(self):
         # a NaN delta or q used to return y = 0, unconverged, after 0 iterations

@@ -66,13 +66,13 @@ def run_steps(stepper, count):
 #: communication steps, steps to each target and total Newton kernel
 #: evaluations.
 KIND_COUNTS = {
-    "dadmm_row": (1.0, 14, {1e-2: 13, 1e-4: 14}, 212),
-    "dlasso": (1.0, 37, {1e-2: 36, 1e-4: 37}, 309),
+    "dadmm_row": (1.0, 14, {1e-2: 13, 1e-4: 14}, 158),
+    "dlasso": (1.0, 37, {1e-2: 36, 1e-4: 37}, 291),
     "subgradient": (1.0, 310, {1e-1: 310}, 0),
-    "mm_ngs": (10.0, 82, {1e-2: 78, 1e-4: 82}, 426),
-    "mm_dqa": (10.0, 586, {1e-2: 467, 1e-4: 586}, 2734),
-    "dn": (10.0, 163, {1e-2: 118, 1e-4: 163}, 875),
-    "dadmm_col": (1.0, 51, {1e-2: 22, 1e-4: 51}, 423),
+    "mm_ngs": (10.0, 82, {1e-2: 78, 1e-4: 82}, 416),
+    "mm_dqa": (10.0, 586, {1e-2: 467, 1e-4: 586}, 2542),
+    "dn": (10.0, 163, {1e-2: 118, 1e-4: 163}, 898),
+    "dadmm_col": (1.0, 51, {1e-2: 22, 1e-4: 51}, 272),
 }
 
 
@@ -89,22 +89,23 @@ def test_kind_counts_pinned(kind):
 
 
 #: The KIND_COUNTS runs in a new interpreter, which prints the OpenBLAS
-#: kernel set its products ran on and each run's steps and steps to each
-#: target.
-KIND_COUNTS_STEPS = """
+#: kernel set its products ran on and each run's steps, steps to each
+#: target and total node evaluations.
+KIND_COUNTS_RUNS = """
 import json
 from trace_digest import blas_kernels, kind_count_traces
 
-runs = [[t.solver, t.comm_steps, sorted(t.steps_to_accuracy.items())] for t in kind_count_traces()]
+runs = [[t.solver, t.comm_steps, sorted(t.steps_to_accuracy.items()), sum(t.inner_iterations)]
+        for t in kind_count_traces()]
 print(json.dumps([blas_kernels(), runs]))
 """
 
 
 @pytest.mark.parametrize("kernels", ["Haswell", "Sandybridge"])
 def test_kind_counts_steps_on_other_kernels(kernels):
-    # the steps hold on the kernel sets OpenBLAS gives AVX2-only and AVX-only
-    # x86 CPUs (OPENBLAS_CORETYPE, in the child process only); evaluation
-    # totals may move by a few there
+    # the steps and evaluation totals hold on the kernel sets OpenBLAS gives
+    # AVX2-only and AVX-only x86 CPUs (OPENBLAS_CORETYPE, in the child
+    # process only)
     from trace_digest import blas_kernels
 
     if blas_kernels() == "unknown":
@@ -112,13 +113,13 @@ def test_kind_counts_steps_on_other_kernels(kernels):
     tests = Path(__file__).resolve().parent
     env = {**os.environ, "OPENBLAS_CORETYPE": kernels,
            "PYTHONPATH": os.pathsep.join([str(Path(nl.__file__).parent.parent), str(tests)])}
-    done = subprocess.run([sys.executable, "-c", KIND_COUNTS_STEPS], env=env, cwd=tests,
+    done = subprocess.run([sys.executable, "-c", KIND_COUNTS_RUNS], env=env, cwd=tests,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     found, runs = json.loads(done.stdout.splitlines()[-1])
     assert found == kernels
-    expected = [[kind, steps, sorted(reached.items())]
-                for kind, (_, steps, reached, _) in sorted(KIND_COUNTS.items())]
+    expected = [[kind, steps, sorted(reached.items()), evaluations]
+                for kind, (_, steps, reached, evaluations) in sorted(KIND_COUNTS.items())]
     assert runs == json.loads(json.dumps(expected))
 
 
@@ -656,20 +657,23 @@ class TestDN:
 
 class TestWarmStart:
     def test_warm_start_reduces_total_bb_iterations(self):
-        # the same 120 steps, once keeping each node's dual warm start and
-        # once clearing every warm start before each step
+        # the same 120 steps, starting every node solve from the prediction
+        # from its last two solutions, from its last solution alone, and
+        # from zero
         prob = desk_problem(m=16, n=48, P=4, seed=27)
         g = ring_graph(4)
         coloring = greedy_coloring(g)
         totals = []
-        for cold in (False, True):
+        for start in ("predicted", "plain", "cold"):
             stepper = stepper_for("dadmm_row", prob, g, coloring, rho=1.0)
             total = 0
             for k in range(1, 121):
-                if cold:
-                    for sp in stepper.blocks:  # in place: a stacked group's blocks view its rows
+                for sp in stepper.blocks:  # in place: a stacked group's blocks view its rows
+                    if start == "plain":
+                        sp.warm_lambda[:] = sp.last_lambda
+                    elif start == "cold":
                         sp.warm_lambda[:] = 0.0
                 total += stepper.step(k).bb_iterations
             totals.append(total)
-        warm, cold = totals
-        assert 0 < warm <= cold
+        predicted, plain, cold = totals
+        assert 0 < predicted < plain <= cold
