@@ -4,8 +4,8 @@ A trace logs one record per communication step, plus the zero-initialized
 state as step 0 before any communication. The error reported per step is
 the maximum over nodes of ||x_p - x_ref|| / ||x_ref|| (conservative), with
 node 0's series recorded alongside. For the column partition the global
-estimate is the concatenation of the per-node fragments, so the max and
-node-0 series coincide there.
+estimate is the concatenation of the fragments x_p that the column kernel
+kept (ColSubproblem.last_x), so the max and node-0 series coincide there.
 
 Runs are deterministic functions of their inputs: node solves run in
 sweep order and all reductions in a fixed order, so repeated runs give
@@ -172,7 +172,7 @@ def run(
     def record(step: int, inner: int):
         X = stepper.states.primal
         if stepper.col_blocks is not None:
-            estimate = global_estimate(stepper.states, problem.partition, x_ref, stepper.col_blocks)
+            estimate = np.concatenate([sp.last_x for sp in stepper.col_blocks])
             max_err = node0_err = float(np.linalg.norm(estimate - x_ref)) / ref_norm
         else:
             # global_estimate and relative_error in one pass over D = X - x_ref:

@@ -90,12 +90,12 @@ class RowSubproblem:
 
 
 @dataclass
-class RowSolution:
-    """A row solve: one node's x and multipliers, or for a RowGroup the
-    nodes' x as rows (a tuple of them, or one array for a stacked group)
-    and their multipliers (a list, or the rows of one array for a stacked
-    group); iterations are the dual evaluations of all of them, each
-    solve's first one excepted."""
+class NodeSolution:
+    """A node solve: x and lam are a row node's x and multipliers or a
+    column node's fragment and dual y; for a RowGroup, the nodes' x as rows
+    (a tuple, or one array for a stacked group) and their multipliers (a
+    list, or the rows of one array). iterations are the dual evaluations of
+    all of them, each solve's first one excepted."""
 
     x: np.ndarray
     lam: np.ndarray
@@ -166,7 +166,7 @@ class RowGroup:
 DAMPING_FLOOR = 1e-10
 
 
-def solve_row_node(sp, v, c, *, grad_tol: float, max_iter: int) -> RowSolution:
+def solve_row_node(sp, v, c, *, grad_tol: float, max_iter: int) -> NodeSolution:
     """Solve min ||x||_1 + v'x + c||x||^2 s.t. A x = b through its dual.
 
     With u = v - A'lam, d = clip(u, -1, 1) - u and x = d / (2c), the
@@ -202,7 +202,7 @@ def solve_row_node(sp, v, c, *, grad_tol: float, max_iter: int) -> RowSolution:
         raise InputError("quadratic coefficient c must be positive and finite")
     x, evals, converged = _newton_node(sp, as_vector(v, sp.A.shape[1], "v"), c, grad_tol,
                                        max_iter)
-    return RowSolution(x=x, lam=sp.last_lambda, iterations=evals, converged=converged)
+    return NodeSolution(x=x, lam=sp.last_lambda, iterations=evals, converged=converged)
 
 
 def _check_controls(grad_tol, max_iter):
@@ -380,7 +380,7 @@ def _scalar_lockstep(a, squares, b, V, C2, lam, scale, tol, max_iter):
         evals += 1
 
 
-def _solve_row_group(group: RowGroup, V, C, grad_tol, max_iter) -> RowSolution:
+def _solve_row_group(group: RowGroup, V, C, grad_tol, max_iter) -> NodeSolution:
     V, C = np.asarray(V, dtype=float), np.asarray(C, dtype=float)
     if V.shape != (len(group.blocks), group.A.shape[1]) or C.shape != (len(group.blocks),):
         raise InputError("a group solve needs one row of v and one c per node")
@@ -392,8 +392,8 @@ def _solve_row_group(group: RowGroup, V, C, grad_tol, max_iter) -> RowSolution:
     if group.stack is None:  # the nodes' x are returned as a tuple of rows
         X, evals, ok = zip(*[_newton_node(sp, v, c, grad_tol, max_iter)
                              for sp, v, c in zip(group.blocks, V, coefficients)])
-        return RowSolution(x=X, lam=[sp.last_lambda for sp in group.blocks],
-                           iterations=sum(evals), converged=all(ok))
+        return NodeSolution(x=X, lam=[sp.last_lambda for sp in group.blocks],
+                            iterations=sum(evals), converged=all(ok))
     (A, b), C2 = group.stack, 2.0 * C[:, None]
     controls = group.frobenius_sq / (2.0 * C * A.shape[2]), grad_tol * group.b_scale, max_iter
     if group.squares is None:
@@ -405,8 +405,8 @@ def _solve_row_group(group: RowGroup, V, C, grad_tol, max_iter) -> RowSolution:
     prediction = lam + (lam - group.last_lambda)  # lam may view warm_lambda: write it last
     group.last_lambda[...] = lam
     group.warm_lambda[...] = prediction
-    return RowSolution(x=X, lam=group.last_lambda, iterations=int(iters.sum()),
-                       converged=bool(ok.all()))
+    return NodeSolution(x=X, lam=group.last_lambda, iterations=int(iters.sum()),
+                        converged=bool(ok.all()))
 
 
 @dataclass
@@ -414,12 +414,14 @@ class ColSubproblem:
     """Node-local data for the column partition: column block A_p, the
     regularization weight delta and the dual carried across calls: last_y,
     the last solution (zeros before the first), and warm_y, the start of
-    the next solve."""
+    the next solve. The kernel owns the node's fragment x_p: last_x, the x
+    of its evaluation at last_y (zeros before the first solve)."""
 
     A: np.ndarray
     delta: float
     warm_y: np.ndarray = field(init=False)
     last_y: np.ndarray = field(init=False)
+    last_x: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.A = as_matrix(self.A)
@@ -427,6 +429,7 @@ class ColSubproblem:
             raise InputError("delta must be positive and finite")
         self.warm_y = np.zeros(self.A.shape[0])
         self.last_y = np.zeros(self.A.shape[0])
+        self.last_x = np.zeros(self.A.shape[1])
 
 
 def psi_p(sp: ColSubproblem, y):
@@ -444,15 +447,8 @@ def psi_p(sp: ColSubproblem, y):
     return value, x, grad
 
 
-@dataclass
-class ColSolution:
-    y: np.ndarray
-    iterations: int
-    converged: bool
-
-
 def solve_col_node(sp: ColSubproblem, lin, q: float, *, grad_tol: float,
-                   max_iter: int) -> ColSolution:
+                   max_iter: int) -> NodeSolution:
     """Minimize psi_p(y) + lin'y + q||y||^2 by semismooth Newton.
 
     q must be positive and finite (the distributed solver passes D_p rho / 2
@@ -462,8 +458,9 @@ def solve_col_node(sp: ColSubproblem, lin, q: float, *, grad_tol: float,
     from the warm start sp.warm_y until ||g||_inf <= grad_tol or
     max_iter evaluations after the first, undamped: the generalized
     Hessian A_S A_S'/delta + 2q I is positive definite. Then sp.last_y
-    takes the solution and sp.warm_y the prediction y + (y - last), as in
-    solve_row_node. The controls are checked as in solve_row_node.
+    takes the solution y, sp.last_x its fragment x (psi_p's at y) and
+    sp.warm_y the prediction y + (y - last), as in solve_row_node; the
+    solution holds x and lam = y. The controls are checked as in solve_row_node.
     """
     _check_controls(grad_tol, max_iter)
     if not (np.isfinite(q) and q > 0):
@@ -479,7 +476,7 @@ def solve_col_node(sp: ColSubproblem, lin, q: float, *, grad_tol: float,
         f = 0.5 * float(d @ x) + float(lin @ y) + q * float(y @ y)
         return f, g, x, float(np.abs(g).max())
 
-    y, _, evals, converged = _newton(evaluate, A, delta, 2.0 * q, 0.0, sp.warm_y, grad_tol,
+    y, x, evals, converged = _newton(evaluate, A, delta, 2.0 * q, 0.0, sp.warm_y, grad_tol,
                                      max_iter)
-    sp.warm_y, sp.last_y = y + (y - sp.last_y), y
-    return ColSolution(y=y, iterations=evals, converged=converged)
+    sp.warm_y, sp.last_y, sp.last_x = y + (y - sp.last_y), y, x
+    return NodeSolution(x=x, lam=y, iterations=evals, converged=converged)

@@ -224,7 +224,7 @@ def _column_group(st: "Stepper", blocks, V, Q):
     transmits y_p (length m) instead of a length-n iterate."""
     solutions = [solve_col_node(sp, lin, q, grad_tol=GRAD_TOL, max_iter=MAX_ITER)
                  for sp, lin, q in zip(blocks, V, Q)]
-    return [solution.y for solution in solutions], solutions
+    return [solution.lam for solution in solutions], solutions
 
 
 def _projection_group(st: "Stepper", rows: RowGroup, points, _):

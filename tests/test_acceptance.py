@@ -232,6 +232,84 @@ def test_criterion_5_communication_step_ordering(bank10):
             f"(wins {wins}/7, mean ratio {np.mean(ratios):.2f}; steps {'; '.join(lines)})")
 
 
+#: Criterion 5's dadmm_row sweeps in a new interpreter, which prints the
+#: OpenBLAS kernel set its products ran on and each network's cell.
+CRITERION_5_SWEEPS = """
+import json
+import netl1 as nl
+from netl1.bench import NETWORK_MODELS, RHO_GRID, rho_sweep
+from trace_digest import blas_kernels
+
+prob = nl.gen_instance(nl.InstanceSpec(m=40, n=160, P=10, k=5, seed=1))
+prob.x_ref = nl.solve_bp_centralized(prob.A, prob.b, tol=1e-10)
+rule = nl.StopRule(targets=(1e-2, 1e-5), max_comm_steps=10_000)
+cells = {}
+for name, model, params in NETWORK_MODELS:
+    graph = nl.connected_network(model, 10, seed=2, **params)
+    sweep = rho_sweep(RHO_GRID, nl.SolverConfig(kind="dadmm_row"), prob, graph,
+                      nl.greedy_coloring(graph), rule)
+    cells[name] = {"best_rho": sweep.best_rho,
+                   "steps": sweep.best_trace.steps_to_accuracy.get(1e-5),
+                   "executed": sum(t.comm_steps for t in sweep.traces.values()),
+                   "evaluations": sum(sum(t.inner_iterations) for t in sweep.traces.values())}
+print(json.dumps([blas_kernels(), cells]))
+"""
+
+
+def test_criterion_5_counts_on_haswell_kernels():
+    # dadmm_row's seven sweep cells, evaluations included, hold off the BLAS
+    # kernels OpenBLAS picks by default (OPENBLAS_CORETYPE, in the child
+    # process only, as for criterion 3)
+    from trace_digest import blas_kernels
+
+    if blas_kernels() == "unknown":
+        pytest.skip("numpy's BLAS does not report an OpenBLAS kernel set")
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+           "PYTHONPATH": os.pathsep.join([str(Path(nl.__file__).parent.parent), str(tests)])}
+    done = subprocess.run([sys.executable, "-c", CRITERION_5_SWEEPS], env=env, cwd=tests,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    kernels, cells = json.loads(done.stdout.splitlines()[-1])
+    assert kernels == "Haswell"
+    assert cells == PINNED["criterion_5"]["dadmm_row"]
+    _report(5, "dadmm_row's sweep counts under OpenBLAS's Haswell kernels",
+            f"({sum(c['evaluations'] for c in cells.values())} evaluations over 7 sweeps)")
+
+
+def test_criterion_5_column_partition_sweeps(bank10):
+    # dadmm_col tuned over RHO_GRID on two of the networks, with criterion
+    # 5's instance drawn as a column partition: the fields of dadmm_row's
+    # cells are pinned, no node solve hits its cap, and the
+    # delta-regularized solution the runs converge to lies within criterion
+    # 7's floor of x_ref
+    prob, networks = bank10
+    columns = prob.with_partition("column", 10)
+    delta = 1e-3
+    floor = nl.relative_error(solve_regularized_bp(prob.A, prob.b, delta, tol=1e-10),
+                              prob.x_ref)
+    assert floor <= 1e-8, f"delta={delta}: floor {floor:.2e}"
+    rule = nl.StopRule(targets=(1e-2, 1e-5), max_comm_steps=10_000)
+    cells = {}
+    for name, graph, coloring in networks:
+        if name not in ("erdos_renyi_dense", "lattice"):
+            continue
+        sweep = rho_sweep(RHO_GRID, SolverConfig(kind="dadmm_col", delta=delta), columns, graph,
+                          coloring, rule)
+        assert all(t.flagged_rounds == 0 for t in sweep.traces.values()), \
+            f"{name}: a node solve hit its cap"
+        cells[name] = {
+            "best_rho": sweep.best_rho,
+            "steps": sweep.best_trace.steps_to_accuracy.get(1e-5),
+            "executed": sum(t.comm_steps for t in sweep.traces.values()),
+            "evaluations": sum(sum(t.inner_iterations) for t in sweep.traces.values()),
+        }
+    assert {"dadmm_col": cells} == PINNED["criterion_5_column"]
+    _report(5, "tuned column-partition sweeps",
+            f"(steps {cells['erdos_renyi_dense']['steps']} and {cells['lattice']['steps']}, "
+            f"floor {floor:.1e})")
+
+
 def test_criterion_5_baselines_capped_at_dadmm_row_steps(bank10):
     # the double-looped baselines, tuned over RHO_GRID with each sweep's
     # budget capped at dadmm_row's pinned steps to 1e-5 on that network:

@@ -6,8 +6,8 @@ from netl1.linalg import InputError
 from netl1.nodeprob import (
     BATCH_MIN_WIDTH,
     ColSubproblem,
+    NodeSolution,
     RowGroup,
-    RowSolution,
     RowSubproblem,
     _newton_lockstep,
     _scalar_lockstep,
@@ -404,7 +404,7 @@ class TestScalarLockstep:
                 # root, and h = ||a||^2 / 2c is small at c = 1e3, where |lam|
                 # reaches about 100: lam agrees to 1e-10 or 1e-12 relative
                 np.testing.assert_allclose(lam, r.lam, atol=1e-10, rtol=1e-12)
-                assert_kkt(sp, v, c, RowSolution(x=x, lam=lam, iterations=0, converged=True),
+                assert_kkt(sp, v, c, NodeSolution(x=x, lam=lam, iterations=0, converged=True),
                            cfg["grad_tol"] * sp.b_scale)
 
     def test_midpoint_when_the_newton_point_leaves_the_bracket(self):
@@ -471,8 +471,8 @@ class TestScalarLockstep:
         lam, X, iterations, converged = scalar(blocks, V, C, np.zeros(width), **cfg)
         assert converged.all()
         for sp, v, c, x, l in zip(blocks, V, C, X, lam):
-            assert_kkt(sp, v, c, RowSolution(x=x, lam=np.array([l]), iterations=0,
-                                             converged=True), cfg["grad_tol"] * sp.b_scale)
+            assert_kkt(sp, v, c, NodeSolution(x=x, lam=np.array([l]), iterations=0,
+                                              converged=True), cfg["grad_tol"] * sp.b_scale)
 
 
 def assert_group_matches_per_node(blocks, V, C, *, grad_tol, max_iter):
@@ -643,12 +643,12 @@ class TestColumnSide:
         v = np.array([1.0, -2.0, 0.5])
         b = np.array([0.3, 0.3, 0.3])
         sol = solve_col_node(sp, v + b / 3, q=2.0, **CONTROLS)
-        np.testing.assert_allclose(sol.y, -(v + b / 3) / 4.0, atol=1e-10)
+        np.testing.assert_allclose(sol.lam, -(v + b / 3) / 4.0, atol=1e-10)
 
     def test_zero_linear_term_gives_zero(self):
         sp = ColSubproblem(np.zeros((3, 2)), delta=1e-3)
         sol = solve_col_node(sp, np.zeros(3), q=1.0, **CONTROLS)
-        np.testing.assert_allclose(sol.y, 0.0, atol=1e-12)
+        np.testing.assert_allclose(sol.lam, 0.0, atol=1e-12)
 
     def test_random_instance_first_order_optimal(self):
         # the second input is criterion 7's stiff regime: 40-row blocks and a
@@ -665,24 +665,52 @@ class TestColumnSide:
                 value, _, grad = psi_p(sp, y)
                 return value + lin @ y + q * (y @ y), grad + lin + 2.0 * q * y
 
-            base = value_grad(sol.y)[0]
+            base = value_grad(sol.lam)[0]
             for _ in range(1000):
-                assert value_grad(sol.y + rng.normal(size=m) * 0.05)[0] >= base - 1e-10
+                assert value_grad(sol.lam + rng.normal(size=m) * 0.05)[0] >= base - 1e-10
 
             # the objective is 2q-strongly convex, so the minimizer lies within
-            # ||g||_2 / (2q) of sol.y, for g the gradient there by psi_p's arithmetic
-            assert np.linalg.norm(value_grad(sol.y)[1]) / (2.0 * q) <= 1e-9
+            # ||g||_2 / (2q) of sol.lam, for g the gradient there by psi_p's arithmetic
+            assert np.linalg.norm(value_grad(sol.lam)[1]) / (2.0 * q) <= 1e-9
 
     def test_warm_start_is_the_linear_prediction(self):
         # after two solves the column kernel starts from y + (y - y_prev)
         rng = np.random.default_rng(12)
         sp = ColSubproblem(rng.normal(size=(6, 4)), delta=0.5)
         lin = rng.normal(size=6)
-        previous = solve_col_node(sp, lin, 1.0, **CONTROLS).y.copy()
+        previous = solve_col_node(sp, lin, 1.0, **CONTROLS).lam.copy()
         assert sp.warm_y.tobytes() == (previous + previous).tobytes()
-        y = solve_col_node(sp, lin + 0.1 * rng.normal(size=6), 1.0, **CONTROLS).y
+        y = solve_col_node(sp, lin + 0.1 * rng.normal(size=6), 1.0, **CONTROLS).lam
         assert sp.last_y.tobytes() == y.tobytes()
         assert sp.warm_y.tobytes() == (y + (y - previous)).tobytes()
+
+    def test_keeps_the_fragment_of_its_solution(self):
+        # x and sp.last_x are psi_p's fragment at the returned y, bit for
+        # bit: after a normal solve, after a restart from the solution (no
+        # evaluation after the first) and after a solve capped at one
+        # evaluation, whose line search rejects its one trial and ends at
+        # the start
+        rng = np.random.default_rng(13)
+        sp = ColSubproblem(rng.normal(size=(40, 20)), delta=1e-3)
+        np.testing.assert_array_equal(sp.last_x, np.zeros(20))
+        lin = rng.normal(size=40)
+
+        def solve(lin, **controls):
+            sol = solve_col_node(sp, lin, 1.0, **{**CONTROLS, **controls})
+            fragment = psi_p(sp, sol.lam)[1]
+            assert sol.x.tobytes() == sp.last_x.tobytes() == fragment.tobytes()
+            assert sol.lam.tobytes() == sp.last_y.tobytes()
+            return sol
+
+        sol = solve(lin)
+        assert sol.converged and sol.iterations > 1
+        sp.warm_y = sp.last_y.copy()
+        assert solve(lin).iterations == 0
+        start = 0.1 * rng.normal(size=40)
+        sp.warm_y = start.copy()
+        sol = solve(-lin, max_iter=1)
+        assert not sol.converged and sol.iterations == 1
+        assert sol.lam.tobytes() == start.tobytes() and np.abs(sol.x).max() > 0.0
 
     def test_rejects_bad_delta_and_q(self):
         # a NaN delta or q used to return y = 0, unconverged, after 0 iterations
