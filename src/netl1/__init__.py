@@ -28,7 +28,6 @@ from .graphs import (
 )
 from .linalg import (
     FactorizationError,
-    GramFactorization,
     InputError,
     PartitionSpec,
     affine_projection,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .engine import RunTrace, StopRule, run
 from .graphs import Coloring, Graph, _is_integer, generate_network, greedy_coloring, is_connected
-from .linalg import InputError, gram_factorization, gram_solve
+from .linalg import InputError, as_matrix, as_vector, gram_factorization
 from .problems import ProblemInstance
 from .solvers import SolverConfig
 
@@ -91,12 +91,14 @@ def solve_bp_centralized(A, b, tol: float = 1e-9):
     Whenever the split variables agree and z has settled, both to 0.1 tol
     scaled by 1 + ||b||_inf, the dual certificate is checked (at the first
     9 iterations and every 10th): lam solving A'lam ~ u must satisfy
-    ||A'lam||_inf <= 1 + 10 tol and b'lam >= ||x||_1 - 10 tol. A tol that
-    is not positive raises InputError, and a budget of ORACLE_MAX_ITER
+    ||A'lam||_inf <= 1 + 10 tol and b'lam >= ||x||_1 - 10 tol. A b that is
+    not a finite vector of length m, or a tol that is not positive, raises
+    InputError before the first iteration, and a budget of ORACLE_MAX_ITER
     iterations run out raises ToleranceError with the best gap.
     """
-    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
-    fact = gram_factorization(A)
+    A = as_matrix(A)
+    b = as_vector(b, A.shape[0], "b")
+    inverse = gram_factorization(A)
     if not tol > 0:
         raise InputError(f"oracle tolerance must be positive, got {tol}")
     z, u = np.zeros(A.shape[1]), np.zeros(A.shape[1])
@@ -104,7 +106,7 @@ def solve_bp_centralized(A, b, tol: float = 1e-9):
     best_gap = np.inf
     for it in range(1, ORACLE_MAX_ITER + 1):
         w = z - u
-        x = w - A.T @ gram_solve(fact, A @ w - b)
+        x = w - A.T @ (inverse @ (A @ w - b))
         w = x + u
         z_new = np.sign(w) * np.maximum(np.abs(w) - 1.0, 0.0)
         u += x - z_new
@@ -112,7 +114,7 @@ def solve_bp_centralized(A, b, tol: float = 1e-9):
         dual = float(np.abs(z_new - z).max())
         z = z_new
         if max(primal, dual) <= 0.1 * tol * scale and (it % 10 == 0 or it < 10):
-            lam = gram_solve(fact, A @ u)
+            lam = inverse @ (A @ u)
             corr = float(np.abs(A.T @ lam).max()) - 1.0
             gap = float(np.abs(x).sum() - b @ lam)
             best_gap = min(best_gap, abs(gap))

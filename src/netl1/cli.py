@@ -65,11 +65,11 @@ def cmd_gen_instance(args) -> int:
 
 
 def cmd_gen_network(args) -> int:
-    names = graphs._MODEL_PARAMS[args.model]
+    names = graphs._MODELS[args.model][1]
     values = [t for t in args.param.split(",") if t.strip()]
-    try:  # a wrong count of entries fails the strict zip; n counts neighbors
-        params = {name: (int if name == "n" else float)(value)
-                  for name, value in zip(names, values, strict=True)}
+    try:  # a wrong count of entries fails the strict zip
+        params = {name: kind(value)
+                  for (name, kind), value in zip(names.items(), values, strict=True)}
     except ValueError:
         raise InputError(f"--param: {args.model} takes '{','.join(names)}', "
                          f"not {args.param!r}") from None
@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen_instance)
 
     p = sub.add_parser("gen-network", help="generate a network file")
-    p.add_argument("--model", required=True, choices=sorted(graphs._MODEL_IDS))
+    p.add_argument("--model", required=True, choices=sorted(graphs._MODELS))
     p.add_argument("--P", type=int, required=True)
     p.add_argument("--param", default="", help="p, 'n,p' or d depending on the model")
     p.add_argument("--seed", type=int, default=0)

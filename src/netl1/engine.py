@@ -62,20 +62,22 @@ class RunTrace:
     sum and compare with each other as lists do; call .tolist() for JSON.
     steps_to_accuracy maps each requested target to the first step
     whose max relative error reached it (targets never reached are absent).
+    run fills in everything after delta, so only the run's labels are
+    constructor arguments.
     """
 
     solver: str
     rho: float
     delta: float | None
-    comm_steps: int = 0
-    max_rel_err: array = field(default_factory=lambda: array("d"))
-    node0_rel_err: array = field(default_factory=lambda: array("d"))
-    consensus_residual: array = field(default_factory=lambda: array("d"))
-    objective: array = field(default_factory=lambda: array("d"))
-    inner_iterations: array = field(default_factory=lambda: array("q"))
-    steps_to_accuracy: dict[float, int] = field(default_factory=dict)
-    converged: bool = False
-    flagged_rounds: int = 0
+    comm_steps: int = field(init=False, default=0)
+    max_rel_err: array = field(init=False, default_factory=lambda: array("d"))
+    node0_rel_err: array = field(init=False, default_factory=lambda: array("d"))
+    consensus_residual: array = field(init=False, default_factory=lambda: array("d"))
+    objective: array = field(init=False, default_factory=lambda: array("d"))
+    inner_iterations: array = field(init=False, default_factory=lambda: array("q"))
+    steps_to_accuracy: dict[float, int] = field(init=False, default_factory=dict)
+    converged: bool = field(init=False, default=False)
+    flagged_rounds: int = field(init=False, default=0)
 
     def to_csv(self, path) -> None:
         """Write `step,max_rel_err,node0_rel_err,consensus_residual,objective`

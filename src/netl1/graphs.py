@@ -17,17 +17,19 @@ import numpy as np
 
 from .linalg import InputError
 
-_MODEL_IDS = {
-    "erdos_renyi": 1,
-    "watts_strogatz": 2,
-    "barabasi_albert": 3,
-    "geometric": 4,
-    "lattice": 5,
+#: Each network model's id in its generator seed, and its parameters by
+#: name with their types (n counts neighbors).
+_MODELS = {
+    "erdos_renyi": (1, {"p": float}),
+    "watts_strogatz": (2, {"n": int, "p": float}),
+    "barabasi_albert": (3, {}),
+    "geometric": (4, {"d": float}),
+    "lattice": (5, {}),
 }
 
 
 def _rng(seed: int, model: str, stage: int) -> np.random.Generator:
-    return np.random.default_rng([int(seed), _MODEL_IDS[model], stage])
+    return np.random.default_rng([int(seed), _MODELS[model][0], stage])
 
 
 def _is_integer(value) -> bool:
@@ -232,16 +234,6 @@ def lattice(P: int) -> Graph:
     return Graph.from_edges(P, edges)
 
 
-#: Each model's parameters, by name.
-_MODEL_PARAMS = {
-    "erdos_renyi": ("p",),
-    "watts_strogatz": ("n", "p"),
-    "barabasi_albert": (),
-    "geometric": ("d",),
-    "lattice": (),
-}
-
-
 def generate_network(model: str, P: int, seed: int = 0, **params) -> Graph:
     """Build a network from a named model.
 
@@ -253,10 +245,11 @@ def generate_network(model: str, P: int, seed: int = 0, **params) -> Graph:
     """
     if not _is_integer(seed) or seed < 0:
         raise InputError(f"seed must be a non-negative integer, got {seed!r}")
-    if model not in _MODEL_PARAMS:
+    if model not in _MODELS:
         raise InputError(f"unknown network model {model!r}")
-    if set(params) != set(_MODEL_PARAMS[model]):
-        raise InputError(f"{model} takes the parameters ({', '.join(_MODEL_PARAMS[model])}), "
+    names = _MODELS[model][1]
+    if set(params) != set(names):
+        raise InputError(f"{model} takes the parameters ({', '.join(names)}), "
                          f"got ({', '.join(sorted(params))})")
     if model == "erdos_renyi":
         return erdos_renyi(P, params["p"], seed)

@@ -1,5 +1,5 @@
 """Small dense linear algebra: matrix partitioning, affine projection and
-Gram factorizations.
+Gram inverses.
 
 Everything here works on plain float64 numpy arrays and has value
 semantics; nothing keeps mutable shared state.
@@ -7,7 +7,7 @@ semantics; nothing keeps mutable shared state.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,28 +73,9 @@ class PartitionSpec:
         return cls(kind, (total // n_nodes,) * n_nodes)
 
 
-@dataclass(frozen=True)
-class GramFactorization:
-    """(A A^T)^{-1} for an m-by-n matrix A of full row rank, formed once
-    from the Cholesky factor lower (lower @ lower.T == A @ A.T) as
-    inv(lower).T @ inv(lower), so that each solve is one product.
-
-    Raises FactorizationError when lower is singular.
-    """
-
-    lower: InitVar[np.ndarray]
-    inverse: np.ndarray = field(init=False)
-
-    def __post_init__(self, lower):
-        try:
-            lower_inv = np.linalg.inv(lower)
-        except np.linalg.LinAlgError as exc:
-            raise FactorizationError("the Gram factor is singular") from exc
-        object.__setattr__(self, "inverse", lower_inv.T @ lower_inv)
-
-
-def gram_factorization(A) -> GramFactorization:
-    """Factor A A^T.
+def gram_factorization(A) -> np.ndarray:
+    """The Gram inverse (A A^T)^{-1}, formed once from the Cholesky factor
+    L of A A^T as inv(L)^T inv(L), so that each solve is one product.
 
     Raises FactorizationError unless A has full row rank (numerical rank
     by np.linalg.matrix_rank), so a block with a dependent row, or with
@@ -105,19 +86,10 @@ def gram_factorization(A) -> GramFactorization:
     if np.linalg.matrix_rank(A) < m:
         raise FactorizationError(f"a {m}x{n} block does not have full row rank")
     try:
-        lower = np.linalg.cholesky(A @ A.T)
+        lower_inv = np.linalg.inv(np.linalg.cholesky(A @ A.T))
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"Gram matrix of a {m}x{n} block is singular") from exc
-    return GramFactorization(lower)
-
-
-def gram_solve(fact: GramFactorization, rhs: np.ndarray) -> np.ndarray:
-    """Solve (A A^T) z = rhs (a vector, or a matrix of right-hand sides)
-    by one product with the cached inverse."""
-    rhs = np.asarray(rhs, dtype=float)
-    if not np.isfinite(rhs).all():
-        raise InputError("right-hand side entries must be finite")
-    return fact.inverse @ rhs
+    return lower_inv.T @ lower_inv
 
 
 def partition(A, b, spec: PartitionSpec):
@@ -144,32 +116,32 @@ def partition(A, b, spec: PartitionSpec):
     return [A[:, offsets[p] : offsets[p + 1]].copy() for p in range(spec.n_nodes)]
 
 
-def projector_stack(A, facts) -> np.ndarray:
+def projector_stack(A, inverses) -> np.ndarray:
     """The stacked A_p^T (A_p A_p^T)^{-1} of k blocks A (k, m, n) of full row
-    rank, from their Gram factorizations: one (k, n, m) array, the fact
-    that affine_projection takes for a stack of blocks."""
-    return np.stack([gram_solve(fact, A_p).T for A_p, fact in zip(A, facts)])
+    rank, from their Gram inverses: one (k, n, m) array, the operator that
+    affine_projection takes for a stack of blocks."""
+    return np.stack([(inverse @ A_p).T for A_p, inverse in zip(A, inverses)])
 
 
-def affine_projection(A, b, fact, point) -> np.ndarray:
+def affine_projection(A, b, inverse, point) -> np.ndarray:
     """Project a point onto the affine set {x : A x = b}.
 
     Computes x = p - A^T (A A^T)^{-1} (A p - b), i.e. the Euclidean
-    projection. A must have full row rank and fact must be its cached
-    Gram factorization.
+    projection. A must have full row rank and inverse must be its cached
+    Gram inverse (gram_factorization).
 
     For a stack of k blocks of one height, A is (k, m, n), b (k, m), point
-    (k, n) and fact the blocks' projector_stack; row p of the result is
-    point p projected onto block p's set, by two stacked products.
+    (k, n) and inverse the blocks' projector_stack (k, n, m); row p of the
+    result is point p projected onto block p's set, by two stacked products.
     """
-    if isinstance(fact, np.ndarray):
+    if np.ndim(A) == 3:
         points = np.asarray(point, dtype=float)
         if not np.isfinite(points).all():
             raise InputError("point entries must be finite")
         residual = np.matmul(A, points[:, :, None]) - b[:, :, None]
-        return points - np.matmul(fact, residual)[:, :, 0]
+        return points - np.matmul(inverse, residual)[:, :, 0]
     A = as_matrix(A)
     p = as_vector(point, A.shape[1], "point")
     bv = as_vector(b, A.shape[0], "b")
     residual = A @ p - bv
-    return p - A.T @ gram_solve(fact, residual)
+    return p - A.T @ (inverse @ residual)

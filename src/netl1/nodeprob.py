@@ -31,13 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (
-    GramFactorization,
-    InputError,
-    as_matrix,
-    as_vector,
-    gram_factorization,
-)
+from .linalg import InputError, as_matrix, as_vector, gram_factorization
 
 
 def x_of_u(u, c: float):
@@ -66,14 +60,14 @@ class RowSubproblem:
     and the dual carried across calls: last_lambda, the last solution (zeros
     before the first), and warm_lambda, the start of the next solve.
 
-    The block's constants are computed once: its Gram factorization gram,
+    The block's constants are computed once: its Gram inverse gram,
     frobenius_sq = ||A||_F^2 (the Newton damping's scale) and b_scale =
     1 + ||b||_inf (the gradient tolerance's scale).
     """
 
     A: np.ndarray
     b: np.ndarray
-    gram: GramFactorization = field(init=False)
+    gram: np.ndarray = field(init=False)
     frobenius_sq: float = field(init=False)
     b_scale: float = field(init=False)
     warm_lambda: np.ndarray = field(init=False)
@@ -129,10 +123,10 @@ class RowGroup:
     last solutions as the rows of two arrays warm_lambda and last_lambda
     (width, height), and each block's warm_lambda and last_lambda are views
     of their rows, so a solve writes them all with one copy each; a group
-    without a stack leaves them with the blocks. The
-    subgradient projects a stacked group's nodes in one stacked product with
-    projector, the blocks' A_p'(A_p A_p')^-1 (linalg.projector_stack), which
-    its stepper sets; a group without a stack projects node by node.
+    without a stack leaves them with the blocks. The subgradient projects a
+    stacked group's nodes in one stacked product with projector, the blocks'
+    A_p'(A_p A_p')^-1 from their Gram inverses (linalg.projector_stack),
+    which its stepper sets; a group without a stack projects node by node.
     frobenius_sq and b_scale hold the blocks' constants, one per node.
     """
 

@@ -313,7 +313,7 @@ def nesterov_outer_update(
 
 def _projection_setup(st: "Stepper"):
     """The subgradient's stacked groups get their projectors, built once per
-    stepper from the blocks' Gram factors."""
+    stepper from the blocks' Gram inverses."""
     for rows in st.group_blocks:
         if rows.stack is not None:
             rows.projector = projector_stack(rows.stack[0], [sp.gram for sp in rows.blocks])

@@ -1,8 +1,11 @@
-"""The settable options of the public API, listed in full.
+"""The public names and the settable options of the public API, listed in
+full.
 
-Every option is code that some caller must need. A change that adds a
-config field or a defaulted parameter to a public callable fails here until
-it adds the option to SURFACE, so each new knob is a visible decision.
+Every name and every option is code that some caller must need. A change
+that adds or deletes a name in netl1.__all__ fails here until it updates
+NAMES, and one that adds a config field or a defaulted parameter to a
+public callable fails until it adds the option to SURFACE, so each new name
+or knob is a visible decision.
 """
 
 import dataclasses
@@ -11,6 +14,56 @@ import inspect
 import netl1
 
 CONFIGS = (netl1.SolverConfig, netl1.StopRule, netl1.InstanceSpec, netl1.PartitionSpec)
+
+NAMES = {
+    # the submodules the package imports
+    "bench",
+    "engine",
+    "graphs",
+    "linalg",
+    "nodeprob",
+    "problems",
+    "solvers",
+    # the names the package imports from them
+    "ColSubproblem",
+    "Coloring",
+    "FactorizationError",
+    "Graph",
+    "InputError",
+    "InstanceSpec",
+    "NETWORK_MODELS",
+    "NodeStates",
+    "PartitionSpec",
+    "ProblemInstance",
+    "RHO_GRID",
+    "RowSubproblem",
+    "RunTrace",
+    "SolverConfig",
+    "StopRule",
+    "affine_projection",
+    "connected_network",
+    "gen_instance",
+    "generate_network",
+    "global_estimate",
+    "gram_factorization",
+    "greedy_coloring",
+    "is_connected",
+    "load_instance",
+    "load_network",
+    "make_stepper",
+    "partition",
+    "psi_p",
+    "relative_error",
+    "rho_sweep",
+    "run",
+    "save_instance",
+    "save_network",
+    "scale_experiment",
+    "solve_bp_centralized",
+    "solve_col_node",
+    "solve_row_node",
+    "x_of_u",
+}
 
 SURFACE = {
     # every field of the configuration classes
@@ -29,15 +82,6 @@ SURFACE = {
     # every parameter with a default of the other callables in netl1.__all__
     "ProblemInstance(partition)",
     "ProblemInstance(x_ref)",
-    "RunTrace(comm_steps)",
-    "RunTrace(consensus_residual)",
-    "RunTrace(converged)",
-    "RunTrace(flagged_rounds)",
-    "RunTrace(inner_iterations)",
-    "RunTrace(max_rel_err)",
-    "RunTrace(node0_rel_err)",
-    "RunTrace(objective)",
-    "RunTrace(steps_to_accuracy)",
     "connected_network(seed)",
     "gen_instance(kind)",
     "generate_network(seed)",
@@ -73,3 +117,7 @@ def settable_options() -> set[str]:
 
 def test_settable_options_are_listed():
     assert settable_options() == SURFACE
+
+
+def test_public_names_are_listed():
+    assert set(netl1.__all__) == NAMES

@@ -5,6 +5,7 @@ import netl1 as nl
 from netl1.bench import (
     RHO_GRID,
     InstanceSpec,
+    ToleranceError,
     _achieved,
     connected_network,
     gen_instance,
@@ -113,6 +114,18 @@ class TestCentralizedOracle:
         x_lp = res.x[:n] - res.x[n:]
         assert np.abs(x).sum() == pytest.approx(np.abs(x_lp).sum(), abs=1e-8)
         np.testing.assert_allclose(x, x_lp, atol=1e-7)
+
+    @pytest.mark.parametrize("case", ["short", "nan"])
+    def test_rejects_a_bad_b_before_iterating(self, monkeypatch, case):
+        # with a budget of no iterations only the entry check can raise
+        # InputError; a valid b runs the budget out
+        monkeypatch.setattr(nl.bench, "ORACLE_MAX_ITER", 0)
+        prob = gen_instance(InstanceSpec(m=10, n=40, P=2, k=2, seed=4))
+        with pytest.raises(ToleranceError):
+            solve_bp_centralized(prob.A, prob.b)
+        b = prob.b[:-1] if case == "short" else np.where(np.arange(10) == 3, np.nan, prob.b)
+        with pytest.raises(InputError):
+            solve_bp_centralized(prob.A, b)
 
     def test_self_consistency_under_tightening(self):
         prob = gen_instance(InstanceSpec(m=16, n=48, P=4, k=2, seed=5))

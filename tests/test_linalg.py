@@ -4,11 +4,9 @@ import pytest
 from netl1.linalg import (
     FactorizationError,
     InputError,
-    GramFactorization,
     PartitionSpec,
     affine_projection,
     gram_factorization,
-    gram_solve,
     partition,
     projector_stack,
 )
@@ -169,26 +167,29 @@ class TestRowRank:
             solve_bp_centralized(problem.A, problem.b)
 
 
-class TestGramFactorization:
+class TestGramInverse:
     def test_reconstruction(self):
         rng = np.random.default_rng(5)
         A = rng.normal(size=(6, 15))
-        fact = gram_factorization(A)
+        inverse = gram_factorization(A)
         gram = A @ A.T
-        assert np.linalg.norm(fact.inverse @ gram - np.eye(6)) <= 1e-10
-        np.testing.assert_array_equal(fact.inverse, fact.inverse.T)
+        assert np.linalg.norm(inverse @ gram - np.eye(6)) <= 1e-10
+        np.testing.assert_array_equal(inverse, inverse.T)
 
-    def test_solve_matches_dense_and_checks_its_inputs(self):
+    def test_solve_matches_dense(self):
         rng = np.random.default_rng(6)
         A = rng.normal(size=(4, 11))
-        fact = gram_factorization(A)
         rhs = rng.normal(size=4)
-        np.testing.assert_allclose(gram_solve(fact, rhs), np.linalg.solve(A @ A.T, rhs),
+        np.testing.assert_allclose(gram_factorization(A) @ rhs, np.linalg.solve(A @ A.T, rhs),
                                    rtol=1e-12)
-        with pytest.raises(InputError):
-            gram_solve(fact, np.array([1.0, np.nan, 0.0, 0.0]))
-        with pytest.raises(FactorizationError):  # a zero on the factor's diagonal
-            GramFactorization(lower=np.diag([1.0, 0.0]))
+
+    def test_singular_factor_rejected(self, monkeypatch):
+        # a full-rank block passes the rank check; a zero on its factor's
+        # diagonal must still be rejected
+        A = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        monkeypatch.setattr(np.linalg, "cholesky", lambda gram: np.diag([1.0, 0.0]))
+        with pytest.raises(FactorizationError):
+            gram_factorization(A)
 
 
 def lambda_max(g):
