@@ -10,10 +10,13 @@ b - A x(lam), where x(lam) applies the scalar closed form x_of_u to
 u = v - A' lam componentwise. The dual is piecewise quadratic, and a
 semismooth Newton method maximizes it from warm starts: per node, in
 lockstep over a wide group, bracketed where that group's duals are scalar.
-Every solve starts from the linear prediction lam + (lam - last) of its
-node's last two solutions, a secant predictor ahead of the Newton
-corrector (Allgower & Georg, Numerical Continuation Methods, 1990): across
-ADMM steps the multipliers follow a smooth path.
+A node solves the same block problem at every step, and only its linear
+term v moves. Within a fixed active set S the solution is affine in v,
+with slope H_S^-1 A_S / 2c for H_S the Newton matrix, so every solve
+starts from the tangent of its node's last solution: the Euler predictor
+ahead of the Newton corrector (Allgower & Georg, Numerical Continuation
+Methods, 1990), exact while S holds. A block keeps the matrix of its last
+Newton direction for it.
 
 Column partition: each node minimizes the unconstrained, differentiable
 
@@ -21,7 +24,7 @@ Column partition: each node minimizes the unconstrained, differentiable
 
 where psi_p(y) = -inf_x ( ||x||_1 + (A_p' y)' x + (delta/2) ||x||^2 ).
 It is piecewise quadratic too, and the row kernel's Newton loop minimizes
-it from the same predicted warm starts.
+it from the same tangent starts, in its linear term lin.
 """
 
 from __future__ import annotations
@@ -57,8 +60,12 @@ bb_minimize = None
 @dataclass
 class RowSubproblem:
     """Node-local data for the row partition: block A (full row rank), slice b
-    and the dual carried across calls: last_lambda, the last solution (zeros
-    before the first), and warm_lambda, the start of the next solve.
+    and the dual carried across calls, from which the next solve starts
+    (see solve_row_node): last_lambda, the last solution, last_v and last_c,
+    the v and c it was solved at, and hessian and mask, the matrix of the
+    last Newton direction and that direction's active set. Before the first
+    solve they are zeros (hessian the identity), and last_c = 0 matches no
+    c, so that solve starts from zeros.
 
     The block's constants are computed once: its Gram inverse gram,
     frobenius_sq = ||A||_F^2 (the Newton damping's scale) and b_scale =
@@ -70,8 +77,11 @@ class RowSubproblem:
     gram: np.ndarray = field(init=False)
     frobenius_sq: float = field(init=False)
     b_scale: float = field(init=False)
-    warm_lambda: np.ndarray = field(init=False)
     last_lambda: np.ndarray = field(init=False)
+    last_v: np.ndarray = field(init=False)
+    last_c: float = field(init=False, default=0.0)
+    hessian: np.ndarray = field(init=False)
+    mask: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.A = as_matrix(self.A)
@@ -79,8 +89,9 @@ class RowSubproblem:
         self.gram = gram_factorization(self.A)  # rejects a block without full row rank
         self.frobenius_sq = np.einsum("ij,ij->", self.A, self.A)
         self.b_scale = 1.0 + float(np.abs(self.b).max(initial=0.0))
-        self.warm_lambda = np.zeros(self.A.shape[0])
-        self.last_lambda = np.zeros(self.A.shape[0])
+        m, n = self.A.shape
+        self.last_lambda, self.last_v = np.zeros(m), np.zeros(n)
+        self.hessian, self.mask = np.eye(m), np.zeros(n, dtype=bool)
 
 
 @dataclass
@@ -119,12 +130,12 @@ class RowGroup:
     stack holds its blocks (width, height, n), a view of A, and slices
     (width, height); any other group is solved node by node, and stack is
     None; a stack of one-row blocks keeps squares = A * A (else None) for
-    the scalar kernel. A stacked group keeps its nodes' warm starts and
-    last solutions as the rows of two arrays warm_lambda and last_lambda
-    (width, height), and each block's warm_lambda and last_lambda are views
-    of their rows, so a solve writes them all with one copy each; a group
-    without a stack leaves them with the blocks. The subgradient projects a
-    stacked group's nodes in one stacked product with projector, the blocks'
+    the scalar kernel. A stacked group keeps its nodes' carried duals
+    (RowSubproblem's last_lambda, last_v, last_c, hessian and mask) as arrays
+    of one row per node, and each block's fields are views of their rows,
+    so a solve writes them all with one copy each; a group without a stack
+    leaves them with the blocks. The subgradient projects a stacked group's
+    nodes in one stacked product with projector, the blocks'
     A_p'(A_p A_p')^-1 from their Gram inverses (linalg.projector_stack),
     which its stepper sets; a group without a stack projects node by node.
     frobenius_sq and b_scale hold the blocks' constants, one per node.
@@ -136,9 +147,13 @@ class RowGroup:
     frobenius_sq: np.ndarray = field(init=False)
     b_scale: np.ndarray = field(init=False)
     projector: np.ndarray | None = field(init=False, default=None)
-    warm_lambda: np.ndarray | None = field(init=False, default=None)
-    last_lambda: np.ndarray | None = field(init=False, default=None)
     squares: np.ndarray | None = field(init=False, default=None)  # one-row stacks only
+    # a stacked group's carried duals, one row per node
+    last_lambda: np.ndarray | None = field(init=False, default=None)
+    last_v: np.ndarray | None = field(init=False, default=None)
+    last_c: np.ndarray | None = field(init=False, default=None)
+    hessian: np.ndarray | None = field(init=False, default=None)
+    mask: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
         self.A = np.vstack([sp.A for sp in self.blocks])
@@ -149,10 +164,11 @@ class RowGroup:
         if len(self.blocks) >= BATCH_MIN_WIDTH and len(heights) == 1:
             self.stack = (self.A.reshape(len(self.blocks), heights.pop(), -1),
                           np.stack([sp.b for sp in self.blocks]))
-            self.warm_lambda = np.stack([sp.warm_lambda for sp in self.blocks])
-            self.last_lambda = np.stack([sp.last_lambda for sp in self.blocks])
-            for sp, warm, last in zip(self.blocks, self.warm_lambda, self.last_lambda):
-                sp.warm_lambda, sp.last_lambda = warm, last
+            for name in ("last_lambda", "last_v", "last_c", "hessian", "mask"):
+                rows = np.stack([getattr(sp, name) for sp in self.blocks])
+                setattr(self, name, rows)
+                for i, sp in enumerate(self.blocks):
+                    setattr(sp, name, rows[i, ...])  # a view, 0-d for last_c
             self.squares = self.A * self.A if len(self.A) == len(self.blocks) else None
 
 
@@ -165,29 +181,35 @@ def solve_row_node(sp, v, c, *, grad_tol: float, max_iter: int) -> NodeSolution:
 
     With u = v - A'lam, d = clip(u, -1, 1) - u and x = d / (2c), the
     negated dual f(lam) = d'x / 2 - lam'b is piecewise quadratic with
-    gradient g = A x - b, and a semismooth Newton method minimizes it
-    from the warm start sp.warm_lambda until ||g||_inf <= grad_tol *
-    (1 + ||b||_inf) or max_iter evaluations after the first. Each
-    step solves (A_S A_S' / (2c) + mu I) s = -g on the active set S =
-    {i : |u_i| > 1}, with mu = ||A||_F^2 / (2c n) * n * DAMPING_FLOOR,
-    which keeps the step defined even for an empty S. Where S has fewer
-    columns than A has rows, A_S A_S' is singular and mu also takes
-    ||A||_F^2 / (2c n) * ||g||_2 (Levenberg-Marquardt damping). Any other
-    step is undamped: where S spans the rows and stays the same, the dual
-    is quadratic and that step lands on its minimizer in one move. A
+    gradient g = A x - b, and a semismooth Newton method minimizes it until
+    ||g||_inf <= grad_tol * (1 + ||b||_inf) or max_iter evaluations after
+    the first. Each step solves (A_S A_S' / (2c) + mu I) s = -g on the
+    active set S = {i : |u_i| > 1}, with mu = ||A||_F^2 / (2c n) * n *
+    DAMPING_FLOOR, which keeps the step defined even for an empty S. Where
+    S has fewer columns than A has rows, A_S A_S' is singular and mu also
+    takes ||A||_F^2 / (2c n) * ||g||_2 (Levenberg-Marquardt damping). Any
+    other step is undamped: where S spans the rows and stays the same, the
+    dual is quadratic and that step lands on its minimizer in one move. A
     halving line search (a bracket for a stack of one-row blocks) follows
-    each step (see _newton, _scalar_lockstep). Then sp.last_lambda takes
-    the solution and sp.warm_lambda the prediction lam + (lam - last) from
-    the last two solutions, the start of the next call. grad_tol must be
-    positive and finite and max_iter an integer of at least 1 (the stepper
-    passes solvers.GRAD_TOL and solvers.MAX_ITER).
+    each step (see _newton, _scalar_lockstep). grad_tol must be positive
+    and finite and max_iter an integer of at least 1 (the stepper passes
+    solvers.GRAD_TOL and solvers.MAX_ITER).
+
+    The solve starts from the tangent of the block's last solution,
+    last_lambda + hessian^-1 A ((v - last_v) * mask) / (2c), which is the
+    solution at v wherever the active set mask of the last direction holds
+    (hessian is that direction's matrix); at another c than last_c it
+    starts from last_lambda. Then the block keeps the solution, v, c and
+    the last direction's hessian and mask (those of a solve that took no
+    step stay).
 
     sp may also be a RowGroup, with one row of v and one entry of c per
     node: every node's problem is solved, and the solution holds the rows
     x, the nodes' multipliers, their total iterations and whether all of
     them converged. The group's v and c are checked once, for all of its
-    nodes. The multipliers returned are the solutions (last_lambda), not the
-    predictions.
+    nodes. A stacked group keeps each node's last direction as the
+    lockstep kernel last computed it, and a one-row stack the damped slope
+    and the active set of the scalar kernel's last pass.
     """
     _check_controls(grad_tol, max_iter)
     if isinstance(sp, RowGroup):
@@ -215,16 +237,26 @@ def _newton_node(sp: RowSubproblem, v: np.ndarray, c, grad_tol, max_iter):
     def evaluate(lam):
         u = AT @ lam
         np.subtract(v, u, out=u)
-        d = u.clip(-1.0, 1.0)
+        d = np.maximum(u, -1.0)
+        np.minimum(d, 1.0, out=d)
         d -= u
         x = d / c2
         g = A @ x
         g -= b
-        return 0.5 * float(d @ x) - float(lam @ b), g, x, float(np.abs(g).max())
+        return 0.5 * float(d @ x) - float(lam @ b), g, x, float(np.maximum.reduce(np.abs(g)))
 
-    lam, x, evals, converged = _newton(evaluate, A, c2, 0.0, sp.frobenius_sq / (c2 * A.shape[1]),
-                                       sp.warm_lambda, grad_tol * sp.b_scale, max_iter)
-    sp.warm_lambda, sp.last_lambda = lam + (lam - sp.last_lambda), lam
+    start = sp.last_lambda
+    if c == sp.last_c:
+        dv = v - sp.last_v
+        dv *= sp.mask
+        start = start + np.linalg.solve(sp.hessian, A @ dv) / c2
+    lam, x, evals, converged, hessian, mask = _newton(
+        evaluate, A, c2, 0.0, sp.frobenius_sq / (c2 * A.shape[1]), start, grad_tol * sp.b_scale,
+        max_iter)
+    sp.last_lambda, sp.last_c = lam, c
+    sp.last_v[...] = v
+    if hessian is not None:
+        sp.hessian, sp.mask = hessian, mask
     return x, evals, converged
 
 
@@ -240,13 +272,15 @@ def _newton(evaluate, A, curvature, shift, damping, z, tol, max_iter):
     fails at rounding level), or t reaches STEP_MIN. Runs from z until
     ||g||_inf <= tol or max_iter evaluations after the first; when the cap
     cuts a line search short, the loop ends at the last accepted point.
-    Returns (z, x, evaluations after the first, converged).
+    Returns (z, x, evaluations after the first, converged, the last step's
+    matrix, its S as a mask), the last two None when no step was taken.
     """
     m, n = A.shape
     f, g, x, gnorm = evaluate(z)
-    evals = 0
+    evals, H, mask = 0, None, None
     while gnorm > tol and evals < max_iter:
-        active = A.compress(x != 0.0, axis=1)
+        mask = x != 0.0
+        active = A.compress(mask, axis=1)
         H = active @ active.T
         H /= curvature
         mu = n * DAMPING_FLOOR
@@ -263,7 +297,7 @@ def _newton(evaluate, A, curvature, shift, damping, z, tol, max_iter):
                 z, f, g, x, gnorm = trial, f_new, g_new, x_new, gnorm_new
                 break
             t *= 0.5
-    return z, x, evals, gnorm <= tol
+    return z, x, evals, gnorm <= tol, H, mask
 
 
 def _rowdot(a, b):
@@ -285,9 +319,9 @@ def _batch_evaluate(A, b, V, C2, Lam):
 
 def _newton_directions(A, G, X, C2, scale):
     """solve_row_node's Newton steps of a batch at gradients G and points
-    X, and the Armijo slopes along them: each problem's ||g||_2 damps its
-    step only where its active set X != 0 has fewer columns than the block
-    has rows, as in _newton."""
+    X, the Armijo slopes along them, their matrices and their active sets
+    X != 0: each problem's ||g||_2 damps its step only where its active set
+    has fewer columns than the block has rows, as in _newton."""
     k, m, n = A.shape
     active = X != 0.0
     H = np.matmul(A * active[:, None, :], A.transpose(0, 2, 1))
@@ -297,10 +331,10 @@ def _newton_directions(A, G, X, C2, scale):
     diagonal += (scale * (np.where(singular, np.sqrt(_rowdot(G, G)), 0.0)
                           + n * DAMPING_FLOOR))[:, None]
     S = np.linalg.solve(H, -G[:, :, None])[:, :, 0]
-    return S, ARMIJO * _rowdot(G, S)
+    return S, ARMIJO * _rowdot(G, S), H, active
 
 
-def _newton_lockstep(A, b, V, C2, Lam, scale, tol, max_iter):
+def _newton_lockstep(A, b, V, C2, Lam, scale, tol, max_iter, hessian, mask):
     """Run solve_row_node's Newton method on the k problems of a batch at
     once, from the rows Lam, with damping scales scale and tolerances tol.
     Every problem keeps its own step, trial step length and line search, so
@@ -310,8 +344,9 @@ def _newton_lockstep(A, b, V, C2, Lam, scale, tol, max_iter):
     own point bit for bit: it accepts the trial and never moves, and its
     iterations are the evaluations made when it first finished. When every
     problem accepts its trial (most steps) the trials are taken whole.
-    Returns the arrays (lam, x, iterations, converged) over the k
-    problems."""
+    Every direction computed, a finished problem's too, writes its matrix
+    and active set into the rows of hessian and mask. Returns the arrays
+    (lam, x, iterations, converged) over the k problems."""
     k = len(Lam)
     F, G, X = _batch_evaluate(A, b, V, C2, Lam)
     gnorm = np.abs(G).max(axis=1)
@@ -325,10 +360,11 @@ def _newton_lockstep(A, b, V, C2, Lam, scale, tol, max_iter):
         if evals >= max_iter or done.all():
             return Lam, X, iterations, done
         if fresh.all():
-            (S, slope), t = _newton_directions(A, G, X, C2, scale), np.ones(k)
+            (S, slope, hessian[...], mask[...]), t = (_newton_directions(A, G, X, C2, scale),
+                                                      np.ones(k))
         elif fresh.any():
-            S[fresh], slope[fresh] = _newton_directions(A[fresh], G[fresh], X[fresh], C2[fresh],
-                                                        scale[fresh])
+            S[fresh], slope[fresh], hessian[fresh], mask[fresh] = _newton_directions(
+                A[fresh], G[fresh], X[fresh], C2[fresh], scale[fresh])
             t[fresh] = 1.0
         S[done], slope[done] = -0.0, 0.0
         trial = Lam + t[:, None] * S
@@ -352,9 +388,12 @@ def _scalar_lockstep(a, squares, b, V, C2, lam, scale, tol, max_iter):
     active set, so the points where g < 0 and g > 0 bracket its root. A
     step goes to lam - g / (h + _newton's damping) or, where that leaves the
     open bracket, to its midpoint (Newton-bisection, rtsafe in Numerical
-    Recipes), and no line search follows."""
+    Recipes), and no line search follows. Returns (lam, x, iterations,
+    converged, the damped slopes of the last pass, its active sets), the
+    last two None when no pass was made."""
     lo, hi = np.full_like(lam, -np.inf), np.full_like(lam, np.inf)
     U, D, iterations, evals = np.empty_like(V), np.empty_like(V), np.full(len(lam), max_iter), 0
+    h = active = None
     while True:
         np.subtract(V, np.multiply(a, lam[:, None], out=U), out=U)
         np.clip(U, -1.0, 1.0, out=D)
@@ -363,9 +402,10 @@ def _scalar_lockstep(a, squares, b, V, C2, lam, scale, tol, max_iter):
         done = np.abs(g) <= tol
         np.minimum(iterations, evals, out=iterations, where=done)
         if evals >= max_iter or done.all():
-            return lam, D / C2, iterations, done
+            return lam, D / C2, iterations, done, h, active
         lo, hi = np.where(g <= 0.0, lam, lo), np.where(g > 0.0, lam, hi)  # g = 0 only if done
-        h = _rowdot(squares, D != 0.0) / C2[:, 0]
+        active = D != 0.0
+        h = _rowdot(squares, active) / C2[:, 0]
         h += scale * (np.where(h == 0.0, np.abs(g), 0.0) + a.shape[1] * DAMPING_FLOOR)
         trial = lam - g / h
         mid = 0.5 * (lo + hi)  # infinite until both sides are found
@@ -389,16 +429,23 @@ def _solve_row_group(group: RowGroup, V, C, grad_tol, max_iter) -> NodeSolution:
         return NodeSolution(x=X, lam=[sp.last_lambda for sp in group.blocks],
                             iterations=sum(evals), converged=all(ok))
     (A, b), C2 = group.stack, 2.0 * C[:, None]
+    dV = V - group.last_v
+    dV *= group.mask
+    dV[C != group.last_c] = 0.0  # another c: start from the last solution
+    tangent = np.matmul(A, dV[:, :, None])
     controls = group.frobenius_sq / (2.0 * C * A.shape[2]), grad_tol * group.b_scale, max_iter
     if group.squares is None:
-        lam, X, iters, ok = _newton_lockstep(A, b, V, C2, group.warm_lambda, *controls)
-    else:  # one-row blocks: group.A is (width, n)
-        lam, X, iters, ok = _scalar_lockstep(group.A, group.squares, b[:, 0], V, C2,
-                                             group.warm_lambda[:, 0], *controls)
+        start = group.last_lambda + np.linalg.solve(group.hessian, tangent)[:, :, 0] / C2
+        lam, X, iters, ok = _newton_lockstep(A, b, V, C2, start, *controls, group.hessian,
+                                             group.mask)
+    else:  # one-row blocks: group.A is (width, n), and each hessian is a slope
+        start = group.last_lambda[:, 0] + tangent[:, 0, 0] / (group.hessian[:, 0, 0] * C2[:, 0])
+        lam, X, iters, ok, h, active = _scalar_lockstep(group.A, group.squares, b[:, 0], V, C2,
+                                                        start, *controls)
+        if h is not None:
+            group.hessian[:, 0, 0], group.mask[...] = h, active
         lam = lam[:, None]
-    prediction = lam + (lam - group.last_lambda)  # lam may view warm_lambda: write it last
-    group.last_lambda[...] = lam
-    group.warm_lambda[...] = prediction
+    group.last_lambda[...], group.last_v[...], group.last_c[...] = lam, V, C
     return NodeSolution(x=X, lam=group.last_lambda, iterations=int(iters.sum()),
                         converged=bool(ok.all()))
 
@@ -406,24 +453,29 @@ def _solve_row_group(group: RowGroup, V, C, grad_tol, max_iter) -> NodeSolution:
 @dataclass
 class ColSubproblem:
     """Node-local data for the column partition: column block A_p, the
-    regularization weight delta and the dual carried across calls: last_y,
-    the last solution (zeros before the first), and warm_y, the start of
-    the next solve. The kernel owns the node's fragment x_p: last_x, the x
-    of its evaluation at last_y (zeros before the first solve)."""
+    regularization weight delta and the dual carried across calls, from
+    which the next solve starts (see solve_col_node): last_y, the last
+    solution, last_lin and last_q, the lin and q it was solved at, and
+    hessian, the matrix of the last Newton direction (zeros before the
+    first solve, hessian the identity; last_q = 0 matches no q).
+    The kernel owns the node's fragment x_p: last_x, the x of its
+    evaluation at last_y (zeros before the first solve)."""
 
     A: np.ndarray
     delta: float
-    warm_y: np.ndarray = field(init=False)
     last_y: np.ndarray = field(init=False)
+    last_lin: np.ndarray = field(init=False)
+    last_q: float = field(init=False, default=0.0)
+    hessian: np.ndarray = field(init=False)
     last_x: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.A = as_matrix(self.A)
         if not (np.isfinite(self.delta) and self.delta > 0):
             raise InputError("delta must be positive and finite")
-        self.warm_y = np.zeros(self.A.shape[0])
-        self.last_y = np.zeros(self.A.shape[0])
-        self.last_x = np.zeros(self.A.shape[1])
+        m, n = self.A.shape
+        self.last_y, self.last_lin, self.hessian = np.zeros(m), np.zeros(m), np.eye(m)
+        self.last_x = np.zeros(n)
 
 
 def psi_p(sp: ColSubproblem, y):
@@ -449,12 +501,14 @@ def solve_col_node(sp: ColSubproblem, lin, q: float, *, grad_tol: float,
     and lin = v_p + b/P). With u = A'y, d = clip(u, -1, 1) - u and
     x = d / delta, the objective is f(y) = d'x/2 + lin'y + q y'y with
     gradient g = lin + 2q y - A x. The row kernel's Newton loop minimizes it
-    from the warm start sp.warm_y until ||g||_inf <= grad_tol or
-    max_iter evaluations after the first, undamped: the generalized
-    Hessian A_S A_S'/delta + 2q I is positive definite. Then sp.last_y
-    takes the solution y, sp.last_x its fragment x (psi_p's at y) and
-    sp.warm_y the prediction y + (y - last), as in solve_row_node; the
-    solution holds x and lam = y. The controls are checked as in solve_row_node.
+    until ||g||_inf <= grad_tol or max_iter evaluations after the first,
+    undamped: the generalized Hessian A_S A_S'/delta + 2q I is positive
+    definite. It starts from the tangent of the last solution,
+    last_y - hessian^-1 (lin - last_lin), exact while the last direction's
+    active set holds, or from last_y at another q than last_q. Then the
+    block keeps the solution y, its fragment x (psi_p's at y), lin, q and
+    the last direction's hessian, as in solve_row_node; the solution holds
+    x and lam = y. The controls are checked as in solve_row_node.
     """
     _check_controls(grad_tol, max_iter)
     if not (np.isfinite(q) and q > 0):
@@ -464,13 +518,21 @@ def solve_col_node(sp: ColSubproblem, lin, q: float, *, grad_tol: float,
 
     def evaluate(y):
         u = A.T @ y
-        d = u.clip(-1.0, 1.0) - u
+        d = np.maximum(u, -1.0)
+        np.minimum(d, 1.0, out=d)
+        d -= u
         x = d / delta
         g = lin + 2.0 * q * y - A @ x
         f = 0.5 * float(d @ x) + float(lin @ y) + q * float(y @ y)
-        return f, g, x, float(np.abs(g).max())
+        return f, g, x, float(np.maximum.reduce(np.abs(g)))
 
-    y, x, evals, converged = _newton(evaluate, A, delta, 2.0 * q, 0.0, sp.warm_y, grad_tol,
-                                     max_iter)
-    sp.warm_y, sp.last_y, sp.last_x = y + (y - sp.last_y), y, x
+    start = sp.last_y
+    if q == sp.last_q:
+        start = start - np.linalg.solve(sp.hessian, lin - sp.last_lin)
+    y, x, evals, converged, hessian, _ = _newton(evaluate, A, delta, 2.0 * q, 0.0, start, grad_tol,
+                                              max_iter)
+    sp.last_y, sp.last_x, sp.last_q = y, x, q
+    sp.last_lin[...] = lin
+    if hessian is not None:
+        sp.hessian = hessian
     return NodeSolution(x=x, lam=y, iterations=evals, converged=converged)

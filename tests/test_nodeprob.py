@@ -151,22 +151,30 @@ class TestRowSolver:
             assert obj == pytest.approx(obj_star, abs=1e-6)
 
     def test_warm_start_updated_in_place(self):
-        # each solve keeps its solution in last_lambda and starts the next
-        # one from the prediction lam + (lam - last), last zero at first
+        # each solve keeps its solution in last_lambda, a copy of its v in
+        # last_v, its c, and the inverse matrix and active set of its last
+        # Newton direction
         rng = np.random.default_rng(6)
         sp = random_row_subproblem(rng, 3, 8)
         v = rng.normal(size=8)
-        last = np.zeros(3)
-        for w in (v, v + 0.1 * rng.normal(size=8)):
+        for w in (v, 3.0 * rng.normal(size=8)):  # the second moves the active set
             sol = solve_row_node(sp, w, 1.0, **CONTROLS)
-            assert sp.last_lambda.tobytes() == sol.lam.tobytes()
-            assert sp.warm_lambda.tobytes() == (sol.lam + (sol.lam - last)).tobytes()
-            last = sol.lam.copy()
-        # re-solving the same problem from its solution is immediate
-        sp.warm_lambda = sp.last_lambda
+            assert sol.iterations > 0 and sp.last_lambda is sol.lam and sp.last_c == 1.0
+            assert sp.last_v.tobytes() == w.tobytes() and not np.shares_memory(sp.last_v, w)
+            assert sp.hessian.shape == (3, 3) and sp.mask.shape == (8,) and sp.mask.dtype == bool
+        # re-solving the same problem starts from its solution and is immediate
+        hessian, mask, last = sp.hessian, sp.mask, sp.last_lambda.copy()
         again = solve_row_node(sp, w, 1.0, **CONTROLS)
-        assert again.iterations == 0
-        assert sp.last_lambda.tobytes() == sp.warm_lambda.tobytes() == last.tobytes()
+        assert again.iterations == 0 and sp.last_lambda.tobytes() == last.tobytes()
+        assert sp.hessian is hessian and sp.mask is mask  # no step: the last direction stays
+        # at another c the tangent does not hold: the solve starts from the
+        # last solution, as on a block that holds nothing else
+        alone = RowSubproblem(sp.A, sp.b)
+        alone.last_lambda = last.copy()
+        u = w + 0.1 * rng.normal(size=8)
+        for block in (sp, alone):
+            solve_row_node(block, u, 2.0, **CONTROLS)
+        assert sp.last_lambda.tobytes() == alone.last_lambda.tobytes()
 
     def test_max_iter_returns_best_flagged(self):
         rng = np.random.default_rng(7)
@@ -243,7 +251,7 @@ class TestRowNewton:
         c = 10.0**log_c
         v = np.zeros(n) if cold else rng.normal(size=n) * rng.uniform(0.1, 5.0)
         if not cold:
-            sp.warm_lambda = rng.normal(size=m)
+            sp.last_lambda = rng.normal(size=m)
         cfg = dict(grad_tol=1e-10, max_iter=20000)
         sol = solve_row_node(sp, v, c, **cfg)
         assert sol.converged
@@ -273,10 +281,10 @@ class TestRowNewton:
             C = 10.0 ** rng.uniform(-1.0, 3.0, size=width)
             if trial % 2:
                 for sp in blocks:
-                    sp.warm_lambda = rng.normal(size=m)
+                    sp.last_lambda = rng.normal(size=m)
             cfg = dict(grad_tol=1e-12, max_iter=int(rng.choice([3, 8, 20000])))
             lam, X, iterations, converged = lockstep(
-                blocks, V, C, np.stack([sp.warm_lambda for sp in blocks]), **cfg)
+                blocks, V, C, np.stack([sp.last_lambda for sp in blocks]), **cfg)
             for i, r in enumerate(per_node_solutions(blocks, V, C, **cfg)):
                 np.testing.assert_allclose(X[i], r.x, atol=1e-10, rtol=0)
                 assert (iterations[i], converged[i]) == (r.iterations, r.converged)
@@ -293,14 +301,14 @@ class TestRowNewton:
             C = 10.0 ** rng.uniform(-2.0, 1.0, size=width)
             reference = per_node_solutions(blocks, V, C, **cfg)
             lam, X, iterations, converged = lockstep(
-                blocks, V, C, np.stack([sp.warm_lambda for sp in blocks]), **cfg)
+                blocks, V, C, np.stack([sp.last_lambda for sp in blocks]), **cfg)
             for sp, v, c, r, lam_i, x_i, its, ok in zip(blocks, V, C, reference, lam, X,
                                                        iterations, converged):
                 assert r.converged and ok and its == r.iterations
                 np.testing.assert_allclose(x_i, r.x, atol=1e-10, rtol=0)
                 np.testing.assert_allclose(lam_i, r.lam, atol=1e-10, rtol=0)
                 assert_kkt(sp, v, c, r, cfg["grad_tol"] * (1 + np.abs(sp.b).max()))
-                sp.warm_lambda = r.lam
+                sp.last_lambda = r.lam  # no c kept: the next solve starts here
 
     def test_finished_rows_stay_put(self):
         # one batch that mixes problems finished at their warm starts (a zero
@@ -345,33 +353,41 @@ class TestRowNewton:
 
 def lockstep(blocks, V, C, Lam, *, grad_tol, max_iter):
     """_newton_lockstep on the stacked blocks of one height, from the rows
-    Lam, with the damping scales and tolerances of their RowGroup."""
+    Lam, with the damping scales and tolerances of their RowGroup; its
+    directions go to arrays of its own."""
     group = RowGroup(blocks)
     (width, m), n = Lam.shape, V.shape[1]
     return _newton_lockstep(group.A.reshape(width, m, n), np.stack([sp.b for sp in blocks]), V,
                             2.0 * C[:, None], Lam, group.frobenius_sq / (2.0 * C * n),
-                            grad_tol * group.b_scale, max_iter)
+                            grad_tol * group.b_scale, max_iter, np.zeros((width, m, m)),
+                            np.zeros((width, n), dtype=bool))
+
+
+#: The fields of a RowSubproblem that carry its dual from solve to solve.
+CARRIED = ("last_lambda", "last_v", "last_c", "hessian", "mask")
 
 
 def per_node_solutions(blocks, V, C, **controls):
     """The reference for a group solve: every node solved on its own by the
-    per-node kernel, from a copy of its warm start and last solution."""
+    per-node kernel, from a copy of its carried dual."""
     solutions = []
     for sp, v, c in zip(blocks, V, C):
         alone = RowSubproblem(sp.A, sp.b)
-        alone.warm_lambda, alone.last_lambda = sp.warm_lambda.copy(), sp.last_lambda.copy()
+        for name in CARRIED:
+            setattr(alone, name, np.copy(getattr(sp, name)))
         solutions.append(solve_row_node(alone, v, c, **controls))
     return solutions
 
 
 def scalar(blocks, V, C, lam, *, grad_tol, max_iter):
     """_scalar_lockstep on one-row blocks, from the multipliers lam, with
-    the damping scales and tolerances of their RowGroup."""
+    the damping scales and tolerances of their RowGroup: (lam, x,
+    iterations, converged)."""
     group = RowGroup(blocks)
     a, n = group.A, V.shape[1]
     return _scalar_lockstep(a, a * a, np.array([sp.b[0] for sp in blocks]), V, 2.0 * C[:, None],
                             lam, group.frobenius_sq / (2.0 * C * n), grad_tol * group.b_scale,
-                            max_iter)
+                            max_iter)[:4]
 
 
 class TestScalarLockstep:
@@ -388,9 +404,9 @@ class TestScalarLockstep:
             C = 10.0 ** rng.uniform(-2.0, 3.0, size=width)
             if trial % 2:
                 for sp in blocks:
-                    sp.warm_lambda = rng.normal(size=1) * rng.uniform(0.1, 10.0)
+                    sp.last_lambda = rng.normal(size=1) * rng.uniform(0.1, 10.0)
             reference = per_node_solutions(blocks, V, C, **cfg)
-            direct = scalar(blocks, V, C, np.stack([sp.warm_lambda[0] for sp in blocks]), **cfg)
+            direct = scalar(blocks, V, C, np.stack([sp.last_lambda[0] for sp in blocks]), **cfg)
             group = RowGroup(blocks)
             assert group.squares is not None  # the group takes the scalar kernel
             sol = solve_row_node(group, V, C, **cfg)
@@ -419,7 +435,8 @@ class TestScalarLockstep:
         args = (a, a * a, np.zeros(1), v, np.ones((1, 1)))
         controls = (np.zeros(1), np.zeros(1))  # damping scale 0, tolerance 0
         assert _scalar_lockstep(*args, np.array([2.0]), *controls, 1)[0][0] == 0.0
-        lam, x, iterations, converged = _scalar_lockstep(*args, np.array([2.0]), *controls, 5)
+        lam, x, iterations, converged, _, _ = _scalar_lockstep(*args, np.array([2.0]),
+                                                               *controls, 5)
         assert (lam[0], iterations[0], converged[0]) == (1.0, 2, True)
         np.testing.assert_array_equal(x, [[1.0, -1.0]])
 
@@ -478,18 +495,17 @@ class TestScalarLockstep:
 def assert_group_matches_per_node(blocks, V, C, *, grad_tol, max_iter):
     reference = per_node_solutions(blocks, V, C, grad_tol=grad_tol, max_iter=max_iter)
     group = RowGroup(blocks)
-    last = [sp.last_lambda.copy() for sp in blocks]
     sol = solve_row_node(group, V, C, grad_tol=grad_tol, max_iter=max_iter)
     np.testing.assert_allclose(sol.x, [r.x for r in reference], atol=1e-10, rtol=0)
     assert sol.converged == all(r.converged for r in reference)
-    for sp, x, lam, before in zip(blocks, sol.x, sol.lam, last):
-        # the solution and the next solve's predicted start: a stacked
+    stacked = group.stack is not None
+    for sp, v, c, x, lam in zip(blocks, V, C, sol.x, sol.lam):
+        # what the next solve starts from, kept by the block: a stacked
         # group's rows, viewed by its blocks
         assert sp.last_lambda.tobytes() == lam.tobytes()
-        assert sp.warm_lambda.tobytes() == (lam + (lam - before)).tobytes()
-        stacked = group.stack is not None
-        assert stacked == np.shares_memory(sp.warm_lambda, group.warm_lambda)
-        assert stacked == np.shares_memory(sp.last_lambda, group.last_lambda)
+        assert sp.last_v.tobytes() == v.tobytes() and sp.last_c == c
+        for name in CARRIED:
+            assert stacked == np.shares_memory(getattr(sp, name), getattr(group, name))
         if sol.converged:
             assert np.abs(sp.A @ x - sp.b).max() <= grad_tol * (1 + np.abs(sp.b).max())
 
@@ -511,7 +527,7 @@ class TestRowGroup:
         blocks = [random_row_subproblem(rng, height, n) for _ in range(width)]
         if warm:
             for sp in blocks:
-                sp.warm_lambda = rng.normal(size=height)
+                sp.last_lambda = rng.normal(size=height)
         V = rng.normal(size=(width, n)) * rng.uniform(0.1, 5.0)
         C = rng.uniform(0.2, 4.0, size=width)
         assert_group_matches_per_node(blocks, V, C, grad_tol=1e-12, max_iter=20000)
@@ -573,42 +589,101 @@ class TestRowGroup:
         np.testing.assert_array_equal(sol.x, [r.x for r in reference])
         assert sol.iterations == sum(r.iterations for r in reference)
         assert sol.converged == all(r.converged for r in reference)
-        for sp, lam, r in zip(blocks, sol.lam, reference):
-            assert sp.last_lambda is lam
-            assert sp.warm_lambda.tobytes() == (lam + lam).tobytes()  # last was zero
+        for sp, v, lam, r in zip(blocks, V, sol.lam, reference):
+            assert sp.last_lambda is lam and sp.last_v.tobytes() == v.tobytes()
             np.testing.assert_array_equal(lam, r.lam)
 
     @pytest.mark.parametrize("height", [1, 2])
     def test_stacked_rows_take_the_per_node_prediction(self, height):
-        # two solves of a stacked group (the scalar kernel at height 1, the
-        # lockstep at 2): each block ends with the bits of its node's kernel
-        # run alone from the same start, and of its own prediction
+        # three solves of a stacked group (the scalar kernel at height 1, the
+        # lockstep at 2), the last at a new c for two nodes: each block ends
+        # where its node's kernel run alone from its tangent start ends, with
+        # as many iterations: last_lambda + hessian^-1 A ((v - last_v) *
+        # mask) / 2c, or last_lambda where c changed
         rng = np.random.default_rng(34)
         width, n = BATCH_MIN_WIDTH + 2, 12
         cfg = dict(grad_tol=1e-12, max_iter=2000)
         group = RowGroup([random_row_subproblem(rng, height, n) for _ in range(width)])
         assert group.stack is not None
         alone = scalar if height == 1 else lockstep
-        for _ in range(2):
-            V, C = rng.normal(size=(width, n)), rng.uniform(0.5, 2.0, size=width)
-            warm, last = group.warm_lambda.copy(), group.last_lambda.copy()
+        V, C = rng.normal(size=(width, n)), rng.uniform(0.5, 2.0, size=width)
+        for trial in range(3):
+            V = V + 0.1 * rng.normal(size=(width, n))
+            if trial == 2:
+                C[:2] *= 2.0
+            before = {name: getattr(group, name).copy() for name in CARRIED}
             sol = solve_row_node(group, V, C, **cfg)
+            iterations = 0
             for i, sp in enumerate(group.blocks):
-                start = warm[i : i + 1, 0] if height == 1 else warm[i : i + 1]
-                lam = alone(group.blocks[i : i + 1], V[i : i + 1], C[i : i + 1], start.copy(),
-                            **cfg)[0].reshape(height)
-                assert sp.last_lambda.tobytes() == sol.lam[i].tobytes() == lam.tobytes()
-                assert sp.warm_lambda.tobytes() == (lam + (lam - last[i])).tobytes()
-        # restarted from its solutions, with zero taken for the solutions
-        # before, every node is done at once: the kernel hands back the
-        # group's own warm_lambda, and the solutions must survive the
-        # writing of the predictions
+                start = before["last_lambda"][i].copy()
+                if C[i] == before["last_c"][i]:
+                    dv = (V[i] - before["last_v"][i]) * before["mask"][i]
+                    start += np.linalg.solve(before["hessian"][i], sp.A @ dv) / (2.0 * C[i])
+                else:
+                    assert trial == 0 or i < 2
+                lam, _, its, _ = alone([sp], V[i : i + 1], C[i : i + 1],
+                                       start[None, :] if height == 2 else start, **cfg)
+                if C[i] == before["last_c"][i]:  # the tangent, formed row by row here
+                    np.testing.assert_allclose(sol.lam[i], lam.reshape(height), atol=1e-10,
+                                               rtol=0)
+                else:  # the same start, bit for bit
+                    assert sol.lam[i].tobytes() == lam.reshape(height).tobytes()
+                assert sp.last_lambda.tobytes() == sol.lam[i].tobytes()
+                iterations += int(its[0])
+            assert sol.iterations == iterations
+        # re-solved at the same v and c, every node is done at once
         solved = group.last_lambda.copy()
-        group.warm_lambda[...], group.last_lambda[...] = solved, 0.0
         again = solve_row_node(group, V, C, **cfg)
-        assert again.iterations == 0
-        assert group.last_lambda.tobytes() == solved.tobytes()
-        assert group.warm_lambda.tobytes() == (solved + solved).tobytes()
+        assert again.iterations == 0 and group.last_lambda.tobytes() == solved.tobytes()
+
+
+class TestTangentStart:
+    """Within a fixed active set a node's solution is affine in its linear
+    term, and every kernel starts from the tangent of its last solution: a
+    re-solve at a linear term that moved too little to change the active set
+    is done at its first evaluation."""
+
+    @pytest.mark.parametrize("height", [None, 3, 1])
+    def test_row_kernels(self, height):
+        # a block on its own (the per-node kernel), and a stacked group of
+        # blocks of 3 rows (the lockstep) or of one row (the scalar kernel)
+        rng = np.random.default_rng(50)
+        cfg = dict(grad_tol=1e-10, max_iter=2000)
+        width, n = BATCH_MIN_WIDTH + 1, 40
+        blocks = [random_row_subproblem(rng, height or 4, n)
+                  for _ in range(1 if height is None else width)]
+        V, C = 2.0 * rng.normal(size=(len(blocks), n)), rng.uniform(0.5, 2.0, size=len(blocks))
+        if height is None:
+            node, V, C = blocks[0], V[0], float(C[0])
+        else:
+            node = RowGroup(blocks)
+            assert node.stack is not None and (node.squares is not None) == (height == 1)
+        first = solve_row_node(node, V, C, **cfg)
+        assert first.converged and first.iterations > 0
+        moved = V + 1e-4 * rng.normal(size=V.shape)
+        again = solve_row_node(node, moved, C, **cfg)
+        assert again.converged and again.iterations == 0
+        for sp, v, c, x, lam, x_first in zip(blocks, np.atleast_2d(moved), np.atleast_1d(C),
+                                             np.atleast_2d(again.x), np.atleast_2d(again.lam),
+                                             np.atleast_2d(first.x)):
+            np.testing.assert_array_equal(x != 0.0, x_first != 0.0)  # the active set held
+            assert_kkt(sp, v, c, NodeSolution(x=x, lam=lam, iterations=0, converged=True),
+                       cfg["grad_tol"] * sp.b_scale)
+
+    def test_column_kernel(self):
+        # criterion 7's stiff regime: a 40-row block and a curvature of
+        # order 1/delta
+        rng = np.random.default_rng(51)
+        sp = ColSubproblem(rng.normal(size=(40, 20)), delta=1e-3)
+        lin, q, grad_tol = rng.normal(size=40), 1.0, 1e-9
+        first = solve_col_node(sp, lin, q, grad_tol=grad_tol, max_iter=2000)
+        assert first.converged and first.iterations > 0
+        lin = lin + 1e-4 * rng.normal(size=40)
+        again = solve_col_node(sp, lin, q, grad_tol=grad_tol, max_iter=2000)
+        assert again.converged and again.iterations == 0
+        np.testing.assert_array_equal(again.x != 0.0, first.x != 0.0)
+        value, x, grad = psi_p(sp, again.lam)
+        assert np.abs(grad + lin + 2.0 * q * again.lam).max() <= grad_tol
 
 
 class TestColumnSide:
@@ -674,15 +749,28 @@ class TestColumnSide:
             assert np.linalg.norm(value_grad(sol.lam)[1]) / (2.0 * q) <= 1e-9
 
     def test_warm_start_is_the_linear_prediction(self):
-        # after two solves the column kernel starts from y + (y - y_prev)
+        # each solve keeps its y, a copy of its lin, its q and its last
+        # direction's matrix A_S A_S' / delta + 2q I, and the next one starts
+        # from the tangent last_y - hessian^-1 (lin - last_lin): it ends with
+        # the bits of a block that starts there. At another q it starts from
+        # last_y.
         rng = np.random.default_rng(12)
         sp = ColSubproblem(rng.normal(size=(6, 4)), delta=0.5)
         lin = rng.normal(size=6)
-        previous = solve_col_node(sp, lin, 1.0, **CONTROLS).lam.copy()
-        assert sp.warm_y.tobytes() == (previous + previous).tobytes()
-        y = solve_col_node(sp, lin + 0.1 * rng.normal(size=6), 1.0, **CONTROLS).lam
-        assert sp.last_y.tobytes() == y.tobytes()
-        assert sp.warm_y.tobytes() == (y + (y - previous)).tobytes()
+        sol = solve_col_node(sp, lin, 1.0, **CONTROLS)
+        assert sol.iterations > 0 and sp.last_y is sol.lam and sp.last_q == 1.0
+        assert sp.last_lin.tobytes() == lin.tobytes() and not np.shares_memory(sp.last_lin, lin)
+        active = sp.A[:, sol.x != 0.0]
+        np.testing.assert_allclose(sp.hessian, active @ active.T / 0.5 + 2.0 * np.eye(6),
+                                   rtol=1e-14, atol=1e-14)
+        for q, step in ((1.0, 0.5), (3.0, 1.0)):
+            lin = lin + step * rng.normal(size=6)
+            alone = ColSubproblem(sp.A, 0.5)
+            alone.last_y = sp.last_y - np.linalg.solve(sp.hessian, lin - sp.last_lin) \
+                if q == sp.last_q else sp.last_y.copy()
+            for block in (sp, alone):
+                solve_col_node(block, lin, q, **CONTROLS)
+            assert sp.last_y.tobytes() == alone.last_y.tobytes()
 
     def test_keeps_the_fragment_of_its_solution(self):
         # x and sp.last_x are psi_p's fragment at the returned y, bit for
@@ -704,10 +792,9 @@ class TestColumnSide:
 
         sol = solve(lin)
         assert sol.converged and sol.iterations > 1
-        sp.warm_y = sp.last_y.copy()
-        assert solve(lin).iterations == 0
+        assert solve(lin).iterations == 0  # the same lin: the start is the solution
         start = 0.1 * rng.normal(size=40)
-        sp.warm_y = start.copy()
+        sp.last_y, sp.last_q = start.copy(), 0.0  # another q: the solve starts at last_y
         sol = solve(-lin, max_iter=1)
         assert not sol.converged and sol.iterations == 1
         assert sol.lam.tobytes() == start.tobytes() and np.abs(sol.x).max() > 0.0

@@ -66,13 +66,13 @@ def run_steps(stepper, count):
 #: communication steps, steps to each target and total Newton kernel
 #: evaluations.
 KIND_COUNTS = {
-    "dadmm_row": (1.0, 14, {1e-2: 13, 1e-4: 14}, 158),
-    "dlasso": (1.0, 37, {1e-2: 36, 1e-4: 37}, 291),
+    "dadmm_row": (1.0, 14, {1e-2: 13, 1e-4: 14}, 112),
+    "dlasso": (1.0, 37, {1e-2: 36, 1e-4: 37}, 206),
     "subgradient": (1.0, 310, {1e-1: 310}, 0),
-    "mm_ngs": (10.0, 82, {1e-2: 78, 1e-4: 82}, 416),
-    "mm_dqa": (10.0, 586, {1e-2: 467, 1e-4: 586}, 2542),
-    "dn": (10.0, 163, {1e-2: 118, 1e-4: 163}, 898),
-    "dadmm_col": (1.0, 51, {1e-2: 22, 1e-4: 51}, 272),
+    "mm_ngs": (10.0, 82, {1e-2: 78, 1e-4: 82}, 187),
+    "mm_dqa": (10.0, 586, {1e-2: 467, 1e-4: 586}, 445),
+    "dn": (10.0, 163, {1e-2: 118, 1e-4: 163}, 335),
+    "dadmm_col": (1.0, 51, {1e-2: 22, 1e-4: 51}, 53),
 }
 
 
@@ -655,25 +655,66 @@ class TestDN:
         assert 1e-3 in tr.steps_to_accuracy
 
 
+def warm_start_totals():
+    """The evaluations of 120 dadmm_row steps (m=16, n=48, P=4 ring, rho 1)
+    over steps 1-30 and over steps 31-120, with every node solve started
+    from the tangent of its last solution, from its last solution alone
+    (no direction kept) and from zero."""
+    prob = desk_problem(m=16, n=48, P=4, seed=27)
+    g = ring_graph(4)
+    coloring = greedy_coloring(g)
+    totals = {}
+    for start in ("tangent", "plain", "cold"):
+        stepper = stepper_for("dadmm_row", prob, g, coloring, rho=1.0)
+        counts = [0, 0]
+        for k in range(1, 121):
+            for sp in stepper.blocks:  # in place: a stacked group's blocks view its rows
+                if start != "tangent":
+                    sp.mask[...] = False
+                if start == "cold":
+                    sp.last_lambda[...] = 0.0
+            counts[k > 30] += stepper.step(k).bb_iterations
+        totals[start] = counts
+    return totals
+
+
+#: warm_start_totals in a new interpreter, which prints the OpenBLAS kernel
+#: set its products ran on and the totals.
+WARM_START_RUNS = """
+import json
+from test_solvers import warm_start_totals
+from trace_digest import blas_kernels
+
+print(json.dumps([blas_kernels(), warm_start_totals()]))
+"""
+
+
 class TestWarmStart:
     def test_warm_start_reduces_total_bb_iterations(self):
-        # the same 120 steps, starting every node solve from the prediction
-        # from its last two solutions, from its last solution alone, and
-        # from zero
-        prob = desk_problem(m=16, n=48, P=4, seed=27)
-        g = ring_graph(4)
-        coloring = greedy_coloring(g)
-        totals = []
-        for start in ("predicted", "plain", "cold"):
-            stepper = stepper_for("dadmm_row", prob, g, coloring, rho=1.0)
-            total = 0
-            for k in range(1, 121):
-                for sp in stepper.blocks:  # in place: a stacked group's blocks view its rows
-                    if start == "plain":
-                        sp.warm_lambda[:] = sp.last_lambda
-                    elif start == "cold":
-                        sp.warm_lambda[:] = 0.0
-                total += stepper.step(k).bb_iterations
-            totals.append(total)
-        predicted, plain, cold = totals
-        assert 0 < predicted < plain <= cold
+        # the tangent start takes fewer evaluations than the last solution,
+        # which takes no more than zero, and none at all once the run has
+        # converged (steps 31-120)
+        assert_tangent_start_saves(warm_start_totals())
+
+    def test_warm_start_on_sandybridge_kernels(self):
+        # the same under the kernel set OpenBLAS gives AVX-only x86 CPUs
+        # (OPENBLAS_CORETYPE, in a child process only)
+        from trace_digest import blas_kernels
+
+        if blas_kernels() == "unknown":
+            pytest.skip("numpy's BLAS does not report an OpenBLAS kernel set")
+        tests = Path(__file__).resolve().parent
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Sandybridge",
+               "PYTHONPATH": os.pathsep.join([str(Path(nl.__file__).parent.parent), str(tests)])}
+        done = subprocess.run([sys.executable, "-c", WARM_START_RUNS], env=env, cwd=tests,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        found, totals = json.loads(done.stdout.splitlines()[-1])
+        assert found == "Sandybridge"
+        assert_tangent_start_saves(totals)
+
+
+def assert_tangent_start_saves(totals):
+    tangent, plain, cold = (sum(totals[start]) for start in ("tangent", "plain", "cold"))
+    assert 0 < tangent < plain <= cold
+    assert totals["tangent"][1] == 0
