@@ -92,15 +92,16 @@ def solve_bp_centralized(A, b, tol: float = 1e-9):
     scaled by 1 + ||b||_inf, the dual certificate is checked (at the first
     9 iterations and every 10th): lam solving A'lam ~ u must satisfy
     ||A'lam||_inf <= 1 + 10 tol and b'lam >= ||x||_1 - 10 tol. A b that is
-    not a finite vector of length m, or a tol that is not positive, raises
+    not a finite vector of length m, or a tol that is not positive and
+    finite (an infinite one would pass an uncertified point), raises
     InputError before the first iteration, and a budget of ORACLE_MAX_ITER
     iterations run out raises ToleranceError with the best gap.
     """
     A = as_matrix(A)
     b = as_vector(b, A.shape[0], "b")
     inverse = gram_factorization(A)
-    if not tol > 0:
-        raise InputError(f"oracle tolerance must be positive, got {tol}")
+    if not 0 < tol < np.inf:
+        raise InputError(f"oracle tolerance must be positive and finite, got {tol}")
     z, u = np.zeros(A.shape[1]), np.zeros(A.shape[1])
     scale = 1.0 + float(np.abs(b).max(initial=0.0))
     best_gap = np.inf

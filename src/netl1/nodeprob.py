@@ -61,11 +61,11 @@ bb_minimize = None
 class RowSubproblem:
     """Node-local data for the row partition: block A (full row rank), slice b
     and the dual carried across calls, from which the next solve starts
-    (see solve_row_node): last_lambda, the last solution, last_v and last_c,
-    the v and c it was solved at, and hessian and mask, the matrix of the
-    last Newton direction and that direction's active set. Before the first
-    solve they are zeros (hessian the identity), and last_c = 0 matches no
-    c, so that solve starts from zeros.
+    (see solve_row_node): last_lambda, the last solution, last_v, the v it
+    was solved at, and hessian and mask, the matrix of the last Newton
+    direction and that direction's active set. Before the first solve they
+    are zeros (hessian the identity): the mask is empty, so that solve
+    starts from zeros.
 
     The block's constants are computed once: its Gram inverse gram,
     frobenius_sq = ||A||_F^2 (the Newton damping's scale) and b_scale =
@@ -79,7 +79,6 @@ class RowSubproblem:
     b_scale: float = field(init=False)
     last_lambda: np.ndarray = field(init=False)
     last_v: np.ndarray = field(init=False)
-    last_c: float = field(init=False, default=0.0)
     hessian: np.ndarray = field(init=False)
     mask: np.ndarray = field(init=False)
 
@@ -131,7 +130,7 @@ class RowGroup:
     (width, height); any other group is solved node by node, and stack is
     None; a stack of one-row blocks keeps squares = A * A (else None) for
     the scalar kernel. A stacked group keeps its nodes' carried duals
-    (RowSubproblem's last_lambda, last_v, last_c, hessian and mask) as arrays
+    (RowSubproblem's last_lambda, last_v, hessian and mask) as arrays
     of one row per node, and each block's fields are views of their rows,
     so a solve writes them all with one copy each; a group without a stack
     leaves them with the blocks. The subgradient projects a stacked group's
@@ -151,7 +150,6 @@ class RowGroup:
     # a stacked group's carried duals, one row per node
     last_lambda: np.ndarray | None = field(init=False, default=None)
     last_v: np.ndarray | None = field(init=False, default=None)
-    last_c: np.ndarray | None = field(init=False, default=None)
     hessian: np.ndarray | None = field(init=False, default=None)
     mask: np.ndarray | None = field(init=False, default=None)
 
@@ -164,11 +162,11 @@ class RowGroup:
         if len(self.blocks) >= BATCH_MIN_WIDTH and len(heights) == 1:
             self.stack = (self.A.reshape(len(self.blocks), heights.pop(), -1),
                           np.stack([sp.b for sp in self.blocks]))
-            for name in ("last_lambda", "last_v", "last_c", "hessian", "mask"):
+            for name in ("last_lambda", "last_v", "hessian", "mask"):
                 rows = np.stack([getattr(sp, name) for sp in self.blocks])
                 setattr(self, name, rows)
                 for i, sp in enumerate(self.blocks):
-                    setattr(sp, name, rows[i, ...])  # a view, 0-d for last_c
+                    setattr(sp, name, rows[i, ...])  # a view
             self.squares = self.A * self.A if len(self.A) == len(self.blocks) else None
 
 
@@ -198,10 +196,11 @@ def solve_row_node(sp, v, c, *, grad_tol: float, max_iter: int) -> NodeSolution:
     The solve starts from the tangent of the block's last solution,
     last_lambda + hessian^-1 A ((v - last_v) * mask) / (2c), which is the
     solution at v wherever the active set mask of the last direction holds
-    (hessian is that direction's matrix); at another c than last_c it
-    starts from last_lambda. Then the block keeps the solution, v, c and
-    the last direction's hessian and mask (those of a solve that took no
-    step stay).
+    (hessian is that direction's matrix; before the first direction the
+    mask is empty and the start is last_lambda). A block's c is fixed for
+    its run, as the stepper sets it. Then the block keeps the solution, v
+    and the last direction's hessian and mask (those of a solve that took
+    no step stay).
 
     sp may also be a RowGroup, with one row of v and one entry of c per
     node: every node's problem is solved, and the solution holds the rows
@@ -245,15 +244,13 @@ def _newton_node(sp: RowSubproblem, v: np.ndarray, c, grad_tol, max_iter):
         g -= b
         return 0.5 * float(d @ x) - float(lam @ b), g, x, float(np.maximum.reduce(np.abs(g)))
 
-    start = sp.last_lambda
-    if c == sp.last_c:
-        dv = v - sp.last_v
-        dv *= sp.mask
-        start = start + np.linalg.solve(sp.hessian, A @ dv) / c2
+    dv = v - sp.last_v
+    dv *= sp.mask
+    start = sp.last_lambda + np.linalg.solve(sp.hessian, A @ dv) / c2
     lam, x, evals, converged, hessian, mask = _newton(
         evaluate, A, c2, 0.0, sp.frobenius_sq / (c2 * A.shape[1]), start, grad_tol * sp.b_scale,
         max_iter)
-    sp.last_lambda, sp.last_c = lam, c
+    sp.last_lambda = lam
     sp.last_v[...] = v
     if hessian is not None:
         sp.hessian, sp.mask = hessian, mask
@@ -344,13 +341,15 @@ def _newton_lockstep(A, b, V, C2, Lam, scale, tol, max_iter, hessian, mask):
     own point bit for bit: it accepts the trial and never moves, and its
     iterations are the evaluations made when it first finished. When every
     problem accepts its trial (most steps) the trials are taken whole.
-    Every direction computed, a finished problem's too, writes its matrix
-    and active set into the rows of hessian and mask. Returns the arrays
-    (lam, x, iterations, converged) over the k problems."""
+    Whenever a problem needs a direction, the batch's are all formed and
+    written, with their matrices and active sets, into the rows of hessian
+    and mask; a problem in its line search gets its own back bit for bit,
+    as its G and X have not moved. Returns the arrays (lam, x, iterations,
+    converged) over the k problems."""
     k = len(Lam)
     F, G, X = _batch_evaluate(A, b, V, C2, Lam)
     gnorm = np.abs(G).max(axis=1)
-    S, slope, t = np.zeros_like(Lam), np.zeros(k), np.ones(k)
+    t = np.ones(k)
     fresh = np.ones(k, dtype=bool)  # the problems that took a step and need a direction
     iterations = np.full(k, max_iter)
     evals = 0
@@ -359,12 +358,8 @@ def _newton_lockstep(A, b, V, C2, Lam, scale, tol, max_iter, hessian, mask):
         np.minimum(iterations, evals, out=iterations, where=done)
         if evals >= max_iter or done.all():
             return Lam, X, iterations, done
-        if fresh.all():
-            (S, slope, hessian[...], mask[...]), t = (_newton_directions(A, G, X, C2, scale),
-                                                      np.ones(k))
-        elif fresh.any():
-            S[fresh], slope[fresh], hessian[fresh], mask[fresh] = _newton_directions(
-                A[fresh], G[fresh], X[fresh], C2[fresh], scale[fresh])
+        if fresh.any():
+            S, slope, hessian[...], mask[...] = _newton_directions(A, G, X, C2, scale)
             t[fresh] = 1.0
         S[done], slope[done] = -0.0, 0.0
         trial = Lam + t[:, None] * S
@@ -381,19 +376,18 @@ def _newton_lockstep(A, b, V, C2, Lam, scale, tol, max_iter, hessian, mask):
             t[~fresh] *= 0.5
 
 
-def _scalar_lockstep(a, squares, b, V, C2, lam, scale, tol, max_iter):
+def _scalar_lockstep(a, squares, b, V, C2, lam, scale, tol, max_iter, slope, mask):
     """_newton_lockstep for k one-row problems (the rows of a; squares =
     a * a), from lam. Each gradient g = a.x - b is nondecreasing and
     piecewise linear in lam, with slope h = sum of a_i^2 / 2c over the
     active set, so the points where g < 0 and g > 0 bracket its root. A
     step goes to lam - g / (h + _newton's damping) or, where that leaves the
     open bracket, to its midpoint (Newton-bisection, rtsafe in Numerical
-    Recipes), and no line search follows. Returns (lam, x, iterations,
-    converged, the damped slopes of the last pass, its active sets), the
-    last two None when no pass was made."""
+    Recipes), and no line search follows. Every pass writes its damped
+    slopes into slope and its active sets into the rows of mask. Returns
+    the arrays (lam, x, iterations, converged) over the k problems."""
     lo, hi = np.full_like(lam, -np.inf), np.full_like(lam, np.inf)
     U, D, iterations, evals = np.empty_like(V), np.empty_like(V), np.full(len(lam), max_iter), 0
-    h = active = None
     while True:
         np.subtract(V, np.multiply(a, lam[:, None], out=U), out=U)
         np.clip(U, -1.0, 1.0, out=D)
@@ -402,11 +396,12 @@ def _scalar_lockstep(a, squares, b, V, C2, lam, scale, tol, max_iter):
         done = np.abs(g) <= tol
         np.minimum(iterations, evals, out=iterations, where=done)
         if evals >= max_iter or done.all():
-            return lam, D / C2, iterations, done, h, active
+            return lam, D / C2, iterations, done
         lo, hi = np.where(g <= 0.0, lam, lo), np.where(g > 0.0, lam, hi)  # g = 0 only if done
-        active = D != 0.0
-        h = _rowdot(squares, active) / C2[:, 0]
+        np.not_equal(D, 0.0, out=mask)
+        h = _rowdot(squares, mask) / C2[:, 0]
         h += scale * (np.where(h == 0.0, np.abs(g), 0.0) + a.shape[1] * DAMPING_FLOOR)
+        slope[...] = h
         trial = lam - g / h
         mid = 0.5 * (lo + hi)  # infinite until both sides are found
         np.copyto(trial, mid, where=~((lo < trial) & (trial < hi)) & np.isfinite(mid))
@@ -431,7 +426,6 @@ def _solve_row_group(group: RowGroup, V, C, grad_tol, max_iter) -> NodeSolution:
     (A, b), C2 = group.stack, 2.0 * C[:, None]
     dV = V - group.last_v
     dV *= group.mask
-    dV[C != group.last_c] = 0.0  # another c: start from the last solution
     tangent = np.matmul(A, dV[:, :, None])
     controls = group.frobenius_sq / (2.0 * C * A.shape[2]), grad_tol * group.b_scale, max_iter
     if group.squares is None:
@@ -440,12 +434,10 @@ def _solve_row_group(group: RowGroup, V, C, grad_tol, max_iter) -> NodeSolution:
                                              group.mask)
     else:  # one-row blocks: group.A is (width, n), and each hessian is a slope
         start = group.last_lambda[:, 0] + tangent[:, 0, 0] / (group.hessian[:, 0, 0] * C2[:, 0])
-        lam, X, iters, ok, h, active = _scalar_lockstep(group.A, group.squares, b[:, 0], V, C2,
-                                                        start, *controls)
-        if h is not None:
-            group.hessian[:, 0, 0], group.mask[...] = h, active
+        lam, X, iters, ok = _scalar_lockstep(group.A, group.squares, b[:, 0], V, C2, start,
+                                             *controls, group.hessian[:, 0, 0], group.mask)
         lam = lam[:, None]
-    group.last_lambda[...], group.last_v[...], group.last_c[...] = lam, V, C
+    group.last_lambda[...], group.last_v[...] = lam, V
     return NodeSolution(x=X, lam=group.last_lambda, iterations=int(iters.sum()),
                         converged=bool(ok.all()))
 
@@ -455,9 +447,9 @@ class ColSubproblem:
     """Node-local data for the column partition: column block A_p, the
     regularization weight delta and the dual carried across calls, from
     which the next solve starts (see solve_col_node): last_y, the last
-    solution, last_lin and last_q, the lin and q it was solved at, and
-    hessian, the matrix of the last Newton direction (zeros before the
-    first solve, hessian the identity; last_q = 0 matches no q).
+    solution, last_lin, the lin it was solved at, and hessian, the matrix
+    of the last Newton direction (zeros before the first solve, hessian
+    None until a solve takes a step).
     The kernel owns the node's fragment x_p: last_x, the x of its
     evaluation at last_y (zeros before the first solve)."""
 
@@ -465,8 +457,7 @@ class ColSubproblem:
     delta: float
     last_y: np.ndarray = field(init=False)
     last_lin: np.ndarray = field(init=False)
-    last_q: float = field(init=False, default=0.0)
-    hessian: np.ndarray = field(init=False)
+    hessian: np.ndarray | None = field(init=False, default=None)
     last_x: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -474,7 +465,7 @@ class ColSubproblem:
         if not (np.isfinite(self.delta) and self.delta > 0):
             raise InputError("delta must be positive and finite")
         m, n = self.A.shape
-        self.last_y, self.last_lin, self.hessian = np.zeros(m), np.zeros(m), np.eye(m)
+        self.last_y, self.last_lin = np.zeros(m), np.zeros(m)
         self.last_x = np.zeros(n)
 
 
@@ -505,10 +496,11 @@ def solve_col_node(sp: ColSubproblem, lin, q: float, *, grad_tol: float,
     undamped: the generalized Hessian A_S A_S'/delta + 2q I is positive
     definite. It starts from the tangent of the last solution,
     last_y - hessian^-1 (lin - last_lin), exact while the last direction's
-    active set holds, or from last_y at another q than last_q. Then the
-    block keeps the solution y, its fragment x (psi_p's at y), lin, q and
-    the last direction's hessian, as in solve_row_node; the solution holds
-    x and lam = y. The controls are checked as in solve_row_node.
+    active set holds, or from last_y before the first direction. A
+    block's q is fixed for its run, as the stepper sets it. Then the block
+    keeps the solution y, its fragment x (psi_p's at y), lin and the last
+    direction's hessian, as in solve_row_node; the solution holds x and
+    lam = y. The controls are checked as in solve_row_node.
     """
     _check_controls(grad_tol, max_iter)
     if not (np.isfinite(q) and q > 0):
@@ -527,11 +519,11 @@ def solve_col_node(sp: ColSubproblem, lin, q: float, *, grad_tol: float,
         return f, g, x, float(np.maximum.reduce(np.abs(g)))
 
     start = sp.last_y
-    if q == sp.last_q:
+    if sp.hessian is not None:
         start = start - np.linalg.solve(sp.hessian, lin - sp.last_lin)
     y, x, evals, converged, hessian, _ = _newton(evaluate, A, delta, 2.0 * q, 0.0, start, grad_tol,
                                               max_iter)
-    sp.last_y, sp.last_x, sp.last_q = y, x, q
+    sp.last_y, sp.last_x = y, x
     sp.last_lin[...] = lin
     if hessian is not None:
         sp.hessian = hessian

@@ -7,9 +7,6 @@ module-scoped fixtures.
 """
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -149,18 +146,9 @@ def test_criterion_3_steps_on_haswell_kernels():
     # the step and evaluation pins hold off the BLAS kernels OpenBLAS picks
     # by default: OPENBLAS_CORETYPE forces the set an AVX2-only x86 CPU
     # gets, in the child process only
-    from trace_digest import blas_kernels
+    from trace_digest import run_on_kernels
 
-    if blas_kernels() == "unknown":
-        pytest.skip("numpy's BLAS does not report an OpenBLAS kernel set")
-    tests = Path(__file__).resolve().parent
-    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
-           "PYTHONPATH": os.pathsep.join([str(Path(nl.__file__).parent.parent), str(tests)])}
-    done = subprocess.run([sys.executable, "-c", CRITERION_3_STEPS], env=env, cwd=tests,
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    kernels, steps, evaluations = json.loads(done.stdout.splitlines()[-1])
-    assert kernels == "Haswell"
+    steps, evaluations = run_on_kernels("Haswell", CRITERION_3_STEPS)
     pinned = PINNED["criterion_3"]["dadmm_row"]
     assert steps == [[1e-5, pinned["steps"]], [1e-2, 212]]
     assert evaluations == pinned["evaluations"]
@@ -262,18 +250,9 @@ def test_criterion_5_counts_on_other_kernels(kernels):
     # kernels OpenBLAS picks by default: on the sets it gives AVX2-only and
     # AVX-only x86 CPUs (OPENBLAS_CORETYPE, in the child process only, as
     # for criterion 3)
-    from trace_digest import blas_kernels
+    from trace_digest import run_on_kernels
 
-    if blas_kernels() == "unknown":
-        pytest.skip("numpy's BLAS does not report an OpenBLAS kernel set")
-    tests = Path(__file__).resolve().parent
-    env = {**os.environ, "OPENBLAS_CORETYPE": kernels,
-           "PYTHONPATH": os.pathsep.join([str(Path(nl.__file__).parent.parent), str(tests)])}
-    done = subprocess.run([sys.executable, "-c", CRITERION_5_SWEEPS], env=env, cwd=tests,
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    found, cells = json.loads(done.stdout.splitlines()[-1])
-    assert found == kernels
+    (cells,) = run_on_kernels(kernels, CRITERION_5_SWEEPS)
     assert cells == PINNED["criterion_5"]["dadmm_row"]
     _report(5, f"dadmm_row's sweep counts under OpenBLAS's {kernels} kernels",
             f"({sum(c['evaluations'] for c in cells.values())} evaluations over 7 sweeps)")

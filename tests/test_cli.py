@@ -246,13 +246,17 @@ def test_unreadable_list_entry_names_its_option(tmp_path, capsys, monkeypatch, c
     assert err.startswith(f"error: {option}: ") and repr(value.split(",")[1]) in err
 
 
-def test_nonpositive_oracle_tol_is_an_input_error(tmp_path, capsys):
+def test_out_of_range_oracle_tol_is_an_input_error(tmp_path, capsys):
+    # an infinite tol used to return an uncertified point
     inst, net = _instance_and_network(tmp_path, 7)
     assert main(["oracle", "--instance", str(inst), "--tol", "-1"]) == 1
+    assert main(["oracle", "--instance", str(inst), "--tol", "inf"]) == 1
     assert main(["run", "--algo", "dadmm", "--instance", str(inst), "--network", str(net),
                  "--oracle-tol", "0"]) == 1
+    assert main(["run", "--algo", "dadmm", "--instance", str(inst), "--network", str(net),
+                 "--oracle-tol", "inf"]) == 1
     err = capsys.readouterr().err
-    assert err.count("error: oracle tolerance must be positive") == 2
+    assert err.count("error: oracle tolerance must be positive and finite") == 4
 
 
 def test_rank_deficient_instance_is_an_error(tmp_path, capsys):

@@ -152,14 +152,13 @@ class TestRowSolver:
 
     def test_warm_start_updated_in_place(self):
         # each solve keeps its solution in last_lambda, a copy of its v in
-        # last_v, its c, and the inverse matrix and active set of its last
-        # Newton direction
+        # last_v, and the matrix and active set of its last Newton direction
         rng = np.random.default_rng(6)
         sp = random_row_subproblem(rng, 3, 8)
         v = rng.normal(size=8)
         for w in (v, 3.0 * rng.normal(size=8)):  # the second moves the active set
             sol = solve_row_node(sp, w, 1.0, **CONTROLS)
-            assert sol.iterations > 0 and sp.last_lambda is sol.lam and sp.last_c == 1.0
+            assert sol.iterations > 0 and sp.last_lambda is sol.lam
             assert sp.last_v.tobytes() == w.tobytes() and not np.shares_memory(sp.last_v, w)
             assert sp.hessian.shape == (3, 3) and sp.mask.shape == (8,) and sp.mask.dtype == bool
         # re-solving the same problem starts from its solution and is immediate
@@ -167,14 +166,20 @@ class TestRowSolver:
         again = solve_row_node(sp, w, 1.0, **CONTROLS)
         assert again.iterations == 0 and sp.last_lambda.tobytes() == last.tobytes()
         assert sp.hessian is hessian and sp.mask is mask  # no step: the last direction stays
-        # at another c the tangent does not hold: the solve starts from the
-        # last solution, as on a block that holds nothing else
-        alone = RowSubproblem(sp.A, sp.b)
-        alone.last_lambda = last.copy()
+        # a block with no direction yet has an empty mask: it starts from
+        # last_lambda itself, whatever v moved by
+        fresh = RowSubproblem(sp.A, sp.b)
+        fresh.last_lambda = last.copy()
+        assert solve_row_node(fresh, w, 1.0, **CONTROLS).iterations == 0
+        assert fresh.last_lambda.tobytes() == last.tobytes()
+        # a run keeps its c; at another one the tangent is only a start: the
+        # solve still meets the KKT conditions, with the bits of a block
+        # solved from the same carried state
         u = w + 0.1 * rng.normal(size=8)
-        for block in (sp, alone):
-            solve_row_node(block, u, 2.0, **CONTROLS)
-        assert sp.last_lambda.tobytes() == alone.last_lambda.tobytes()
+        reference = per_node_solutions([sp], [u], [2.0], **CONTROLS)[0]
+        sol = solve_row_node(sp, u, 2.0, **CONTROLS)
+        assert sol.converged and sol.lam.tobytes() == reference.lam.tobytes()
+        assert_kkt(sp, u, 2.0, sol, CONTROLS["grad_tol"] * sp.b_scale)
 
     def test_max_iter_returns_best_flagged(self):
         rng = np.random.default_rng(7)
@@ -364,7 +369,7 @@ def lockstep(blocks, V, C, Lam, *, grad_tol, max_iter):
 
 
 #: The fields of a RowSubproblem that carry its dual from solve to solve.
-CARRIED = ("last_lambda", "last_v", "last_c", "hessian", "mask")
+CARRIED = ("last_lambda", "last_v", "hessian", "mask")
 
 
 def per_node_solutions(blocks, V, C, **controls):
@@ -381,13 +386,13 @@ def per_node_solutions(blocks, V, C, **controls):
 
 def scalar(blocks, V, C, lam, *, grad_tol, max_iter):
     """_scalar_lockstep on one-row blocks, from the multipliers lam, with
-    the damping scales and tolerances of their RowGroup: (lam, x,
-    iterations, converged)."""
+    the damping scales and tolerances of their RowGroup; its slopes and
+    active sets go to arrays of its own."""
     group = RowGroup(blocks)
-    a, n = group.A, V.shape[1]
+    a, (width, n) = group.A, V.shape
     return _scalar_lockstep(a, a * a, np.array([sp.b[0] for sp in blocks]), V, 2.0 * C[:, None],
                             lam, group.frobenius_sq / (2.0 * C * n), grad_tol * group.b_scale,
-                            max_iter)[:4]
+                            max_iter, np.ones(width), np.zeros((width, n), dtype=bool))
 
 
 class TestScalarLockstep:
@@ -430,15 +435,19 @@ class TestScalarLockstep:
         # (|u| = 1) and counts as inactive, so the slope read there is 1.
         # Undamped (scale 0, so every float is exact), Newton from 2 lands
         # on 0 and from 0 on 2 again, a cycle; the bracket (0, 2) rejects
-        # that point and takes its midpoint, the root.
+        # that point and takes its midpoint, the root. Each pass leaves its
+        # slope and active set in the arrays handed in: the last pass's.
         a, v = np.array([[1.0, 1.0]]), np.array([[-1.0, 3.0]])
         args = (a, a * a, np.zeros(1), v, np.ones((1, 1)))
         controls = (np.zeros(1), np.zeros(1))  # damping scale 0, tolerance 0
-        assert _scalar_lockstep(*args, np.array([2.0]), *controls, 1)[0][0] == 0.0
-        lam, x, iterations, converged, _, _ = _scalar_lockstep(*args, np.array([2.0]),
-                                                               *controls, 5)
+        slope, mask = np.zeros(1), np.zeros((1, 2), dtype=bool)
+        assert _scalar_lockstep(*args, np.array([2.0]), *controls, 1, slope, mask)[0][0] == 0.0
+        assert slope[0] == 1.0 and mask.tolist() == [[True, False]]  # the pass at 2
+        lam, x, iterations, converged = _scalar_lockstep(*args, np.array([2.0]), *controls, 5,
+                                                         slope, mask)
         assert (lam[0], iterations[0], converged[0]) == (1.0, 2, True)
         np.testing.assert_array_equal(x, [[1.0, -1.0]])
+        assert slope[0] == 1.0 and mask.tolist() == [[False, True]]  # the pass at 0
 
     @pytest.mark.parametrize("cap", [1, 3])
     def test_capped_rows_are_flagged(self, cap):
@@ -499,11 +508,11 @@ def assert_group_matches_per_node(blocks, V, C, *, grad_tol, max_iter):
     np.testing.assert_allclose(sol.x, [r.x for r in reference], atol=1e-10, rtol=0)
     assert sol.converged == all(r.converged for r in reference)
     stacked = group.stack is not None
-    for sp, v, c, x, lam in zip(blocks, V, C, sol.x, sol.lam):
+    for sp, v, x, lam in zip(blocks, V, sol.x, sol.lam):
         # what the next solve starts from, kept by the block: a stacked
         # group's rows, viewed by its blocks
         assert sp.last_lambda.tobytes() == lam.tobytes()
-        assert sp.last_v.tobytes() == v.tobytes() and sp.last_c == c
+        assert sp.last_v.tobytes() == v.tobytes()
         for name in CARRIED:
             assert stacked == np.shares_memory(getattr(sp, name), getattr(group, name))
         if sol.converged:
@@ -596,10 +605,10 @@ class TestRowGroup:
     @pytest.mark.parametrize("height", [1, 2])
     def test_stacked_rows_take_the_per_node_prediction(self, height):
         # three solves of a stacked group (the scalar kernel at height 1, the
-        # lockstep at 2), the last at a new c for two nodes: each block ends
-        # where its node's kernel run alone from its tangent start ends, with
-        # as many iterations: last_lambda + hessian^-1 A ((v - last_v) *
-        # mask) / 2c, or last_lambda where c changed
+        # lockstep at 2): each block ends where its node's kernel run alone
+        # from its tangent start last_lambda + hessian^-1 A ((v - last_v) *
+        # mask) / 2c ends, with as many iterations. Before the first
+        # direction the mask is empty and the start is last_lambda.
         rng = np.random.default_rng(34)
         width, n = BATCH_MIN_WIDTH + 2, 12
         cfg = dict(grad_tol=1e-12, max_iter=2000)
@@ -609,24 +618,20 @@ class TestRowGroup:
         V, C = rng.normal(size=(width, n)), rng.uniform(0.5, 2.0, size=width)
         for trial in range(3):
             V = V + 0.1 * rng.normal(size=(width, n))
-            if trial == 2:
-                C[:2] *= 2.0
             before = {name: getattr(group, name).copy() for name in CARRIED}
             sol = solve_row_node(group, V, C, **cfg)
             iterations = 0
             for i, sp in enumerate(group.blocks):
-                start = before["last_lambda"][i].copy()
-                if C[i] == before["last_c"][i]:
-                    dv = (V[i] - before["last_v"][i]) * before["mask"][i]
-                    start += np.linalg.solve(before["hessian"][i], sp.A @ dv) / (2.0 * C[i])
-                else:
-                    assert trial == 0 or i < 2
+                dv = (V[i] - before["last_v"][i]) * before["mask"][i]
+                start = before["last_lambda"][i] + np.linalg.solve(before["hessian"][i],
+                                                                   sp.A @ dv) / (2.0 * C[i])
                 lam, _, its, _ = alone([sp], V[i : i + 1], C[i : i + 1],
                                        start[None, :] if height == 2 else start, **cfg)
-                if C[i] == before["last_c"][i]:  # the tangent, formed row by row here
+                if trial:  # the tangent, formed row by row here
                     np.testing.assert_allclose(sol.lam[i], lam.reshape(height), atol=1e-10,
                                                rtol=0)
-                else:  # the same start, bit for bit
+                else:  # the last solution itself: the same start, bit for bit
+                    assert start.tobytes() == before["last_lambda"][i].tobytes()
                     assert sol.lam[i].tobytes() == lam.reshape(height).tobytes()
                 assert sp.last_lambda.tobytes() == sol.lam[i].tobytes()
                 iterations += int(its[0])
@@ -635,6 +640,20 @@ class TestRowGroup:
         solved = group.last_lambda.copy()
         again = solve_row_node(group, V, C, **cfg)
         assert again.iterations == 0 and group.last_lambda.tobytes() == solved.tobytes()
+        # a run keeps each node's c; at another c for two nodes the tangent
+        # is only a start, and every node still meets the KKT conditions and
+        # ends where the per-node kernel from the same carried state ends
+        C[:2] *= 2.0
+        V = V + 0.1 * rng.normal(size=(width, n))
+        reference = per_node_solutions(group.blocks, V, C, **cfg)
+        sol = solve_row_node(group, V, C, **cfg)
+        assert sol.converged
+        for sp, v, c, x, lam, r in zip(group.blocks, V, C, sol.x, sol.lam, reference):
+            assert r.converged
+            np.testing.assert_allclose(x, r.x, atol=1e-10, rtol=0)
+            np.testing.assert_allclose(lam, r.lam, atol=1e-10, rtol=0)
+            assert_kkt(sp, v, c, NodeSolution(x=x, lam=lam, iterations=0, converged=True),
+                       cfg["grad_tol"] * sp.b_scale)
 
 
 class TestTangentStart:
@@ -749,28 +768,39 @@ class TestColumnSide:
             assert np.linalg.norm(value_grad(sol.lam)[1]) / (2.0 * q) <= 1e-9
 
     def test_warm_start_is_the_linear_prediction(self):
-        # each solve keeps its y, a copy of its lin, its q and its last
-        # direction's matrix A_S A_S' / delta + 2q I, and the next one starts
-        # from the tangent last_y - hessian^-1 (lin - last_lin): it ends with
-        # the bits of a block that starts there. At another q it starts from
-        # last_y.
+        # each solve keeps its y, a copy of its lin and its last direction's
+        # matrix A_S A_S' / delta + 2q I (None before the first), and the
+        # next one starts from the tangent last_y - hessian^-1 (lin -
+        # last_lin): it ends with the bits of a block with no direction yet,
+        # which starts from its last_y, set there.
         rng = np.random.default_rng(12)
         sp = ColSubproblem(rng.normal(size=(6, 4)), delta=0.5)
+        assert sp.hessian is None
         lin = rng.normal(size=6)
         sol = solve_col_node(sp, lin, 1.0, **CONTROLS)
-        assert sol.iterations > 0 and sp.last_y is sol.lam and sp.last_q == 1.0
+        assert sol.iterations > 0 and sp.last_y is sol.lam
         assert sp.last_lin.tobytes() == lin.tobytes() and not np.shares_memory(sp.last_lin, lin)
         active = sp.A[:, sol.x != 0.0]
         np.testing.assert_allclose(sp.hessian, active @ active.T / 0.5 + 2.0 * np.eye(6),
                                    rtol=1e-14, atol=1e-14)
-        for q, step in ((1.0, 0.5), (3.0, 1.0)):
+        for step in (0.5, 1.0):
             lin = lin + step * rng.normal(size=6)
             alone = ColSubproblem(sp.A, 0.5)
-            alone.last_y = sp.last_y - np.linalg.solve(sp.hessian, lin - sp.last_lin) \
-                if q == sp.last_q else sp.last_y.copy()
+            alone.last_y = sp.last_y - np.linalg.solve(sp.hessian, lin - sp.last_lin)
             for block in (sp, alone):
-                solve_col_node(block, lin, q, **CONTROLS)
+                solve_col_node(block, lin, 1.0, **CONTROLS)
             assert sp.last_y.tobytes() == alone.last_y.tobytes()
+        # a run keeps its q; at another one the tangent is only a start: the
+        # solve still meets the gradient tolerance, with the bits of a block
+        # solved from the same carried state
+        lin = lin + rng.normal(size=6)
+        twin = ColSubproblem(sp.A, 0.5)
+        twin.last_y, twin.last_lin, twin.hessian = (np.copy(getattr(sp, name))
+                                                    for name in ("last_y", "last_lin", "hessian"))
+        sol, reference = (solve_col_node(block, lin, 3.0, **CONTROLS) for block in (sp, twin))
+        assert sol.converged and sol.lam.tobytes() == reference.lam.tobytes()
+        _, _, grad = psi_p(sp, sol.lam)
+        assert np.abs(grad + lin + 6.0 * sol.lam).max() <= CONTROLS["grad_tol"]
 
     def test_keeps_the_fragment_of_its_solution(self):
         # x and sp.last_x are psi_p's fragment at the returned y, bit for
@@ -794,7 +824,7 @@ class TestColumnSide:
         assert sol.converged and sol.iterations > 1
         assert solve(lin).iterations == 0  # the same lin: the start is the solution
         start = 0.1 * rng.normal(size=40)
-        sp.last_y, sp.last_q = start.copy(), 0.0  # another q: the solve starts at last_y
+        sp.last_y, sp.hessian = start.copy(), None  # no direction: the solve starts at last_y
         sol = solve(-lin, max_iter=1)
         assert not sol.converged and sol.iterations == 1
         assert sol.lam.tobytes() == start.tobytes() and np.abs(sol.x).max() > 0.0

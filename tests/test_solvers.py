@@ -1,9 +1,5 @@
 import json
-import os
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,18 +102,9 @@ def test_kind_counts_steps_on_other_kernels(kernels):
     # the steps and evaluation totals hold on the kernel sets OpenBLAS gives
     # AVX2-only and AVX-only x86 CPUs (OPENBLAS_CORETYPE, in the child
     # process only)
-    from trace_digest import blas_kernels
+    from trace_digest import run_on_kernels
 
-    if blas_kernels() == "unknown":
-        pytest.skip("numpy's BLAS does not report an OpenBLAS kernel set")
-    tests = Path(__file__).resolve().parent
-    env = {**os.environ, "OPENBLAS_CORETYPE": kernels,
-           "PYTHONPATH": os.pathsep.join([str(Path(nl.__file__).parent.parent), str(tests)])}
-    done = subprocess.run([sys.executable, "-c", KIND_COUNTS_RUNS], env=env, cwd=tests,
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    found, runs = json.loads(done.stdout.splitlines()[-1])
-    assert found == kernels
+    (runs,) = run_on_kernels(kernels, KIND_COUNTS_RUNS)
     expected = [[kind, steps, sorted(reached.items()), evaluations]
                 for kind, (_, steps, reached, evaluations) in sorted(KIND_COUNTS.items())]
     assert runs == json.loads(json.dumps(expected))
@@ -699,18 +686,9 @@ class TestWarmStart:
     def test_warm_start_on_sandybridge_kernels(self):
         # the same under the kernel set OpenBLAS gives AVX-only x86 CPUs
         # (OPENBLAS_CORETYPE, in a child process only)
-        from trace_digest import blas_kernels
+        from trace_digest import run_on_kernels
 
-        if blas_kernels() == "unknown":
-            pytest.skip("numpy's BLAS does not report an OpenBLAS kernel set")
-        tests = Path(__file__).resolve().parent
-        env = {**os.environ, "OPENBLAS_CORETYPE": "Sandybridge",
-               "PYTHONPATH": os.pathsep.join([str(Path(nl.__file__).parent.parent), str(tests)])}
-        done = subprocess.run([sys.executable, "-c", WARM_START_RUNS], env=env, cwd=tests,
-                              capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        found, totals = json.loads(done.stdout.splitlines()[-1])
-        assert found == "Sandybridge"
+        (totals,) = run_on_kernels("Sandybridge", WARM_START_RUNS)
         assert_tangent_start_saves(totals)
 
 

@@ -27,7 +27,9 @@ from __future__ import annotations
 import argparse
 import ctypes
 import hashlib
+import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -73,6 +75,28 @@ def blas_kernels() -> str:
         return "unknown"
     corename.argtypes, corename.restype = (), ctypes.c_char_p
     return corename().decode()
+
+
+def run_on_kernels(kernels, code):
+    """Run code in a new interpreter whose OpenBLAS takes the kernel set
+    kernels (OPENBLAS_CORETYPE, in that interpreter only), with the library
+    and the tests importable, and return the JSON list its last line of
+    output prints, less its first item: blas_kernels() there, which must
+    read kernels. Skips the calling test where numpy's BLAS does not report
+    an OpenBLAS kernel set."""
+    import pytest
+
+    if blas_kernels() == "unknown":
+        pytest.skip("numpy's BLAS does not report an OpenBLAS kernel set")
+    tests = ROOT / "tests"
+    env = {**os.environ, "OPENBLAS_CORETYPE": kernels,
+           "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(tests)])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tests,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    found, *results = json.loads(done.stdout.splitlines()[-1])
+    assert found == kernels
+    return results
 
 
 def expectations(parser, values, names):
