@@ -102,22 +102,20 @@ def relative_error(x, x_ref) -> float:
     return float(np.linalg.norm(x - x_ref) / denom)
 
 
-def global_estimate(states, partition, x_ref=None, col_blocks=None):
+def global_estimate(states, partition, x_ref, col_blocks=None):
     """Assemble the network's current global estimate.
 
-    Row partitions: every node carries a full-length copy; with a reference
-    available the copy with the largest relative error is returned
-    (conservative reporting), otherwise node 0's. Column partitions: the
-    per-node fragments are concatenated in node order (col_blocks supplies
-    the per-node data to map y_p to its fragment).
+    Row partitions: every node carries a full-length copy, and the copy
+    farthest from the reference x_ref is returned (conservative reporting).
+    Column partitions: the per-node fragments are concatenated in node
+    order (col_blocks supplies the per-node data to map y_p to its
+    fragment).
     """
     if partition.kind == "column":
         if col_blocks is None:
             raise InputError("column estimates need the per-node column blocks")
         return np.concatenate([psi_p(sp, y)[1] for sp, y in zip(col_blocks, states.primal)])
     X = states.primal
-    if x_ref is None:
-        return X[0].copy()
     return X[int(np.argmax(np.linalg.norm(X - x_ref, axis=1)))].copy()
 
 

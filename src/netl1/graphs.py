@@ -6,6 +6,10 @@ from numpy's PCG64 generator seeded as default_rng([seed, model_id, stage])
 so that a fixed (model, P, seed) triple yields the same edge list on every
 platform. Stage 0 draws the primary structure (pair coins, placements,
 attachments) and stage 1 draws rewiring decisions where the model has any.
+The pair coins are one vector over the pairs i < j in row-major order, and
+models other than preferential attachment, which is sequential, build
+their edges from index arrays: Watts-Strogatz rewires one boolean
+adjacency matrix in place.
 """
 
 from __future__ import annotations
@@ -16,16 +20,6 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import InputError
-
-#: Each network model's id in its generator seed, and its parameters by
-#: name with their types (n counts neighbors).
-_MODELS = {
-    "erdos_renyi": (1, {"p": float}),
-    "watts_strogatz": (2, {"n": int, "p": float}),
-    "barabasi_albert": (3, {}),
-    "geometric": (4, {"d": float}),
-    "lattice": (5, {}),
-}
 
 
 def _rng(seed: int, model: str, stage: int) -> np.random.Generator:
@@ -119,64 +113,44 @@ def erdos_renyi(P: int, p: float, seed: int) -> Graph:
     _check_nodes(P)
     if not 0.0 <= p <= 1.0:
         raise InputError("edge probability must lie in [0, 1]")
-    rng = _rng(seed, "erdos_renyi", 0)
-    edges = []
-    for i in range(P):
-        for j in range(i + 1, P):
-            if rng.random() < p:
-                edges.append((i, j))
-    return Graph.from_edges(P, edges)
+    i, j = np.triu_indices(P, 1)
+    drawn = _rng(seed, "erdos_renyi", 0).random(i.size) < p
+    return _from_pairs(P, i[drawn], j[drawn])
 
 
-def watts_strogatz(P: int, n_neighbors: int, p_rewire: float, seed: int) -> Graph:
+def watts_strogatz(P: int, n: int, p: float, seed: int) -> Graph:
     """Ring lattice with n neighbors per node, then per-edge random rewiring.
 
     The base lattice is the circulant graph with distances 1..n/2; for odd n
     the diameter chord i <-> i+P/2 is added (so P must be even), giving every
     node exactly n neighbors. Each original edge is rewired with probability
-    p_rewire: one endpoint is kept (chosen with equal probability) and joined
-    to a node picked uniformly among its current non-neighbors; rewires with
-    no valid partner are skipped.
+    p: one endpoint is kept (chosen with equal probability) and joined to a
+    node picked uniformly among its current non-neighbors; rewires with no
+    valid partner are skipped.
     """
     _check_nodes(P)
-    if not _is_integer(n_neighbors) or not 1 <= n_neighbors < P:
+    if not _is_integer(n) or not 1 <= n < P:
         raise InputError("neighbor count must be an integer n with 1 <= n < P")
-    if not 0.0 <= p_rewire <= 1.0:
+    if not 0.0 <= p <= 1.0:
         raise InputError("rewiring probability must lie in [0, 1]")
-    if n_neighbors % 2 == 1 and P % 2 == 1:
+    if n % 2 == 1 and P % 2 == 1:
         raise InputError("odd neighbor counts need an even number of nodes")
 
-    edges = set()
-    for d in range(1, n_neighbors // 2 + 1):
-        for i in range(P):
-            edges.add(tuple(sorted((i, (i + d) % P))))
-    if n_neighbors % 2 == 1:
-        half = P // 2
-        for i in range(half):
-            edges.add((i, i + half))
-
+    offset = np.abs(np.subtract.outer(np.arange(P), np.arange(P)))
+    ring = np.minimum(offset, P - offset)  # distance around the ring
+    # the diagonal is set too, so that no node is its own new partner
+    linked = (ring <= n // 2) | ((n % 2 == 1) & (ring == P // 2))
     rng = _rng(seed, "watts_strogatz", 1)
-    adjacency = {i: set() for i in range(P)}
-    for i, j in edges:
-        adjacency[i].add(j)
-        adjacency[j].add(i)
-
-    for i, j in sorted(edges):
-        if rng.random() >= p_rewire:
+    for i, j in np.argwhere(np.triu(linked, 1)).tolist():
+        if rng.random() >= p:
             continue
         keep = i if rng.random() < 0.5 else j
-        drop = j if keep == i else i
-        candidates = [w for w in range(P) if w != keep and w not in adjacency[keep]]
-        if not candidates:
-            continue
-        new = candidates[rng.integers(len(candidates))]
-        adjacency[i].discard(j)
-        adjacency[j].discard(i)
-        adjacency[keep].add(new)
-        adjacency[new].add(keep)
-
-    final = {(min(i, j), max(i, j)) for i in adjacency for j in adjacency[i]}
-    return Graph.from_edges(P, final)
+        candidates = np.flatnonzero(~linked[keep])
+        if candidates.size:
+            new = candidates[rng.integers(candidates.size)]
+            linked[i, j] = linked[j, i] = False
+            linked[keep, new] = linked[new, keep] = True
+    return _from_pairs(P, *np.nonzero(np.triu(linked, 1)))
 
 
 def barabasi_albert(P: int, seed: int) -> Graph:
@@ -203,14 +177,10 @@ def geometric(P: int, d: float, seed: int) -> Graph:
     _check_nodes(P)
     if d <= 0:
         raise InputError("connection radius must be positive")
-    rng = _rng(seed, "geometric", 0)
-    pos = rng.random((P, 2))
-    edges = []
-    for i in range(P):
-        for j in range(i + 1, P):
-            if np.hypot(*(pos[i] - pos[j])) < d:
-                edges.append((i, j))
-    return Graph.from_edges(P, edges)
+    pos = _rng(seed, "geometric", 0).random((P, 2))
+    i, j = np.triu_indices(P, 1)
+    near = np.hypot(*(pos[i] - pos[j]).T) < d
+    return _from_pairs(P, i[near], j[near])
 
 
 def lattice(P: int) -> Graph:
@@ -222,16 +192,28 @@ def lattice(P: int) -> Graph:
     """
     _check_nodes(P)
     rows = max(r for r in range(1, int(np.sqrt(P)) + 1) if P % r == 0)
-    cols = P // rows
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            node = r * cols + c
-            if c + 1 < cols:
-                edges.append((node, node + 1))
-            if r + 1 < rows:
-                edges.append((node, node + cols))
-    return Graph.from_edges(P, edges)
+    grid = np.arange(P).reshape(rows, P // rows)
+    return _from_pairs(P, np.r_[grid[:, :-1].ravel(), grid[:-1].ravel()],
+                       np.r_[grid[:, 1:].ravel(), grid[1:].ravel()])
+
+
+def _from_pairs(P: int, i: np.ndarray, j: np.ndarray) -> Graph:
+    """The graph of the pairs (i[k], j[k]), passed on as Python ints, which
+    the integer checks of Graph.from_edges pass in half the time numpy
+    integers take."""
+    return Graph.from_edges(P, zip(i.tolist(), j.tolist()))
+
+
+#: Each network model by name: its id in the generator seed, its parameters
+#: by name with their types (n counts neighbors), and its generator, called
+#: with P, the parameters in this order, and the seed.
+_MODELS = {
+    "erdos_renyi": (1, {"p": float}, erdos_renyi),
+    "watts_strogatz": (2, {"n": int, "p": float}, watts_strogatz),
+    "barabasi_albert": (3, {}, barabasi_albert),
+    "geometric": (4, {"d": float}, geometric),
+    "lattice": (5, {}, lambda P, seed: lattice(P)),
+}
 
 
 def generate_network(model: str, P: int, seed: int = 0, **params) -> Graph:
@@ -247,19 +229,11 @@ def generate_network(model: str, P: int, seed: int = 0, **params) -> Graph:
         raise InputError(f"seed must be a non-negative integer, got {seed!r}")
     if model not in _MODELS:
         raise InputError(f"unknown network model {model!r}")
-    names = _MODELS[model][1]
+    _, names, generator = _MODELS[model]
     if set(params) != set(names):
         raise InputError(f"{model} takes the parameters ({', '.join(names)}), "
                          f"got ({', '.join(sorted(params))})")
-    if model == "erdos_renyi":
-        return erdos_renyi(P, params["p"], seed)
-    if model == "watts_strogatz":
-        return watts_strogatz(P, params["n"], params["p"], seed)
-    if model == "barabasi_albert":
-        return barabasi_albert(P, seed)
-    if model == "geometric":
-        return geometric(P, params["d"], seed)
-    return lattice(P)
+    return generator(P, *(params[name] for name in names), seed)
 
 
 def is_connected(g: Graph) -> bool:
@@ -294,7 +268,9 @@ def greedy_coloring(g: Graph) -> Coloring:
 
 
 def is_proper(g: Graph, coloring: Coloring) -> bool:
-    return all(coloring.colors[i] != coloring.colors[j] for i, j in g.edges)
+    i, j = g.endpoints
+    colors = np.array(coloring.colors)
+    return bool((colors[i] != colors[j]).all())
 
 
 def save_network(path, g: Graph, coloring: Coloring | None = None) -> None:

@@ -200,7 +200,10 @@ def solve_row_node(sp, v, c, *, grad_tol: float, max_iter: int) -> NodeSolution:
     mask is empty and the start is last_lambda). A block's c is fixed for
     its run, as the stepper sets it. Then the block keeps the solution, v
     and the last direction's hessian and mask (those of a solve that took
-    no step stay).
+    no step stay), each written into the block's own arrays, so that a
+    block of a stacked group stays a view of its row; the solution's lam
+    is the block's last_lambda itself, as a stacked group's is its
+    last_lambda, and the next solve overwrites it.
 
     sp may also be a RowGroup, with one row of v and one entry of c per
     node: every node's problem is solved, and the solution holds the rows
@@ -250,10 +253,9 @@ def _newton_node(sp: RowSubproblem, v: np.ndarray, c, grad_tol, max_iter):
     lam, x, evals, converged, hessian, mask = _newton(
         evaluate, A, c2, 0.0, sp.frobenius_sq / (c2 * A.shape[1]), start, grad_tol * sp.b_scale,
         max_iter)
-    sp.last_lambda = lam
-    sp.last_v[...] = v
+    sp.last_lambda[...], sp.last_v[...] = lam, v
     if hessian is not None:
-        sp.hessian, sp.mask = hessian, mask
+        sp.hessian[...], sp.mask[...] = hessian, mask
     return x, evals, converged
 
 

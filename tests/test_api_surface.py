@@ -86,7 +86,6 @@ SURFACE = {
     "gen_instance(kind)",
     "generate_network(seed)",
     "global_estimate(col_blocks)",
-    "global_estimate(x_ref)",
     "make_stepper(coloring)",
     "rho_sweep(coloring)",
     "rho_sweep(rule)",

@@ -159,6 +159,10 @@ class TestConnectedNetwork:
         assert g.n_nodes == 2 and g.n_edges == 1
         g4 = connected_network("watts_strogatz", 4, seed=0, n=4, p=0.6)
         assert nl.is_connected(g4)
+        # an odd count on an odd P has no chords: n=3 is lowered to the ring
+        g5 = connected_network("watts_strogatz", 5, n=3, p=0.0)
+        assert g5 == nl.generate_network("watts_strogatz", 5, n=2, p=0.0)
+        assert (g5.degrees == 2).all()
 
     def test_missing_parameter_is_an_input_error(self):
         with pytest.raises(InputError, match=r"watts_strogatz takes the parameters \(n, p\)"):

@@ -3,7 +3,7 @@ import pytest
 
 from netl1 import bench, cli, solvers
 from netl1.cli import ALGOS, main
-from netl1.graphs import generate_network, greedy_coloring, load_network
+from netl1.graphs import generate_network, greedy_coloring, load_network, save_network
 from netl1.problems import load_instance, save_instance
 
 
@@ -198,6 +198,41 @@ def test_run_reads_network_files_as_written(tmp_path):
     # an edge line that is not two integers is an input error
     net.write_text("2 1\n0\n")
     assert main(run) == 1
+
+
+def test_run_without_file_colors_colors_greedily(tmp_path):
+    # a network file with no colors line runs on the greedy coloring
+    inst = tmp_path / "inst.txt"
+    main(["gen-instance", "--m", "16", "--n", "48", "--P", "4", "--k", "2",
+          "--seed", "7", "--out", str(inst)])
+    g = generate_network("erdos_renyi", 4, 1, p=0.6)
+    traces = []
+    for name, coloring in (("plain", None), ("greedy", greedy_coloring(g))):
+        net, trace = tmp_path / f"{name}.txt", tmp_path / f"{name}.csv"
+        save_network(net, g, coloring)
+        assert main(["run", "--algo", "dadmm", "--instance", str(inst), "--network", str(net),
+                     "--targets", "1e-2,1e-4", "--trace-out", str(trace)]) == 0
+        traces.append(trace.read_text())
+    assert traces[0] == traces[1]
+
+
+def test_sweep_rho_trace_out_is_the_best_trace(tmp_path, capsys):
+    inst, net = _instance_and_network(tmp_path, 8)
+    common = ["--algo", "dadmm", "--instance", str(inst), "--network", str(net),
+              "--targets", "1e-2,1e-4"]
+    swept, alone = tmp_path / "swept.csv", tmp_path / "alone.csv"
+    assert main(["sweep-rho", *common, "--grid", "1e-1,1,10", "--trace-out", str(swept)]) == 0
+    best = capsys.readouterr().out.splitlines()[-1].removeprefix("best rho = ")
+    assert main(["run", *common, "--rho", best, "--trace-out", str(alone)]) == 0
+    assert swept.read_text() == alone.read_text()
+
+
+def test_scale_warns_of_exhausted_cells(capsys):
+    assert main(["scale", "--m", "16", "--n", "48", "--k", "2", "--p-values", "2,4",
+                 "--target", "1e-9", "--max-steps", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "steps [-1, -1]" in out
+    assert out.endswith("warning: some cells exhausted the step budget (recorded as -1)\n")
 
 
 def test_empty_rho_grid_is_an_input_error(tmp_path, capsys):

@@ -1,10 +1,11 @@
+import hashlib
 import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netl1.bench import connected_network
+from netl1.bench import NETWORK_MODELS, connected_network
 from netl1.graphs import (
     Coloring,
     Graph,
@@ -27,6 +28,33 @@ EVERY_MODEL = [
     ("barabasi_albert", {}),
     ("geometric", {"d": 0.5}),
     ("lattice", {}),
+]
+
+
+#: One sha256 per model over the edge lists of generate_network at P in
+#: GOLDEN_SIZES and seeds 0-4: the network bank, then Watts-Strogatz with odd
+#: neighbor counts. Neighbor counts are clamped to P - 1, as in
+#: connected_network.
+GOLDEN_SIZES = (4, 10, 50)
+GOLDEN_NETWORKS = [
+    ("erdos_renyi", {"p": 0.25},
+     "98306c851c80d6795b5e235fb8053784db0f3eb597dfc22696ff29f8f18cb397"),
+    ("erdos_renyi", {"p": 0.75},
+     "e21fd3b90a8f63349b4151c992728a82d5e7e62e8cdcab31a3971eb584a9a658"),
+    ("watts_strogatz", {"n": 4, "p": 0.6},
+     "6d02a467fdecb36711568c8f2201ee1ad9a2dd3a74869c1705ac2101237d6a83"),
+    ("watts_strogatz", {"n": 2, "p": 0.8},
+     "f43804129951af811a529dce2a174390e70c8707ef85c0767da28df5f8a944c8"),
+    ("barabasi_albert", {},
+     "bccdec35e8d1a4e542e7799a08d0af2c9dbfdd163c02d60e237a0d03268fbca9"),
+    ("geometric", {"d": 0.75},
+     "39a1bed250e31e23038169aa8e44a891cc36efe61e5a426ec537fdd635c492eb"),
+    ("lattice", {},
+     "ee3cb82122ac804f6d59ed260c4549ca4d593a07977fddb7b01ed71852db90d5"),
+    ("watts_strogatz", {"n": 3, "p": 0.5},
+     "fe5c16638b6583602558b4d6474887e92b2eeb771d5d0387855b8020f5c8e346"),
+    ("watts_strogatz", {"n": 1, "p": 0.7},
+     "a77965ebae7de6265beed9edc7059868b8f392f5ba5056d6daa7edead34b0289"),
 ]
 
 
@@ -78,6 +106,22 @@ class TestGenerators:
             a = generate_network(model, 15, 42, **params)
             b = generate_network(model, 15, 42, **params)
             assert a.edges == b.edges
+
+    def test_golden_models_cover_the_network_bank(self):
+        bank = [(model, params) for _, model, params in NETWORK_MODELS]
+        assert [(model, params) for model, params, _ in GOLDEN_NETWORKS[: len(bank)]] == bank
+
+    @pytest.mark.parametrize("model, params, digest", GOLDEN_NETWORKS)
+    def test_golden_edge_lists(self, model, params, digest):
+        # every edge each model draws, beyond the one seed per model the
+        # benchmark and the acceptance runs build
+        h = hashlib.sha256()
+        for P in GOLDEN_SIZES:
+            for seed in range(5):
+                clamped = {k: min(v, P - 1) if k == "n" else v for k, v in params.items()}
+                g = generate_network(model, P, seed, **clamped)
+                h.update(repr((P, seed, g.edges)).encode())
+        assert h.hexdigest() == digest
 
     def test_watts_strogatz_ring_degrees(self):
         g = watts_strogatz(14, 4, 0.0, seed=0)

@@ -162,10 +162,11 @@ class TestRowSolver:
             assert sp.last_v.tobytes() == w.tobytes() and not np.shares_memory(sp.last_v, w)
             assert sp.hessian.shape == (3, 3) and sp.mask.shape == (8,) and sp.mask.dtype == bool
         # re-solving the same problem starts from its solution and is immediate
-        hessian, mask, last = sp.hessian, sp.mask, sp.last_lambda.copy()
+        hessian, mask, last = sp.hessian.copy(), sp.mask.copy(), sp.last_lambda.copy()
         again = solve_row_node(sp, w, 1.0, **CONTROLS)
         assert again.iterations == 0 and sp.last_lambda.tobytes() == last.tobytes()
-        assert sp.hessian is hessian and sp.mask is mask  # no step: the last direction stays
+        # no step: the last direction stays
+        assert sp.hessian.tobytes() == hessian.tobytes() and sp.mask.tobytes() == mask.tobytes()
         # a block with no direction yet has an empty mask: it starts from
         # last_lambda itself, whatever v moved by
         fresh = RowSubproblem(sp.A, sp.b)
@@ -601,6 +602,22 @@ class TestRowGroup:
         for sp, v, lam, r in zip(blocks, V, sol.lam, reference):
             assert sp.last_lambda is lam and sp.last_v.tobytes() == v.tobytes()
             np.testing.assert_array_equal(lam, r.lam)
+
+    def test_node_solve_keeps_a_stacked_block_a_view(self):
+        # a block of a stacked group solved on its own writes its row of the
+        # group's carried state; the per-node kernel used to rebind the
+        # block's last_lambda, hessian and mask, detaching them from the
+        # group, whose row then stayed stale for its next solve
+        rng = np.random.default_rng(35)
+        blocks = [random_row_subproblem(rng, 2, 9) for _ in range(BATCH_MIN_WIDTH)]
+        group = RowGroup(blocks)
+        V, C = rng.normal(size=(BATCH_MIN_WIDTH, 9)), rng.uniform(0.5, 2.0, size=BATCH_MIN_WIDTH)
+        solve_row_node(group, V, C, **CONTROLS)
+        sol = solve_row_node(blocks[0], 3.0 * rng.normal(size=9), C[0], **CONTROLS)
+        assert sol.iterations > 0 and sol.lam is blocks[0].last_lambda
+        for name in CARRIED:
+            assert np.shares_memory(getattr(blocks[0], name), getattr(group, name))
+            assert getattr(group, name)[0].tobytes() == getattr(blocks[0], name).tobytes()
 
     @pytest.mark.parametrize("height", [1, 2])
     def test_stacked_rows_take_the_per_node_prediction(self, height):
